@@ -43,13 +43,12 @@ class RunConfig:
     rank_tol: float = 1e-9
     iso_tol: float = 1e-8
     bracket_tol: float = 1e-6
-    h: float = poisson.DEFAULT_H
     seed: int = 0
     output_format: str = "json"
 
     def validate(self) -> "RunConfig":
         for name in ("tail_eps", "zero_tol", "rank_tol", "iso_tol",
-                     "bracket_tol", "h"):
+                     "bracket_tol"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
         if self.omega.imag <= 0:
@@ -321,9 +320,10 @@ def cmd_sklyanin_check_iso(args, config: RunConfig) -> int:
 
 
 def cmd_poisson_extract(args, config: RunConfig) -> int:
-    h = args.h if args.h is not None else config.h
+    if not args.h > 0:
+        raise UsageError(f"h must be positive, got {args.h:g}")
     tensor = poisson.extract_bracket(
-        args.d, args.r, config.modulus, h=h,
+        args.d, args.r, config.modulus, h=args.h,
         zero_tol=config.zero_tol, rank_tol=config.rank_tol,
         bracket_tol=config.bracket_tol)
     skew = poisson.skew_check(tensor)
@@ -339,7 +339,7 @@ def cmd_poisson_extract(args, config: RunConfig) -> int:
         with open(args.dump, "w") as fh:
             fh.write(to_json(payload) + "\n")
     result = {
-        "d": args.d, "r": args.r, "h": h,
+        "d": args.d, "r": args.r, "h": args.h,
         "richardson_error": tensor.richardson_error,
         "nonzero_entries": int(np.count_nonzero(tensor.pi)),
         "residuals": [
@@ -603,7 +603,7 @@ def cmd_check_all(args, config: RunConfig) -> int:
                                  config.iso_tol))
 
     tensor = poisson.extract_bracket(
-        3, 1, config.modulus, h=config.h, zero_tol=config.zero_tol,
+        3, 1, config.modulus, zero_tol=config.zero_tol,
         rank_tol=config.rank_tol, bracket_tol=config.bracket_tol)
     rows.append(residual_row("poisson_richardson_d3",
                              tensor.richardson_error, config.bracket_tol))
@@ -747,7 +747,8 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     p = leaf(po_sub, "extract", cmd_poisson_extract)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=poisson.DEFAULT_H,
+                   help="extraction step, positive (default %(default)s)")
     p.add_argument("--dump", metavar="pi.json")
     p = leaf(po_sub, "jacobi", cmd_poisson_jacobi)
     p.add_argument("--in", dest="infile", required=True, metavar="pi.json")
@@ -809,7 +810,7 @@ def _config_from_args(args, env_cfg: RunConfig) -> RunConfig:
     cfg = replace(
         env_cfg,
         omega=args.omega,
-        seed=args.seed if args.seed is not None else env_cfg.seed,
+        seed=args.seed,
         output_format=args.output_format,
         tail_eps=args.tail_eps,
         zero_tol=args.zero_tol,
@@ -834,9 +835,6 @@ def run(argv=None) -> int:
     try:
         config = _config_from_args(args, env_cfg)
         return args.func(args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -455,64 +455,34 @@ def gl_pair_tensor(r1: int, r2: int) -> SymTensor:
 
 
 def _commutator_rep_from_matrices(mats, n):
-    """LieRepData for a list of matrices closed under commutator."""
-    flat = [[mat[a][b] for a in range(n) for b in range(n)] for mat in mats]
-    work = [list(map(Fraction, row)) for row in flat]
-    pivots = _rref(work, n * n, exact=True)
-    if len(pivots) != len(mats):
-        raise ValueError("matrix list is not linearly independent")
+    """LieRepData for a list of matrices closed under commutator.
+
+    One exact row reduction of the system whose columns are the flattened
+    matrices followed by every commutator [A_i, A_j], i < j: the matrices
+    must give a pivot each, and a pivot in a commutator column means that
+    commutator is outside their span.  Otherwise the reduced commutator
+    columns hold its coordinates in the basis.
+    """
     m = len(mats)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    comms = [_mat_sub(_mat_mul(mats[i], mats[j]), _mat_mul(mats[j], mats[i]))
+             for i, j in pairs]
+    work = [[Fraction(mat[a][b]) for mat in list(mats) + comms]
+            for a in range(n) for b in range(n)]
+    pivots = _rref(work, m + len(pairs), exact=True)
+    if pivots[:m] != list(range(m)):
+        raise ValueError("matrix list is not linearly independent")
+    if len(pivots) > m:
+        raise ValueError("vector is outside the span")
     c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = _mat_sub(_mat_mul(mats[i], mats[j]), _mat_mul(mats[j], mats[i]))
-            vec = [comm[a][b] for a in range(n) for b in range(n)]
-            coeffs = _solve_in_span(flat, vec)
-            for k, val in enumerate(coeffs):
-                c[i][j][k] = val
-                c[j][i][k] = -val
+    for col, (i, j) in enumerate(pairs, start=m):
+        for k in range(m):
+            c[i][j][k] = work[k][col]
+            c[j][i][k] = -work[k][col]
     return LieRepData(
         dim_g=m, dim_V=n,
         bracket=tuple(tuple(tuple(row) for row in pl) for pl in c),
         action=tuple(tuple(tuple(x for x in row) for row in mat) for mat in mats))
-
-
-def _solve_in_span(basis_rows, vec):
-    """Exact coefficients expressing vec in the span of basis_rows."""
-    k = len(basis_rows)
-    ncols = len(vec)
-    # augmented elimination: reduce [basis; vec] tracking multipliers
-    aug = [list(map(Fraction, row)) +
-           [Fraction(1) if i == j else Fraction(0) for j in range(k)]
-           for i, row in enumerate(basis_rows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        hit = next((i for i in range(r, k) if aug[i][col] != 0), None)
-        if hit is None:
-            continue
-        aug[r], aug[hit] = aug[hit], aug[r]
-        piv = aug[r][col]
-        aug[r] = [x / piv for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == k:
-            break
-    target = list(map(Fraction, vec))
-    coeffs = [Fraction(0)] * k
-    for rix, col in enumerate(pivots):
-        if target[col] != 0:
-            f = target[col]
-            target = [x - f * y for x, y in zip(target, aug[rix][:ncols])]
-            for j in range(k):
-                coeffs[j] += f * aug[rix][ncols + j]
-    if any(x != 0 for x in target):
-        raise ValueError("vector is outside the span")
-    return coeffs
 
 
 def symplectic_form(two_r: int):

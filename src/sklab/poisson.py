@@ -66,32 +66,31 @@ class PoissonTensor:
 
     def bracket_matrix(self, a: int, b: int) -> np.ndarray:
         """Symmetric matrix M with {t_a, t_b}(p) = p^T M p."""
-        d = self.d
-        m = np.zeros((d, d), dtype=complex)
-        for c in range(d):
-            m[c, c] = self.pi[a, b, c, c]
-            for e in range(c + 1, d):
-                m[c, e] = m[e, c] = 0.5 * self.pi[a, b, c, e]
-        return m
-
-    def bracket_value(self, a: int, b: int, p: np.ndarray) -> complex:
-        return complex(p @ self.bracket_matrix(a, b) @ p)
+        return _unpack(self.pi[a, b])
 
 
-def _symmetric_to_storage(mat: np.ndarray) -> np.ndarray:
-    """Pack a symmetric matrix into the canonical c <= e coefficient slice."""
-    d = mat.shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    for c in range(d):
-        out[c, c] = mat[c, c]
-        for e in range(c + 1, d):
-            out[c, e] = 2.0 * mat[c, e]
-    return out
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """Symmetric matrices of quadratic forms stored in c <= e form.
+
+    Works on the last two axes, so _unpack(pi)[a, b] is the matrix of
+    {t_a, t_b}.  With zeros below the diagonal no entry is rounded.
+    """
+    return 0.5 * (packed + packed.swapaxes(-1, -2))
+
+
+def _pack(mats: np.ndarray) -> np.ndarray:
+    """Canonical c <= e storage of symmetric matrices (inverse of _unpack)."""
+    return np.triu(mats) + np.triu(mats, 1)
 
 
 def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
-                   zero_tol: float, rank_tol: float):
-    """Bracket matrices -Sym(v)/h for every pair a < b at x = h*u."""
+                   zero_tol: float, rank_tol: float) -> np.ndarray:
+    """Bracket matrices -Sym(v)/h at x = h*u, as a (d, d, d, d) array.
+
+    For every pair a < b, v is the relation-space element whose
+    antisymmetric part is e_a ^ e_b; one least-squares solve takes all
+    d(d-1)/2 targets as columns.  The result is antisymmetric in (a, b).
+    """
     x = h * EXTRACTION_DIRECTION
     sys = build_relations(AlgebraParams(d, r, x, modulus), zero_tol)
     basis = relation_space(sys, rank_tol)
@@ -103,21 +102,24 @@ def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
         raise ExtractionError(
             f"projection of the relation space to the wedge square is "
             f"ill-conditioned (cond={cond:.2e}) at h={h:g}")
-    mats = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            target = np.zeros(d * d, dtype=complex)
-            target[a * d + b] = 0.5
-            target[b * d + a] = -0.5
-            coeff, *_ = np.linalg.lstsq(wedge, target, rcond=None)
-            residual = np.abs(wedge @ coeff - target).max()
-            if residual > 1e-8:
-                raise ExtractionError(
-                    f"no relation-space element has antisymmetric part "
-                    f"e_{a}^e_{b} (residual {residual:.2e}) at h={h:g}")
-            v = (basis @ coeff).reshape(d, d)
-            mats[(a, b)] = -0.5 * (v + v.T) / h
-    return mats
+    a, b = np.triu_indices(d, 1)
+    pair = np.arange(len(a))
+    targets = np.zeros((d * d, len(a)), dtype=complex)
+    targets[a * d + b, pair] = 0.5
+    targets[b * d + a, pair] = -0.5
+    coeff, *_ = np.linalg.lstsq(wedge, targets, rcond=None)
+    residual = np.abs(wedge @ coeff - targets).max(axis=0)
+    if residual.max(initial=0.0) > 1e-8:
+        worst = residual.argmax()
+        raise ExtractionError(
+            f"no relation-space element has antisymmetric part "
+            f"e_{a[worst]}^e_{b[worst]} (residual {residual[worst]:.2e}) "
+            f"at h={h:g}")
+    v = (basis @ coeff).T.reshape(-1, d, d)
+    level = np.zeros((d, d, d, d), dtype=complex)
+    level[a, b] = -0.5 * (v + v.transpose(0, 2, 1)) / h
+    level[b, a] = -level[a, b]
+    return level
 
 
 def extract_bracket(d: int, r: int, modulus: CurveModulus,
@@ -132,45 +134,32 @@ def extract_bracket(d: int, r: int, modulus: CurveModulus,
     and must come in under bracket_tol, otherwise the extraction is
     rejected rather than silently inaccurate.
     """
-    levels = [_extract_level(d, r, modulus, step, zero_tol, rank_tol)
-              for step in (h, h / 2, h / 4)]
-    pairs = levels[0].keys()
-    first = {p: 2.0 * levels[1][p] - levels[0][p] for p in pairs}
-    second = {p: 2.0 * levels[2][p] - levels[1][p] for p in pairs}
-    spread = max((np.abs(second[p] - first[p]).max() for p in pairs),
-                 default=0.0)
+    coarse, mid, fine = (_extract_level(d, r, modulus, step, zero_tol,
+                                        rank_tol)
+                         for step in (h, h / 2, h / 4))
+    first = 2.0 * mid - coarse
+    second = 2.0 * fine - mid
+    spread = float(np.abs(second - first).max())
     if spread >= bracket_tol:
         raise ExtractionError(
             f"richardson stages disagree by {spread:.2e} "
             f">= bracket_tol={bracket_tol:g}; shrink h")
-    pi = np.zeros((d, d, d, d), dtype=complex)
-    for (a, b), mat in second.items():
-        packed = _symmetric_to_storage(mat)
-        pi[a, b] = packed
-        pi[b, a] = -packed
-    return PoissonTensor(d=d, r=r % d, pi=pi, richardson_error=float(spread),
-                         extraction_step=h)
+    return PoissonTensor(d=d, r=r % d, pi=_pack(second),
+                         richardson_error=spread, extraction_step=h)
 
 
 def skew_check(tensor: PoissonTensor) -> float:
     """Largest violation of the storage conventions.
 
-    Checks {t_a, t_a} = 0, pi[b, a] = -pi[a, b], and that no coefficient
-    sits below the diagonal of the monomial indices (c > e).  Extracted
-    tensors return exactly 0; a hand-edited array shows up as positive.
+    Checks pi[b, a] = -pi[a, b] (at a = b this is {t_a, t_a} = 0, seen
+    doubled) and that no coefficient sits below the diagonal of the
+    monomial indices (c > e).  Extracted tensors return exactly 0; a
+    hand-edited array shows up as positive.
     """
-    worst = 0.0
-    d = tensor.d
-    for a in range(d):
-        worst = max(worst, float(np.abs(tensor.pi[a, a]).max()))
-        for b in range(d):
-            worst = max(worst, float(
-                np.abs(tensor.pi[a, b] + tensor.pi[b, a]).max()))
-            lower = [abs(tensor.pi[a, b, c, e])
-                     for c in range(d) for e in range(c)]
-            if lower:
-                worst = max(worst, max(lower))
-    return worst
+    pi = tensor.pi
+    skew = np.abs(pi + pi.swapaxes(0, 1)).max()
+    lower = np.abs(np.tril(pi, -1)).max()
+    return float(max(skew, lower))
 
 
 def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
@@ -183,13 +172,9 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     by the largest cubic monomial (max_i |p_i|)^3.
     """
     d = tensor.d
-    mats = np.zeros((d, d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            if a != b:
-                mats[a, b] = tensor.bracket_matrix(min(a, b), max(a, b))
-                if a > b:
-                    mats[a, b] = -mats[a, b]
+    mats = _unpack(tensor.pi)
+    a, b, c = np.ogrid[:d, :d, :d]
+    triples = (a < b) & (b < c)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -201,13 +186,13 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
             continue
         values = np.einsum("c,abce,e->ab", p, mats, p)
         gradients = np.einsum("abce,e->abc", mats, p)
-        for a in range(d):
-            for b in range(a + 1, d):
-                for c in range(b + 1, d):
-                    total = (2.0 * gradients[b, c] @ values[a]
-                             + 2.0 * gradients[c, a] @ values[b]
-                             + 2.0 * gradients[a, b] @ values[c])
-                    worst = max(worst, abs(total) / cube)
+        # term[a, b, c] = gradients[b, c] . values[a]; J_abc sums its
+        # cyclic shifts
+        term = np.einsum("bcf,af->abc", gradients, values)
+        total = 2.0 * (term + term.transpose(2, 0, 1)
+                       + term.transpose(1, 2, 0))
+        worst = max(worst,
+                    float(np.abs(total[triples]).max(initial=0.0)) / cube)
     return worst
 
 
@@ -223,24 +208,9 @@ def substituted_tensor(tensor: PoissonTensor) -> PoissonTensor:
     """
     d, r = tensor.d, tensor.r
     r_prime = pow(r, -1, d) if d > 1 else 0
-    pi = np.zeros((d, d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(a + 1, d):
-            source = tensor.bracket_matrix
-            sa, sb = (r * a) % d, (r * b) % d
-            sign = 1.0
-            if sa > sb:
-                sa, sb = sb, sa
-                sign = -1.0
-            mat = sign * source(sa, sb)
-            moved = np.zeros((d, d), dtype=complex)
-            for c in range(d):
-                for e in range(d):
-                    moved[c, e] = mat[(r * c) % d, (r * e) % d]
-            packed = _symmetric_to_storage(moved)
-            pi[a, b] = packed
-            pi[b, a] = -packed
-    return PoissonTensor(d=d, r=r_prime, pi=pi,
+    moved = (r * np.arange(d)) % d
+    mats = _unpack(tensor.pi)[np.ix_(moved, moved, moved, moved)]
+    return PoissonTensor(d=d, r=r_prime, pi=_pack(mats),
                          richardson_error=tensor.richardson_error,
                          extraction_step=tensor.extraction_step)
 
@@ -261,6 +231,12 @@ def scale_match_deviation(t1: PoissonTensor, t2: PoissonTensor):
         return 1.0 + 0.0j, 0.0
     if abs(flat1[top]) == 0.0 or scale2 == 0.0:
         return 1.0 + 0.0j, 1.0
-    lam = flat2[top] / flat1[top]
+    # written out in real arithmetic so that equal entries give exactly
+    # lam = 1: complex division rounds x / x away from 1 for about one x
+    # in five
+    x1, x2 = complex(flat1[top]), complex(flat2[top])
+    norm = x1.real * x1.real + x1.imag * x1.imag
+    lam = complex((x2.real * x1.real + x2.imag * x1.imag) / norm,
+                  (x2.imag * x1.real - x2.real * x1.imag) / norm)
     dev = float(np.abs(flat2 - lam * flat1).max() / scale2)
-    return complex(lam), dev
+    return lam, dev

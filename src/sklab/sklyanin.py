@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .theta import CurveModulus, ThetaBasis, reduce_to_cell
+from .theta import ConvergenceError, CurveModulus, ThetaBasis, reduce_to_cell
 
 __all__ = [
     "AlgebraParams",
@@ -102,6 +102,13 @@ class RelationSystem:
         return self.params.d
 
 
+def _min_ratio(vals: np.ndarray):
+    """Index and size of the smallest |theta_m| relative to the largest."""
+    mags = np.abs(vals)
+    m = int(mags.argmin())
+    return m, mags[m] / mags.max()
+
+
 def _theta_triple(params: AlgebraParams, zero_tol: float, tail_eps: float):
     """theta values at 0, x and -x, with the near-zero precondition check."""
     basis = ThetaBasis(params.d, params.modulus, tail_eps=tail_eps)
@@ -109,36 +116,45 @@ def _theta_triple(params: AlgebraParams, zero_tol: float, tail_eps: float):
     at_x = basis.values_at(params.x)
     at_minus_x = basis.values_at(-params.x)
     for which, vals in (("x", at_x), ("-x", at_minus_x)):
-        scale = np.abs(vals).max()
-        bad = int(np.abs(vals).argmin())
-        ratio = abs(vals[bad]) / scale
+        bad, ratio = _min_ratio(vals)
         if ratio < zero_tol:
             raise DenominatorNearZero(bad, which, ratio, zero_tol)
     return at_zero, at_x, at_minus_x
 
 
-def _raw_rows(params: AlgebraParams, zero_tol: float, tail_eps: float):
-    """Yield (i, j, [(n, a, b, coeff), ...]) per relation, unnormalized.
+def _coefficient_table(params: AlgebraParams, zero_tol: float,
+                       tail_eps: float) -> np.ndarray:
+    """Scaled coefficient table[k, n] of term n of every relation R_ij, j-i=k.
 
-    Terms whose numerator theta is an exact zero are dropped here; at
-    small x their denominators vanish to second order, and keeping the
-    rounding-level numerator noise would pollute the row with entries
-    that blow up like 1/x^2.
+    A coefficient depends on (i, j) only through k = j - i (the Heisenberg
+    shift), and the d terms of a row land on distinct monomials, so the
+    row maximum is a maximum over n and the per-row scale is one number
+    per k.  Terms whose numerator theta is an exact zero stay exact zeros;
+    at small x their denominators vanish to second order, and dividing
+    rounding-level numerator noise by them would pollute the row with
+    entries that blow up like 1/x^2.
     """
     d, r = params.d, params.r
     at_zero, at_x, at_minus_x = _theta_triple(params, zero_tol, tail_eps)
-    for i in range(d):
-        for j in range(d):
-            terms = []
-            for n in range(d):
-                num = at_zero[(j - i + (r - 1) * n) % d]
-                if num == 0.0:
-                    continue
-                den = at_minus_x[(j - i - n) % d] * at_x[(r * n) % d]
-                a = (r * (j - n)) % d
-                b = (r * (i + n)) % d
-                terms.append((n, a, b, num / den))
-            yield i, j, terms
+    k, n = np.ogrid[:d, :d]
+    num = at_zero[(k + (r - 1) * n) % d]
+    den = at_minus_x[(k - n) % d] * at_x[(r * n) % d]
+    table = np.divide(num, den, out=np.zeros((d, d), dtype=complex),
+                      where=num != 0.0)
+    if not np.all(np.isfinite(table)):
+        raise ArithmeticError(
+            "non-finite relation coefficient slipped through")
+    top = np.abs(table).max(axis=1, keepdims=True)
+    return table / np.where(top > 0.0, top, 1.0)
+
+
+def _term_grid(params: AlgebraParams, zero_tol: float, tail_eps: float):
+    """Grids (i, j, n, a, b, coeff): term n of R_ij is coeff * t_a t_b."""
+    d, r = params.d, params.r
+    table = _coefficient_table(params, zero_tol, tail_eps)
+    i, j, n = np.ogrid[:d, :d, :d]
+    a, b = (r * (j - n)) % d, (r * (i + n)) % d
+    return i, j, n, a, b, table[(j - i) % d, n]
 
 
 def build_relations(params: AlgebraParams, zero_tol: float = 1e-9,
@@ -150,15 +166,9 @@ def build_relations(params: AlgebraParams, zero_tol: float = 1e-9,
     a row can never silently contain an underflowed entry.
     """
     d = params.d
+    i, j, _, a, b, coeff = _term_grid(params, zero_tol, tail_eps)
     coeffs = np.zeros((d, d, d, d), dtype=complex)
-    for i, j, terms in _raw_rows(params, zero_tol, tail_eps):
-        for _, a, b, coeff in terms:
-            coeffs[i, j, a, b] += coeff
-        top = np.abs(coeffs[i, j]).max()
-        if top > 0.0:
-            coeffs[i, j] /= top
-    if not np.all(np.isfinite(coeffs)):
-        raise ArithmeticError("non-finite relation coefficient slipped through")
+    coeffs[i, j, a, b] = coeff
     return RelationSystem(params, coeffs)
 
 
@@ -166,21 +176,20 @@ def relation_terms(params: AlgebraParams, zero_tol: float = 1e-9,
                    tail_eps: float = 1e-14):
     """Per-term breakdown of every relation row, for serialization.
 
-    Each entry is (i, j, [(n, a, b, coeff), ...]) with the terms scaled
-    by the same per-row factor build_relations uses, so summing the
-    terms of a row at each (a, b) reproduces RelationSystem.coeffs.
+    Each entry is (i, j, [(n, a, b, coeff), ...]), rows in (i, j) order and
+    terms in n order, with exact-zero terms left out.  The coefficients are
+    the entries of RelationSystem.coeffs, so summing the terms of a row at
+    each (a, b) reproduces it.
     """
     d = params.d
-    out = []
-    for i, j, terms in _raw_rows(params, zero_tol, tail_eps):
-        summed = np.zeros((d, d), dtype=complex)
-        for _, a, b, coeff in terms:
-            summed[a, b] += coeff
-        top = np.abs(summed).max()
-        scale = 1.0 / top if top > 0.0 else 1.0
-        out.append((i, j, [(n, a, b, coeff * scale)
-                           for n, a, b, coeff in terms]))
-    return out
+    _, _, n, a, b, coeff = _term_grid(params, zero_tol, tail_eps)
+    keep = coeff != 0.0
+    # every kept term in (i, j, n) order, then cut into one list per row
+    terms = list(zip(*(np.broadcast_to(v, keep.shape)[keep].tolist()
+                       for v in (n, a, b, coeff))))
+    ends = np.cumsum(keep.sum(axis=2).ravel()).tolist()
+    return [(row // d, row % d, terms[start:end])
+            for row, (start, end) in enumerate(zip([0] + ends, ends))]
 
 
 def _nonzero_rows(sys: RelationSystem) -> np.ndarray:
@@ -242,10 +251,9 @@ def substitution_matrix(d: int, mult: int) -> np.ndarray:
     """Permutation of C^{d^2} induced by t_i -> t_{mult*i} on both factors."""
     if gcd(mult % d, d) != 1:
         raise ValueError(f"substitution multiplier {mult} is not a unit mod {d}")
+    moved = (mult * np.arange(d)) % d
     perm = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            perm[((mult * a) % d) * d + (mult * b) % d, a * d + b] = 1.0
+    perm[(moved[:, None] * d + moved).ravel(), np.arange(d * d)] = 1.0
     return perm
 
 
@@ -292,20 +300,20 @@ def sample_generic_x(d: int, modulus: CurveModulus, rng,
     """Draw x uniformly in the fundamental cell, away from denominator zeros.
 
     Rejects any x at which some |theta_m| at x or -x falls below zero_tol
-    relative to the largest basis value there; the zeros form a measure
-    zero set, so more than a handful of rejections means something is
-    wrong and a RuntimeError is raised after max_rejects attempts.
+    relative to the largest basis value there (the gate build_relations
+    applies); the zeros form a measure zero set, so more than a handful of
+    rejections means something is wrong: when all max_rejects + 1 draws
+    fail, ConvergenceError is raised, naming the best ratio seen.
     """
     basis = ThetaBasis(d, modulus)
+    best = 0.0
     for _ in range(max_rejects + 1):
         x = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * modulus.omega
-        ok = True
-        for z in (x, -x):
-            vals = np.abs(basis.values_at(z))
-            if vals.min() < zero_tol * vals.max():
-                ok = False
-                break
-        if ok:
+        ratio = min(_min_ratio(basis.values_at(z))[1] for z in (x, -x))
+        if ratio >= zero_tol:
             return complex(x)
-    raise RuntimeError(
-        f"no generic x found in {max_rejects} draws (zero_tol={zero_tol:g})")
+        best = max(best, ratio)
+    raise ConvergenceError(
+        f"no generic x found in {max_rejects + 1} draws: the best "
+        f"min/max |theta| ratio at x and -x was {best:.2e}, below "
+        f"zero_tol={zero_tol:g}")

@@ -29,7 +29,6 @@ __all__ = [
     "CurveModulus",
     "ThetaBasis",
     "reduce_to_cell",
-    "theta_eval",
     "theta_symmetry_constants",
     "theta_zero_count",
 ]
@@ -187,10 +186,6 @@ class ThetaBasis:
         total, deriv = self._series(m, z_red, want_deriv=True)
         vals = deriv / total - _TWO_PI_I * self.d * q
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
-
-
-def theta_eval(basis: ThetaBasis, m: int, z) -> complex:
-    return basis.eval(m, z)
 
 
 def theta_symmetry_constants(basis: ThetaBasis, x: complex,

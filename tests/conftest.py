@@ -1,9 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sklab.theta import CurveModulus
 
 OMEGA = 0.2 + 1.3j
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _acceptance_lines = []
 
@@ -27,3 +31,11 @@ def modulus():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def src_env():
+    """Environment for a child interpreter that imports sklab from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +80,25 @@ def test_poisson_extract_then_jacobi(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["max_jacobi"] < 1e-6
     assert all(row["pass"] for row in doc["residuals"])
+
+
+def test_poisson_extract_rejects_nonpositive_h(capsys):
+    for flag in ("--h=0", "--h=-3e-5"):
+        code, _, err = run_cli(capsys, "poisson", "extract", "--d", "3",
+                               "--r", "1", flag)
+        assert code == 2
+        assert "h must be positive" in err
+
+
+def test_no_generic_x_is_exit_one_without_traceback(src_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "sklab.cli", "theta", "check", "--d", "3",
+         "--zero-tol", "0.9"],
+        capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "verification failed: no generic x found" in proc.stderr
+    assert "zero_tol=0.9" in proc.stderr
 
 
 def test_mukai_act_and_invariants(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sklab import invtensor
 from sklab.invtensor import (LieRepData, SymTensor, augment_with_center,
                              check_invariance, gl_pair_rep, gl_pair_tensor,
                              gsp_rep, load_rep_json, load_tensor_json,
@@ -27,6 +28,15 @@ def test_rep_validation_catches_wrong_brackets():
                      bracket=zero_bracket, action=rep.action)
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_commutator_rep_refuses_open_or_dependent_lists():
+    e, f = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    # [e, f] = h is not in span(e, f)
+    with pytest.raises(ValueError, match="outside the span"):
+        invtensor._commutator_rep_from_matrices([e, f], 2)
+    with pytest.raises(ValueError, match="not linearly independent"):
+        invtensor._commutator_rep_from_matrices([e, f, e], 2)
 
 
 def test_sl2_casimir_is_admissible():

@@ -5,6 +5,7 @@ from sklab import poisson
 from sklab.poisson import (ExtractionError, extract_bracket, jacobi_check,
                            scale_match_deviation, skew_check,
                            substituted_tensor)
+from sklab.sklyanin import AlgebraParams, build_relations, relation_space
 
 # Largest entry of the d=3, r=1 bracket, frozen from a converged
 # extraction; the h -> 0 noise floor sits near 1e-9 so the comparison
@@ -18,6 +19,109 @@ GOLDEN_31 = {
 @pytest.fixture(scope="module")
 def tensor_31(modulus):
     return extract_bracket(3, 1, modulus)
+
+
+# Reference implementations: the per-pair loops the module once ran, kept
+# to check the array code against.
+
+
+def loop_level(d, r, modulus, h):
+    """-Sym(v)/h per pair a < b, one least-squares solve per pair."""
+    x = h * poisson.EXTRACTION_DIRECTION
+    basis = relation_space(build_relations(AlgebraParams(d, r, x, modulus)))
+    k = basis.shape[1]
+    as_mats = basis.reshape(d, d, k)
+    wedge = 0.5 * (as_mats - as_mats.transpose(1, 0, 2)).reshape(d * d, k)
+    mats = {}
+    for a in range(d):
+        for b in range(a + 1, d):
+            target = np.zeros(d * d, dtype=complex)
+            target[a * d + b] = 0.5
+            target[b * d + a] = -0.5
+            coeff, *_ = np.linalg.lstsq(wedge, target, rcond=None)
+            v = (basis @ coeff).reshape(d, d)
+            mats[(a, b)] = -0.5 * (v + v.T) / h
+    return mats
+
+
+def loop_bracket_matrix(pi, a, b):
+    d = pi.shape[0]
+    m = np.zeros((d, d), dtype=complex)
+    for c in range(d):
+        m[c, c] = pi[a, b, c, c]
+        for e in range(c + 1, d):
+            m[c, e] = m[e, c] = 0.5 * pi[a, b, c, e]
+    return m
+
+
+def loop_pack(mat):
+    d = mat.shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    for c in range(d):
+        out[c, c] = mat[c, c]
+        for e in range(c + 1, d):
+            out[c, e] = 2.0 * mat[c, e]
+    return out
+
+
+def loop_skew(pi):
+    d = pi.shape[0]
+    worst = 0.0
+    for a in range(d):
+        worst = max(worst, float(np.abs(pi[a, a]).max()))
+        for b in range(d):
+            worst = max(worst, float(np.abs(pi[a, b] + pi[b, a]).max()))
+            for c in range(d):
+                for e in range(c):
+                    worst = max(worst, abs(pi[a, b, c, e]))
+    return worst
+
+
+def loop_jacobi(pi, trials, seed):
+    d = pi.shape[0]
+    mats = np.zeros((d, d, d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            if a != b:
+                mats[a, b] = loop_bracket_matrix(pi, min(a, b), max(a, b))
+                if a > b:
+                    mats[a, b] = -mats[a, b]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        radius = np.sqrt(rng.uniform(0.0, 1.0, d))
+        angle = rng.uniform(0.0, 2.0 * np.pi, d)
+        p = radius * np.exp(1j * angle)
+        cube = np.abs(p).max() ** 3
+        values = np.einsum("c,abce,e->ab", p, mats, p)
+        gradients = np.einsum("abce,e->abc", mats, p)
+        for a in range(d):
+            for b in range(a + 1, d):
+                for c in range(b + 1, d):
+                    total = (2.0 * gradients[b, c] @ values[a]
+                             + 2.0 * gradients[c, a] @ values[b]
+                             + 2.0 * gradients[a, b] @ values[c])
+                    worst = max(worst, abs(total) / cube)
+    return worst
+
+
+def loop_substituted(pi, r):
+    d = pi.shape[0]
+    out = np.zeros_like(pi)
+    for a in range(d):
+        for b in range(a + 1, d):
+            sa, sb = (r * a) % d, (r * b) % d
+            sign = 1.0
+            if sa > sb:
+                sa, sb, sign = sb, sa, -1.0
+            mat = sign * loop_bracket_matrix(pi, sa, sb)
+            moved = np.zeros((d, d), dtype=complex)
+            for c in range(d):
+                for e in range(d):
+                    moved[c, e] = mat[(r * c) % d, (r * e) % d]
+            out[a, b] = loop_pack(moved)
+            out[b, a] = -out[a, b]
+    return out
 
 
 def test_golden_entries(tensor_31):
@@ -79,3 +183,42 @@ def test_scale_match_identical_tensors(modulus):
     lam, dev = scale_match_deviation(t_a, t_a)
     assert lam == 1.0
     assert dev == 0.0
+
+
+@pytest.mark.parametrize("d,r", [(5, 2), (8, 3)])
+def test_batched_extraction_matches_per_pair_lstsq(d, r, modulus):
+    h = poisson.DEFAULT_H
+    level = poisson._extract_level(d, r, modulus, h, 1e-9, 1e-9)
+    want = loop_level(d, r, modulus, h)
+    assert len(want) == d * (d - 1) // 2
+    for (a, b), mat in want.items():
+        assert np.abs(level[a, b] - mat).max() < 1e-9
+        assert np.array_equal(level[b, a], -level[a, b])
+    assert not level[np.arange(d), np.arange(d)].any()
+
+
+def test_checks_match_loop_oracles(tensor_31, modulus):
+    for tensor in (tensor_31, extract_bracket(5, 2, modulus)):
+        pi, d = tensor.pi, tensor.d
+        for a in range(d):
+            for b in range(d):
+                assert np.array_equal(tensor.bracket_matrix(a, b),
+                                      loop_bracket_matrix(pi, a, b))
+        assert abs(jacobi_check(tensor, 40, seed=5)
+                   - loop_jacobi(pi, 40, 5)) <= 1e-13
+        assert skew_check(tensor) == loop_skew(pi)
+        assert np.abs(substituted_tensor(tensor).pi
+                      - loop_substituted(pi, tensor.r)).max() <= 1e-13
+    # hand edits that each break one storage convention: a nonzero
+    # {t_1, t_1} (seen doubled), a lone pi[0, 1] entry, and a skew pair
+    # below c <= e
+    for edits, size in (({(1, 1, 0, 2): 0.3}, 0.6),
+                        ({(0, 1, 0, 2): 0.2}, 0.2),
+                        ({(0, 1, 1, 0): 0.1, (1, 0, 1, 0): -0.1}, 0.1)):
+        edited = tensor_31.pi.copy()
+        for index, value in edits.items():
+            edited[index] += value
+        tensor = poisson.PoissonTensor(d=3, r=1, pi=edited,
+                                       richardson_error=0.0)
+        assert skew_check(tensor) == loop_skew(edited)
+        assert skew_check(tensor) == pytest.approx(size)

@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,41 @@ from sklab.sklyanin import (AlgebraParams, AmbiguousRank, DenominatorNearZero,
                             RelationSystem, build_relations, relation_space,
                             relation_terms, sample_generic_x,
                             singular_values, subspace_distance,
-                            substitution_distance,
+                            substitution_distance, substitution_matrix,
                             check_substitution_isomorphism)
+from sklab.theta import ThetaBasis
 
 X_GENERIC = 0.11 + 0.17j
+
+
+def loop_relations(params):
+    """Reference build: one Python step per (i, j, n), as the module once did.
+
+    Returns the unit-row-max coefficient array and, per row, the (n, a, b)
+    of every term with a nonzero numerator.
+    """
+    d, r = params.d, params.r
+    basis = ThetaBasis(d, params.modulus)
+    at_zero = basis.values_at_zero()
+    at_x, at_minus_x = basis.values_at(params.x), basis.values_at(-params.x)
+    coeffs = np.zeros((d, d, d, d), dtype=complex)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            kept = []
+            for n in range(d):
+                num = at_zero[(j - i + (r - 1) * n) % d]
+                if num == 0.0:
+                    continue
+                den = at_minus_x[(j - i - n) % d] * at_x[(r * n) % d]
+                a, b = (r * (j - n)) % d, (r * (i + n)) % d
+                coeffs[i, j, a, b] += num / den
+                kept.append((n, a, b))
+            top = np.abs(coeffs[i, j]).max()
+            if top > 0.0:
+                coeffs[i, j] /= top
+            rows.append((i, j, kept))
+    return coeffs, rows
 
 
 def test_params_reject_non_coprime(modulus):
@@ -55,6 +88,32 @@ def test_relation_terms_sum_to_coeffs(modulus):
         for n, a, b, coeff in terms:
             rebuilt[i, j, a, b] += coeff
     assert np.max(np.abs(rebuilt - system.coeffs)) == 0.0
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_coefficients_match_loop_oracle(d, modulus):
+    for r in range(d):
+        if gcd(r, d) != 1:
+            continue
+        params = AlgebraParams(d, r, X_GENERIC, modulus)
+        want, want_rows = loop_relations(params)
+        # rows have unit max, so this is relative to the row scale
+        assert np.abs(build_relations(params).coeffs - want).max() <= 1e-15
+        got_rows = [(i, j, [term[:3] for term in terms])
+                    for i, j, terms in relation_terms(params)]
+        assert got_rows == want_rows
+
+
+def test_substitution_matrix_matches_loop_oracle():
+    for d in (1, 4, 5, 9):
+        for mult in range(-d, 2 * d):
+            if gcd(mult % d, d) != 1:
+                continue
+            want = np.zeros((d * d, d * d))
+            for a in range(d):
+                for b in range(d):
+                    want[((mult * a) % d) * d + (mult * b) % d, a * d + b] = 1
+            assert np.array_equal(substitution_matrix(d, mult), want)
 
 
 def test_exact_zero_numerators_are_skipped(modulus):
