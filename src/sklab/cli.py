@@ -839,7 +839,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, sklyanin.AmbiguousRank, poisson.ExtractionError,
-            mukai.TransporterError) as exc:
+            mukai.TransporterError, ArithmeticError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

@@ -7,11 +7,15 @@ pair (i, j) of indices mod d, the quadratic relation
            ----------------------------------  t_{r(j-n)} t_{r(i+n)}  =  0,
            theta_{j-i-n}(-x) * theta_{rn}(x)
 
-with n running over Z/dZ.  This module builds the d^2 coefficient rows,
-measures the numerical rank of their span inside C^{d^2} (which equals
-d(d-1)/2 for generic x), and checks that the index substitution
-t_i -> t_{r'i} with r*r' = 1 mod d carries the relation space of
-Q_{d,r}(x) onto that of Q_{d,r'}(x).
+with n running over Z/dZ.  Every term of R_ij is a monomial t_a t_b with
+a + b = r(i + j) mod d, so the d^2 relations split by the grade
+s = i + j mod d into d blocks of d rows, each touching only the d monomials
+t_a t_{rs-a} (the Z/d grading behind the Heisenberg symmetry of these
+algebras).  This module builds the blocks, measures the numerical rank of
+their span inside C^{d^2} (which equals d(d-1)/2 for generic x) from one
+batched SVD of the d blocks, and checks grade by grade that the index
+substitution t_i -> t_{r'i} with r*r' = 1 mod d carries the relation space
+of Q_{d,r}(x) onto that of Q_{d,r'}(x).
 """
 
 from __future__ import annotations
@@ -86,20 +90,35 @@ class AlgebraParams:
 
 @dataclass(frozen=True)
 class RelationSystem:
-    """Coefficient rows of the d^2 relations, each scaled to unit max entry.
+    """Coefficient rows of the d^2 relations, stored as their d grade blocks.
 
-    coeffs[i, j, a, b] is the coefficient of t_a t_b in relation R_{ij};
-    for fixed (i, j) the nonzero entries sit at (a, b) = (r(j-n), r(i+n)),
-    one per n.  Rows that vanish identically (their theta numerators are
-    exact zeros) are stored as zero rows.
+    blocks[s, i, a] is the coefficient of t_a t_{rs-a} in relation
+    R_{i,s-i} (indices mod d): block s holds the d relations of grade
+    s = i + j and nothing else, because no relation of that grade touches
+    another monomial.  Each row is scaled to unit max entry; rows that
+    vanish identically (their theta numerators are exact zeros) are zero
+    rows.  coeffs is the same data in the dense (i, j, a, b) layout.
     """
 
     params: AlgebraParams
-    coeffs: np.ndarray
+    blocks: np.ndarray
 
     @property
     def d(self) -> int:
         return self.params.d
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """coeffs[i, j, a, b], the coefficient of t_a t_b in R_ij.
+
+        For fixed (i, j) the nonzero entries sit at (a, b) = (r(j-n),
+        r(i+n)), one per n.  Built from the blocks on every access.
+        """
+        d, r = self.d, self.params.r
+        s, i, a = np.ogrid[:d, :d, :d]
+        coeffs = np.zeros((d, d, d, d), dtype=self.blocks.dtype)
+        coeffs[i, (s - i) % d, a, (r * s - a) % d] = self.blocks
+        return coeffs
 
 
 def _min_ratio(vals: np.ndarray):
@@ -148,28 +167,20 @@ def _coefficient_table(params: AlgebraParams, zero_tol: float,
     return table / np.where(top > 0.0, top, 1.0)
 
 
-def _term_grid(params: AlgebraParams, zero_tol: float, tail_eps: float):
-    """Grids (i, j, n, a, b, coeff): term n of R_ij is coeff * t_a t_b."""
-    d, r = params.d, params.r
-    table = _coefficient_table(params, zero_tol, tail_eps)
-    i, j, n = np.ogrid[:d, :d, :d]
-    a, b = (r * (j - n)) % d, (r * (i + n)) % d
-    return i, j, n, a, b, table[(j - i) % d, n]
-
-
 def build_relations(params: AlgebraParams, zero_tol: float = 1e-9,
                     tail_eps: float = 1e-14) -> RelationSystem:
-    """Fill the relation coefficient array for Q_{d,r}(x).
+    """Fill the grade blocks of the relation coefficients of Q_{d,r}(x).
 
     Every denominator theta is checked against zero_tol (relative to the
     largest theta value at the same point) before any division happens, so
-    a row can never silently contain an underflowed entry.
+    a row can never silently contain an underflowed entry.  Entry (s, i, a)
+    is term n = s - i - a/r of R_{i,s-i}, read straight from the table.
     """
-    d = params.d
-    i, j, _, a, b, coeff = _term_grid(params, zero_tol, tail_eps)
-    coeffs = np.zeros((d, d, d, d), dtype=complex)
-    coeffs[i, j, a, b] = coeff
-    return RelationSystem(params, coeffs)
+    d, r = params.d, params.r
+    table = _coefficient_table(params, zero_tol, tail_eps)
+    s, i, a = np.ogrid[:d, :d, :d]
+    n = (s - i - pow(r, -1, d) * a) % d
+    return RelationSystem(params, table[(s - 2 * i) % d, n])
 
 
 def relation_terms(params: AlgebraParams, zero_tol: float = 1e-9,
@@ -181,8 +192,10 @@ def relation_terms(params: AlgebraParams, zero_tol: float = 1e-9,
     the entries of RelationSystem.coeffs, so summing the terms of a row at
     each (a, b) reproduces it.
     """
-    d = params.d
-    _, _, n, a, b, coeff = _term_grid(params, zero_tol, tail_eps)
+    d, r = params.d, params.r
+    table = _coefficient_table(params, zero_tol, tail_eps)
+    i, j, n = np.ogrid[:d, :d, :d]
+    a, b, coeff = (r * (j - n)) % d, (r * (i + n)) % d, table[(j - i) % d, n]
     keep = coeff != 0.0
     # every kept term in (i, j, n) order, then cut into one list per row
     terms = list(zip(*(np.broadcast_to(v, keep.shape)[keep].tolist()
@@ -192,22 +205,53 @@ def relation_terms(params: AlgebraParams, zero_tol: float = 1e-9,
             for row, (start, end) in enumerate(zip([0] + ends, ends))]
 
 
-def _nonzero_rows(sys: RelationSystem) -> np.ndarray:
-    d = sys.d
-    rows = sys.coeffs.reshape(d * d, d * d)
-    rowmax = np.abs(rows).max(axis=1)
-    top = rowmax.max()
-    if top == 0.0:
-        return rows[:0]
-    return rows[rowmax >= ROW_DROP_CUTOFF * top]
+def _block_spectrum(sys: RelationSystem, compute_uv: bool):
+    """Batched SVD of the grade blocks and the global sorted spectrum.
+
+    Rows below ROW_DROP_CUTOFF of the largest row are zeroed first.  The
+    spectrum of the stacked kept rows is the union of the block spectra:
+    a block with m kept rows has m singular values, and the d - m trailing
+    ones that its zeroed rows add are set to exact zeros and left out.
+    Returns (vh, block_svals, spectrum); vh is None without compute_uv.
+    """
+    rowmax = np.abs(sys.blocks).max(axis=2)
+    live = (rowmax > 0.0) & (rowmax >= ROW_DROP_CUTOFF * rowmax.max())
+    blocks = np.where(live[..., None], sys.blocks, 0.0)
+    if compute_uv:
+        _, svals, vh = np.linalg.svd(blocks)
+    else:
+        vh, svals = None, np.linalg.svd(blocks, compute_uv=False)
+    kept = live.sum(axis=1)
+    svals[np.arange(sys.d) >= kept[:, None]] = 0.0
+    spectrum = np.sort(svals, axis=None)[::-1][:int(kept.sum())]
+    return vh, svals, spectrum
 
 
 def singular_values(sys: RelationSystem) -> np.ndarray:
-    """Singular values of the stacked nonzero relation rows."""
-    rows = _nonzero_rows(sys)
-    if rows.shape[0] == 0:
-        return np.zeros(0)
-    return np.linalg.svd(rows, compute_uv=False)
+    """Singular values of the stacked nonzero relation rows, descending."""
+    return _block_spectrum(sys, compute_uv=False)[2]
+
+
+def _graded_space(sys: RelationSystem, rank_tol: float):
+    """Per-grade orthonormal bases of the relation space.
+
+    Returns (vh, keep): the conjugated first keep[s].sum() rows of vh[s]
+    are a basis of the grade-s part, in block coordinates a.  The rank
+    cutoff and the gap test act on the global spectrum, as for one dense
+    SVD of all rows: the dimension is the number of singular values above
+    rank_tol times the largest one, and without a clear gap there
+    (consecutive ratio < 10) AmbiguousRank is raised.
+    """
+    vh, svals, s = _block_spectrum(sys, compute_uv=True)
+    if len(s) == 0:
+        return vh, np.zeros(svals.shape, dtype=bool)
+    keep = svals > rank_tol * s[0]
+    rank = int(keep.sum())
+    if 0 < rank < len(s) and s[rank] > 0.0 and s[rank - 1] / s[rank] < 10.0:
+        raise AmbiguousRank(
+            f"singular values straddle the cutoff without a gap: "
+            f"s[{rank - 1}]={s[rank - 1]:.3e}, s[{rank}]={s[rank]:.3e}")
+    return vh, keep
 
 
 def relation_space(sys: RelationSystem, rank_tol: float = 1e-9) -> np.ndarray:
@@ -216,17 +260,17 @@ def relation_space(sys: RelationSystem, rank_tol: float = 1e-9) -> np.ndarray:
     The dimension is the number of singular values above rank_tol times
     the largest one.  If the spectrum has no clear gap there (consecutive
     ratio < 10), the rank is not trustworthy and AmbiguousRank is raised.
+    Columns come grade by grade (s = 0, 1, ...), each grade's in
+    descending singular value order; they are not sorted globally.
     """
-    rows = _nonzero_rows(sys)
-    if rows.shape[0] == 0:
-        return np.zeros((sys.d ** 2, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(rows)
-    rank = int((s > rank_tol * s[0]).sum())
-    if 0 < rank < len(s) and s[rank] > 0.0 and s[rank - 1] / s[rank] < 10.0:
-        raise AmbiguousRank(
-            f"singular values straddle the cutoff without a gap: "
-            f"s[{rank - 1}]={s[rank - 1]:.3e}, s[{rank}]={s[rank]:.3e}")
-    return vh[:rank].conj().T
+    d, r = sys.d, sys.params.r
+    vh, keep = _graded_space(sys, rank_tol)
+    grade, col = np.nonzero(keep)
+    a = np.arange(d)
+    basis = np.zeros((d * d, len(grade)), dtype=complex)
+    basis[a * d + (r * grade[:, None] - a) % d,
+          np.arange(len(grade))[:, None]] = vh[grade, col].conj()
+    return basis
 
 
 def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -257,6 +301,12 @@ def substitution_matrix(d: int, mult: int) -> np.ndarray:
     return perm
 
 
+def _grade_bases(params: AlgebraParams, zero_tol: float, rank_tol: float):
+    """Relation-space basis of each grade s, as columns over coordinate a."""
+    vh, keep = _graded_space(build_relations(params, zero_tol), rank_tol)
+    return [v[:k].conj().T for v, k in zip(vh, keep.sum(axis=1))]
+
+
 def substitution_distance(d: int, r: int, r2: int, x: complex,
                           modulus: CurveModulus, zero_tol: float = 1e-9,
                           rank_tol: float = 1e-9) -> float:
@@ -266,16 +316,22 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
     e_{r2*a} (x) e_{r2*b} and measures the subspace distance to the
     relation space of Q_{d,r2}(x).  No congruence between r and r2 is
     assumed; for r*r2 != 1 mod d the distance is an O(1) negative control.
+
+    The substitution sends grade s of Q_{d,r} to grade r*s of Q_{d,r2} and
+    block coordinate a to r2*a.  Distinct grades span orthogonal
+    coordinate subspaces, so the distance of the whole spaces is the
+    largest distance between matching grades; no d^2 x d^2 matrix is
+    formed.  substitution_matrix is the same map in the dense layout.
     """
-    space_r = relation_space(
-        build_relations(AlgebraParams(d, r, x, modulus), zero_tol), rank_tol)
-    space_r2 = relation_space(
-        build_relations(AlgebraParams(d, r2, x, modulus), zero_tol), rank_tol)
-    if space_r.shape[1] != space_r2.shape[1]:
+    src = _grade_bases(AlgebraParams(d, r, x, modulus), zero_tol, rank_tol)
+    dst = _grade_bases(AlgebraParams(d, r2, x, modulus), zero_tol, rank_tol)
+    rank, rank2 = (sum(b.shape[1] for b in bases) for bases in (src, dst))
+    if rank != rank2:
         raise AmbiguousRank(
-            f"relation-space ranks differ: {space_r.shape[1]} vs "
-            f"{space_r2.shape[1]}")
-    return subspace_distance(substitution_matrix(d, r2) @ space_r, space_r2)
+            f"relation-space ranks differ: {rank} vs {rank2}")
+    back = (pow(r2, -1, d) * np.arange(d)) % d
+    return max(subspace_distance(src[s][back], dst[(r * s) % d])
+               for s in range(d))
 
 
 def check_substitution_isomorphism(d: int, r: int, r_prime: int, x: complex,

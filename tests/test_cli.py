@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sklab.cli import run
+from sklab.theta import ThetaBasis
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +210,16 @@ def test_floats_printed_at_full_precision(capsys):
     code2, out2, _ = run_cli(capsys, "theta", "eval", "--d", "5", "--m", "2",
                              "--z", "0.331,0.177")
     assert json.loads(out2)["value_re"] == doc["value_re"]
+
+
+def test_non_finite_coefficient_is_exit_one_without_traceback(capsys,
+                                                              monkeypatch):
+    # an infinite theta numerator makes every coefficient non-finite
+    monkeypatch.setattr(ThetaBasis, "values_at_zero",
+                        lambda self: np.full(self.d, np.inf, dtype=complex))
+    code, out, err = run_cli(capsys, "sklyanin", "relations", "--d", "5",
+                             "--r", "2", "--x", "0.11,0.17")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: non-finite relation coefficient" in err
+    assert "Traceback" not in err

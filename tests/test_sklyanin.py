@@ -45,6 +45,31 @@ def loop_relations(params):
     return coeffs, rows
 
 
+def dense_rows(system):
+    """Nonzero relation rows as one (m, d^2) matrix, as the module once did."""
+    d = system.d
+    rows = system.coeffs.reshape(d * d, d * d)
+    rowmax = np.abs(rows).max(axis=1)
+    return rows[(rowmax > 0) & (rowmax >= sklyanin.ROW_DROP_CUTOFF
+                                * rowmax.max())]
+
+
+def dense_space(system, rank_tol=1e-9):
+    """Relation space from one dense SVD of all rows (no gap test)."""
+    rows = dense_rows(system)
+    if rows.shape[0] == 0:
+        return np.zeros((system.d ** 2, 0), dtype=complex)
+    _, s, vh = np.linalg.svd(rows)
+    return vh[:int((s > rank_tol * s[0]).sum())].conj().T
+
+
+def dense_substitution_distance(d, r, r2, x, modulus):
+    spaces = [dense_space(build_relations(AlgebraParams(d, q, x, modulus)))
+              for q in (r, r2)]
+    return subspace_distance(substitution_matrix(d, r2) @ spaces[0],
+                             spaces[1])
+
+
 def test_params_reject_non_coprime(modulus):
     with pytest.raises(ValueError):
         AlgebraParams(4, 2, X_GENERIC, modulus)
@@ -69,6 +94,55 @@ def test_rank_and_gap(d, r, modulus):
     assert space.shape == (d * d, expected)
     svals = singular_values(system)
     assert svals[expected - 1] / svals[expected] > 1e10
+
+
+@pytest.mark.parametrize("d,r", [(15, 1), (15, 2), (21, 1), (21, 5)])
+def test_rank_and_gap_large_d(d, r, modulus):
+    system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+    expected = d * (d - 1) // 2
+    assert relation_space(system).shape == (d * d, expected)
+    svals = singular_values(system)
+    assert svals[expected - 1] / svals[expected] > 1e10
+
+
+def test_substitution_isomorphism_large_d(modulus):
+    assert check_substitution_isomorphism(21, 2, 11, X_GENERIC, modulus) < 1e-8
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_blocks_match_dense_oracle(d, modulus):
+    for r in range(d):
+        if gcd(r, d) != 1:
+            continue
+        system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+        rows = dense_rows(system)
+        want_svals = np.linalg.svd(rows, compute_uv=False)
+        want_space = dense_space(system)
+        svals = singular_values(system)
+        space = relation_space(system)
+        k = want_space.shape[1]
+        assert space.shape == want_space.shape
+        # r = 1 makes the i = j rows exact zeros
+        assert len(svals) == len(want_svals) == d * d - (d if r == 1 % d
+                                                         else 0)
+        if k:
+            assert np.abs(svals[:k] - want_svals[:k]).max() \
+                <= 1e-12 * want_svals[0]
+        assert subspace_distance(space, want_space) <= 1e-12
+        r_inv = pow(r, -1, d)
+        assert abs(check_substitution_isomorphism(d, r, r_inv, X_GENERIC,
+                                                  modulus)
+                   - dense_substitution_distance(d, r, r_inv, X_GENERIC,
+                                                 modulus)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,r,rp", [(5, 2, 2), (7, 2, 2), (8, 3, 5),
+                                    (9, 2, 2)])
+def test_negative_controls_match_dense_oracle(d, r, rp, modulus):
+    dist = substitution_distance(d, r, rp, X_GENERIC, modulus)
+    assert dist > 0.1
+    assert abs(dist - dense_substitution_distance(d, r, rp, X_GENERIC,
+                                                  modulus)) <= 1e-12
 
 
 def test_rows_normalized_to_unit_max(modulus):
@@ -127,16 +201,20 @@ def test_exact_zero_numerators_are_skipped(modulus):
 
 
 def test_ambiguous_rank_raises(modulus):
+    # the cutoff falls between 3e-9 (grade 0) and 5e-10 (grade 1), so the
+    # gap test must read the spectrum across blocks
     params = AlgebraParams(3, 1, X_GENERIC, modulus)
     rng = np.random.default_rng(7)
-    u, _ = np.linalg.qr(rng.normal(size=(9, 9))
-                        + 1j * rng.normal(size=(9, 9)))
-    v, _ = np.linalg.qr(rng.normal(size=(9, 9))
-                        + 1j * rng.normal(size=(9, 9)))
-    svals = np.array([1.0, 1.0, 1.0, 3e-9, 5e-10] + [1e-15] * 4)
-    coeffs = (u * svals) @ v
+    spectra = [[1.0, 3e-9, 1e-15], [1.0, 5e-10, 1e-15], [1.0, 1e-15, 1e-15]]
+    blocks = []
+    for svals in spectra:
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3))
+                            + 1j * rng.normal(size=(3, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3))
+                            + 1j * rng.normal(size=(3, 3)))
+        blocks.append((u * svals) @ v)
     with pytest.raises(AmbiguousRank):
-        relation_space(RelationSystem(params, coeffs.reshape(3, 3, 3, 3)))
+        relation_space(RelationSystem(params, np.array(blocks)))
 
 
 def test_subspace_distance_identical_and_orthogonal():
