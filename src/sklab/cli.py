@@ -4,19 +4,20 @@ One executable, one subcommand per capability, uniform output: results
 go to stdout as JSON (default) or an aligned table, residual checks are
 reported as {name, value, tolerance, pass} rows, and the exit code tells
 scripts what happened: 0 success, 1 a verification failed, 2 usage.
+`check --all` is assembled from the row builders of the subcommands.
 
 Configuration precedence is flags > environment (SKLAB_OMEGA,
-SKLAB_SEED, SKLAB_FORMAT) > built-in defaults.  Floats are printed with
-17 significant digits so every dump re-parses to the same value.
+SKLAB_SEED, SKLAB_FORMAT) > built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import gcd
 
@@ -131,48 +132,18 @@ def config_from_env() -> RunConfig:
 # ------------------------------------------------------------- serialization
 
 
-def format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite float {x} has no JSON form")
-    out = format(float(x), ".17g")
-    return out
+def _plain(value):
+    """json.dumps hook: a Fraction as "p/q", a numpy scalar as Python."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
-def _emit_json(value, out):
-    if isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit_json(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit_json(v, out)
-        out.append("]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, Fraction):
-        out.append(json.dumps(f"{value.numerator}/{value.denominator}"))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_float(float(value)))
-    elif value is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(str(value)))
-
-
-def to_json(value) -> str:
-    parts = []
-    _emit_json(value, parts)
-    return "".join(parts)
+# floats print as the shortest repr that round-trips; NaN and inf raise
+# ValueError, which exits 2
+_dumps = functools.partial(json.dumps, allow_nan=False, default=_plain)
 
 
 def residual_row(name: str, value: float, tolerance) -> dict:
@@ -184,12 +155,9 @@ def _print_table(result: dict, residuals):
     for key, value in result.items():
         if key == "residuals":
             continue
-        if isinstance(value, (dict, list, tuple)):
-            print(f"{key}: {to_json(value)}")
-        elif isinstance(value, (float, np.floating)):
-            print(f"{key}: {format_float(float(value))}")
-        else:
-            print(f"{key}: {value}")
+        if isinstance(value, (dict, list, tuple, float)):
+            value = _dumps(value)
+        print(f"{key}: {value}")
     if residuals:
         width = max(len(r["name"]) for r in residuals)
         print(f"{'name'.ljust(width)}  {'value':>12}  {'tolerance':>12}  pass")
@@ -202,7 +170,7 @@ def report(result: dict, config: RunConfig) -> int:
     """Serialize one command result; exit code from its residual rows."""
     residuals = result.get("residuals", [])
     if config.output_format == "json":
-        print(to_json(result))
+        print(_dumps(result))
     else:
         _print_table(result, residuals)
     return 0 if all(r["pass"] for r in residuals) else 1
@@ -240,32 +208,38 @@ def cmd_theta_eval(args, config: RunConfig) -> int:
     return report(result, config)
 
 
-def cmd_theta_check(args, config: RunConfig) -> int:
-    basis = ThetaBasis(args.d, config.modulus, tail_eps=config.tail_eps)
-    rng = np.random.default_rng(config.seed)
+def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
+    """Rows of `theta check` at d.
+
+    Functional equations at `trials` random points, zero counts of every
+    basis function, and the symmetry fit at a generic x, drawn from rng
+    in that order.
+    """
+    basis = ThetaBasis(d, config.modulus, tail_eps=config.tail_eps)
     worst1 = worst2 = 0.0
-    for _ in range(args.trials):
-        m = int(rng.integers(0, args.d))
+    for _ in range(trials):
+        m = int(rng.integers(0, d))
         z = complex(rng.uniform(-1, 1) + rng.uniform(-1, 1) * config.omega)
         r1, r2 = _theta_residuals_at(basis, m, z)
         worst1, worst2 = max(worst1, r1), max(worst2, r2)
-    count_dev = max(abs(theta_zero_count(basis, m) - args.d)
-                    for m in range(args.d))
-    x = sklyanin.sample_generic_x(args.d, config.modulus, rng,
+    count_dev = max(abs(theta_zero_count(basis, m) - d) for m in range(d))
+    x = sklyanin.sample_generic_x(d, config.modulus, rng,
                                   zero_tol=config.zero_tol)
     _, b, fit = theta_symmetry_constants(basis, x, zero_tol=config.zero_tol)
-    unity = abs(b ** args.d - 1.0)
-    result = {
-        "d": args.d, "trials": args.trials,
-        "residuals": [
-            residual_row("shift_by_1_over_d_max", worst1, FUNCTIONAL_EQ_TOL),
-            residual_row("shift_by_omega_max", worst2, FUNCTIONAL_EQ_TOL),
-            residual_row("zero_count_deviation", count_dev, 0.5),
-            residual_row("symmetry_fit", fit, SYMMETRY_TOL),
-            residual_row("symmetry_ratio_unity", unity, SYMMETRY_TOL),
-        ],
-    }
-    return report(result, config)
+    return [
+        residual_row("shift_by_1_over_d_max", worst1, FUNCTIONAL_EQ_TOL),
+        residual_row("shift_by_omega_max", worst2, FUNCTIONAL_EQ_TOL),
+        residual_row("zero_count_deviation", count_dev, 0.5),
+        residual_row("symmetry_fit", fit, SYMMETRY_TOL),
+        residual_row("symmetry_ratio_unity", abs(b ** d - 1.0), SYMMETRY_TOL),
+    ]
+
+
+def cmd_theta_check(args, config: RunConfig) -> int:
+    rows = _theta_rows(args.d, args.trials, config,
+                      np.random.default_rng(config.seed))
+    return report({"d": args.d, "trials": args.trials, "residuals": rows},
+                  config)
 
 
 def cmd_sklyanin_relations(args, config: RunConfig) -> int:
@@ -290,7 +264,7 @@ def cmd_sklyanin_relations(args, config: RunConfig) -> int:
                    "x": [args.x.real, args.x.imag],
                    "rows": rows, "rank": rank}
         with open(args.dump, "w") as fh:
-            fh.write(to_json(payload) + "\n")
+            fh.write(_dumps(payload) + "\n")
     result = {
         "d": args.d, "r": params.r,
         "x_re": args.x.real, "x_im": args.x.imag,
@@ -303,30 +277,54 @@ def cmd_sklyanin_relations(args, config: RunConfig) -> int:
     return report(result, config)
 
 
-def cmd_sklyanin_check_iso(args, config: RunConfig) -> int:
-    if (args.r * args.rprime) % args.d != 1 % args.d:
-        raise UsageError(
-            f"r*r' = {args.r}*{args.rprime} is not 1 mod {args.d}")
+def _iso_row(d: int, r: int, r_prime: int, x: complex,
+            config: RunConfig) -> dict:
+    """Row of `sklyanin check-iso`: the substitution subspace distance."""
     dist = sklyanin.check_substitution_isomorphism(
-        args.d, args.r, args.rprime, args.x, config.modulus,
-        zero_tol=config.zero_tol, rank_tol=config.rank_tol)
+        d, r, r_prime, x, config.modulus, zero_tol=config.zero_tol,
+        rank_tol=config.rank_tol)
+    return residual_row("subspace_distance", dist, config.iso_tol)
+
+
+def cmd_sklyanin_check_iso(args, config: RunConfig) -> int:
+    row = _iso_row(args.d, args.r, args.rprime, args.x, config)
     result = {
         "d": args.d, "r": args.r, "r_prime": args.rprime,
         "x_re": args.x.real, "x_im": args.x.imag,
-        "distance": dist,
-        "residuals": [residual_row("subspace_distance", dist, config.iso_tol)],
+        "distance": row["value"],
+        "residuals": [row],
     }
     return report(result, config)
 
 
-def cmd_poisson_extract(args, config: RunConfig) -> int:
-    if not args.h > 0:
-        raise UsageError(f"h must be positive, got {args.h:g}")
+def _skew_row(tensor: poisson.PoissonTensor) -> dict:
+    return residual_row("skew_violation", poisson.skew_check(tensor), 1e-12)
+
+
+def _extract_rows(d: int, r: int, h: float, config: RunConfig):
+    """The (d, r) bracket and its `poisson extract` rows.
+
+    The rows are the Richardson spread and the skew violation.
+    """
+    if not h > 0:
+        raise UsageError(f"h must be positive, got {h:g}")
     tensor = poisson.extract_bracket(
-        args.d, args.r, config.modulus, h=args.h,
-        zero_tol=config.zero_tol, rank_tol=config.rank_tol,
-        bracket_tol=config.bracket_tol)
-    skew = poisson.skew_check(tensor)
+        d, r, config.modulus, h=h, zero_tol=config.zero_tol,
+        rank_tol=config.rank_tol, bracket_tol=config.bracket_tol)
+    return tensor, [residual_row("richardson_error", tensor.richardson_error,
+                                 config.bracket_tol), _skew_row(tensor)]
+
+
+def _jacobi_row(tensor: poisson.PoissonTensor, trials: int,
+               config: RunConfig) -> dict:
+    """Row of `poisson jacobi`: worst residual at points from config.seed."""
+    return residual_row("jacobi_residual",
+                        poisson.jacobi_check(tensor, trials, config.seed),
+                        config.bracket_tol)
+
+
+def cmd_poisson_extract(args, config: RunConfig) -> int:
+    tensor, rows = _extract_rows(args.d, args.r, args.h, config)
     if args.dump:
         entries = []
         pi = tensor.pi
@@ -337,16 +335,12 @@ def cmd_poisson_extract(args, config: RunConfig) -> int:
         payload = {"d": tensor.d, "r": tensor.r, "entries": entries,
                    "richardson_error": tensor.richardson_error}
         with open(args.dump, "w") as fh:
-            fh.write(to_json(payload) + "\n")
+            fh.write(_dumps(payload) + "\n")
     result = {
         "d": args.d, "r": args.r, "h": args.h,
         "richardson_error": tensor.richardson_error,
         "nonzero_entries": int(np.count_nonzero(tensor.pi)),
-        "residuals": [
-            residual_row("richardson_error", tensor.richardson_error,
-                         config.bracket_tol),
-            residual_row("skew_violation", skew, 1e-12),
-        ],
+        "residuals": rows,
     }
     return report(result, config)
 
@@ -367,17 +361,12 @@ def load_poisson_json(path: str) -> poisson.PoissonTensor:
 
 def cmd_poisson_jacobi(args, config: RunConfig) -> int:
     tensor = load_poisson_json(args.infile)
-    seed = config.seed
-    worst = poisson.jacobi_check(tensor, args.trials, seed)
-    skew = poisson.skew_check(tensor)
+    row = _jacobi_row(tensor, args.trials, config)
     result = {
         "d": tensor.d, "r": tensor.r,
-        "trials": args.trials, "seed": seed,
-        "max_jacobi": worst,
-        "residuals": [
-            residual_row("jacobi_residual", worst, config.bracket_tol),
-            residual_row("skew_violation", skew, 1e-12),
-        ],
+        "trials": args.trials, "seed": config.seed,
+        "max_jacobi": row["value"],
+        "residuals": [row, _skew_row(tensor)],
     }
     return report(result, config)
 
@@ -390,38 +379,22 @@ def _object_fields(obj: mukai.DerivedObject) -> dict:
 
 def cmd_mukai_act(args, config: RunConfig) -> int:
     obj = parse_object(args.object)
-    try:
-        word = mukai.GroupWord.parse(args.word)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    moved = mukai.act_word(obj, word)
+    moved = mukai.act_word(obj, mukai.GroupWord.parse(args.word))
     return report(_object_fields(moved), config)
 
 
 def cmd_mukai_invariants(args, config: RunConfig) -> int:
-    v1 = mukai.KVector(*args.v1)
-    v2 = mukai.KVector(*args.v2)
-    try:
-        inv = mukai.orbit_invariants(v1, v2)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    inv = mukai.orbit_invariants(mukai.KVector(*args.v1),
+                                 mukai.KVector(*args.v2))
     return report({"det": inv.det, "alpha": inv.alpha}, config)
 
 
 def cmd_mukai_solve_tr(args, config: RunConfig) -> int:
-    if args.d <= 1:
-        raise UsageError("solve-tr needs d > 1")
-    if args.r < 1 or gcd(args.r, args.d) != 1:
-        raise UsageError(f"r={args.r} is not a positive unit mod d={args.d}")
     word, companion = mukai.solve_T_r(mukai.Bundle(args.r, args.d, 0))
     return report({"word": str(word), "r_prime": companion.rank}, config)
 
 
 def cmd_mukai_solve_ur(args, config: RunConfig) -> int:
-    if args.d < 1:
-        raise UsageError("solve-ur needs d >= 1")
-    if args.r < 1 or gcd(args.r, args.d) != 1:
-        raise UsageError(f"r={args.r} is not a positive unit mod d={args.d}")
     word, r_dp = mukai.solve_U_r(mukai.Bundle(args.r, args.d, 0))
     return report({"word": str(word), "r_prime": r_dp}, config)
 
@@ -449,23 +422,22 @@ def cmd_s3_fixed(args, config: RunConfig) -> int:
     return report(result, config)
 
 
-def cmd_s3_check(args, config: RunConfig) -> int:
-    bad = [d for d in range(2, args.dmax + 1)
+def _s3_row(dmax: int):
+    """Moduli in 2..dmax that break the S3 relations, and their row."""
+    bad = [d for d in range(2, dmax + 1)
            if not residues.check_group_relations(d)]
-    result = {
-        "dmax": args.dmax,
-        "failures": bad,
-        "residuals": [residual_row("relation_failures", len(bad), 0.5)],
-    }
-    return report(result, config)
+    return bad, residual_row("relation_failures", len(bad), 0.5)
+
+
+def cmd_s3_check(args, config: RunConfig) -> int:
+    bad, row = _s3_row(args.dmax)
+    return report({"dmax": args.dmax, "failures": bad, "residuals": [row]},
+                  config)
 
 
 def cmd_walls(args, config: RunConfig) -> int:
     triple = walls.TripleInvariants(args.r1, args.r2, args.d1, args.d2)
-    lo, hi = args.lo, args.hi
-    if lo >= hi:
-        raise UsageError(f"empty tau interval [{lo}, {hi}]")
-    wall_list = walls.candidate_walls(triple, lo, hi)
+    wall_list = walls.candidate_walls(triple, args.lo, args.hi)
     degens = walls.degeneration_cells(triple)
     result = {
         "walls": [{"tau": w.tau, "witnesses": [list(wit) for wit in w.witnesses]}
@@ -479,8 +451,6 @@ def _resolve_tensor_case(case: str):
     kind, _, rest = case.partition(":")
     if kind == "gl":
         r1, r2 = parse_int_pair(rest)
-        if r1 < 1 or r2 < 1:
-            raise UsageError("gl ranks must be positive")
         return invtensor.gl_pair_rep(r1, r2), invtensor.gl_pair_tensor(r1, r2)
     if kind == "gsp":
         try:
@@ -499,19 +469,26 @@ def _resolve_tensor_case(case: str):
                      "or file:rep.json)")
 
 
-def _tensor_norms(rep, tensor):
-    inv = invtensor.check_invariance(rep, tensor)
-    star = invtensor.t_star(rep, tensor)
-    worst = 0
-    for row in star:
-        for x in row:
-            worst = max(worst, abs(x))
-    return float(inv), float(worst)
+def _tensor_rows(rep, tensors) -> list:
+    """Rows of `tensor check`: invariance and t_* norm of each tensor.
+
+    Both must be exactly 0 on an exact representation, and within
+    FLOAT_TOL on a float one.
+    """
+    cut = 0.0 if rep.is_exact() else invtensor.FLOAT_TOL
+    rows = []
+    for idx, tensor in enumerate(tensors):
+        inv = invtensor.check_invariance(rep, tensor)
+        star = max((abs(x) for row in invtensor.t_star(rep, tensor)
+                    for x in row), default=0)
+        tag = f"_{idx}" if len(tensors) > 1 else ""
+        rows.append(residual_row(f"invariance{tag}", float(inv), cut))
+        rows.append(residual_row(f"t_star_norm{tag}", float(star), cut))
+    return rows
 
 
 def cmd_tensor_check(args, config: RunConfig) -> int:
     rep, default_tensor = _resolve_tensor_case(args.case)
-    cut = 0.0 if rep.is_exact() else invtensor.FLOAT_TOL
     if args.t:
         path = args.t.partition(":")[2] if args.t.startswith("file:") else args.t
         try:
@@ -527,13 +504,8 @@ def cmd_tensor_check(args, config: RunConfig) -> int:
                       "note": "admissible space is zero; nothing to check",
                       "residuals": []}
             return report(result, config)
-    rows = []
-    for idx, tensor in enumerate(tensors):
-        inv, star = _tensor_norms(rep, tensor)
-        tag = f"_{idx}" if len(tensors) > 1 else ""
-        rows.append(residual_row(f"invariance{tag}", inv, cut))
-        rows.append(residual_row(f"t_star_norm{tag}", star, cut))
-    result = {"case": args.case, "checked": len(tensors), "residuals": rows}
+    result = {"case": args.case, "checked": len(tensors),
+              "residuals": _tensor_rows(rep, tensors)}
     return report(result, config)
 
 
@@ -550,34 +522,20 @@ def cmd_tensor_solve(args, config: RunConfig) -> int:
 
 
 def cmd_check_all(args, config: RunConfig) -> int:
+    """One verification sweep over every module.
+
+    Rows that a subcommand also reports come from that subcommand's row
+    builder, renamed.  All draws come from one generator seeded with
+    config.seed, in a fixed order.
+    """
     rng = np.random.default_rng(config.seed)
     rows = []
     dmax = args.dmax
 
-    worst1 = worst2 = dev = 0.0
     for d in (3, 5):
-        if d > dmax:
-            continue
-        basis = ThetaBasis(d, config.modulus, tail_eps=config.tail_eps)
-        for _ in range(25):
-            m = int(rng.integers(0, d))
-            z = complex(rng.uniform(-1, 1) + rng.uniform(-1, 1) * config.omega)
-            r1, r2 = _theta_residuals_at(basis, m, z)
-            worst1, worst2 = max(worst1, r1), max(worst2, r2)
-        dev = max(dev, max(abs(theta_zero_count(basis, m) - d)
-                           for m in range(d)))
-        x = sklyanin.sample_generic_x(d, config.modulus, rng,
-                                      zero_tol=config.zero_tol)
-        _, b, fit = theta_symmetry_constants(basis, x,
-                                             zero_tol=config.zero_tol)
-        rows.append(residual_row(f"theta_symmetry_fit_d{d}", fit,
-                                 SYMMETRY_TOL))
-        rows.append(residual_row(f"theta_ratio_unity_d{d}",
-                                 abs(b ** d - 1.0), SYMMETRY_TOL))
-    rows.append(residual_row("theta_shift_1_over_d", worst1,
-                             FUNCTIONAL_EQ_TOL))
-    rows.append(residual_row("theta_shift_omega", worst2, FUNCTIONAL_EQ_TOL))
-    rows.append(residual_row("theta_zero_count_dev", dev, 0.5))
+        if d <= dmax:
+            rows += [dict(row, name=f"theta_d{d}_{row['name']}")
+                     for row in _theta_rows(d, 25, config, rng)]
 
     rank_dev = 0
     for d in range(2, min(dmax, 7) + 1):
@@ -596,22 +554,13 @@ def cmd_check_all(args, config: RunConfig) -> int:
     if dmax >= 5:
         x = sklyanin.sample_generic_x(5, config.modulus, rng,
                                       zero_tol=config.zero_tol)
-        dist = sklyanin.check_substitution_isomorphism(
-            5, 2, 3, x, config.modulus, zero_tol=config.zero_tol,
-            rank_tol=config.rank_tol)
-        rows.append(residual_row("substitution_iso_5_2_3", dist,
-                                 config.iso_tol))
+        rows.append(dict(_iso_row(5, 2, 3, x, config),
+                         name="substitution_iso_5_2_3"))
 
-    tensor = poisson.extract_bracket(
-        3, 1, config.modulus, zero_tol=config.zero_tol,
-        rank_tol=config.rank_tol, bracket_tol=config.bracket_tol)
-    rows.append(residual_row("poisson_richardson_d3",
-                             tensor.richardson_error, config.bracket_tol))
-    rows.append(residual_row("poisson_jacobi_d3",
-                             poisson.jacobi_check(tensor, 50, config.seed),
-                             config.bracket_tol))
-    rows.append(residual_row("poisson_skew_d3", poisson.skew_check(tensor),
-                             1e-12))
+    tensor, (richardson, skew) = _extract_rows(3, 1, poisson.DEFAULT_H, config)
+    rows += [dict(richardson, name="poisson_richardson_d3"),
+             dict(_jacobi_row(tensor, 50, config), name="poisson_jacobi_d3"),
+             dict(skew, name="poisson_skew_d3")]
 
     braid_ok = mukai.words_equal(mukai.GroupWord.parse("R S R S R S"),
                                  mukai.GroupWord.parse("S S"))
@@ -639,9 +588,7 @@ def cmd_check_all(args, config: RunConfig) -> int:
                 solver_bad += 1
     rows.append(residual_row("mukai_solver_congruences", solver_bad, 0.5))
 
-    s3_bad = sum(0 if residues.check_group_relations(d) else 1
-                 for d in range(2, 201))
-    rows.append(residual_row("s3_relations_to_200", s3_bad, 0.5))
+    rows.append(dict(_s3_row(200)[1], name="s3_relations_to_200"))
 
     triple = walls.TripleInvariants(2, 1, 3, 0)
     wall_list = walls.candidate_walls(triple, 0, 3)
@@ -657,11 +604,9 @@ def cmd_check_all(args, config: RunConfig) -> int:
     rows.append(residual_row("walls_consistency", wall_bad, 0.5))
 
     gl_bad = 0
-    for r1, r2 in ((2, 1), (2, 2)):
-        rep = invtensor.gl_pair_rep(r1, r2)
-        t = invtensor.gl_pair_tensor(r1, r2)
-        inv, star = _tensor_norms(rep, t)
-        gl_bad += (inv != 0.0) + (star != 0.0)
+    for case in ("gl:2,1", "gl:2,2"):
+        rep, t = _resolve_tensor_case(case)
+        gl_bad += sum(not row["pass"] for row in _tensor_rows(rep, [t]))
     rows.append(residual_row("tensor_gl_t_star", gl_bad, 0.5))
     sl2 = invtensor.sl2_rep()
     dim_before = len(invtensor.solve_admissible(sl2))
@@ -806,19 +751,10 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, env_cfg: RunConfig) -> RunConfig:
-    cfg = replace(
-        env_cfg,
-        omega=args.omega,
-        seed=args.seed,
-        output_format=args.output_format,
-        tail_eps=args.tail_eps,
-        zero_tol=args.zero_tol,
-        rank_tol=args.rank_tol,
-        iso_tol=args.iso_tol,
-        bracket_tol=args.bracket_tol,
-    )
-    return cfg.validate()
+def _config_from_args(args) -> RunConfig:
+    """RunConfig from the flags, one per field; their defaults hold the env."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig)}).validate()
 
 
 def run(argv=None) -> int:
@@ -833,7 +769,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args, env_cfg)
+        config = _config_from_args(args)
         return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

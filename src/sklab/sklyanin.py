@@ -235,12 +235,12 @@ def singular_values(sys: RelationSystem) -> np.ndarray:
 def _graded_space(sys: RelationSystem, rank_tol: float):
     """Per-grade orthonormal bases of the relation space.
 
-    Returns (vh, keep): the conjugated first keep[s].sum() rows of vh[s]
-    are a basis of the grade-s part, in block coordinates a.  The rank
-    cutoff and the gap test act on the global spectrum, as for one dense
-    SVD of all rows: the dimension is the number of singular values above
-    rank_tol times the largest one, and without a clear gap there
-    (consecutive ratio < 10) AmbiguousRank is raised.
+    Returns (vh, keep): the first keep[s].sum() rows of vh[s] are a basis
+    of the grade-s part, in block coordinates a.  The rank cutoff and the
+    gap test act on the global spectrum, as for one dense SVD of all rows:
+    the dimension is the number of singular values above rank_tol times
+    the largest one, and without a clear gap there (consecutive ratio
+    < 10) AmbiguousRank is raised.
     """
     vh, svals, s = _block_spectrum(sys, compute_uv=True)
     if len(s) == 0:
@@ -269,7 +269,7 @@ def relation_space(sys: RelationSystem, rank_tol: float = 1e-9) -> np.ndarray:
     a = np.arange(d)
     basis = np.zeros((d * d, len(grade)), dtype=complex)
     basis[a * d + (r * grade[:, None] - a) % d,
-          np.arange(len(grade))[:, None]] = vh[grade, col].conj()
+          np.arange(len(grade))[:, None]] = vh[grade, col]
     return basis
 
 
@@ -304,7 +304,7 @@ def substitution_matrix(d: int, mult: int) -> np.ndarray:
 def _grade_bases(params: AlgebraParams, zero_tol: float, rank_tol: float):
     """Relation-space basis of each grade s, as columns over coordinate a."""
     vh, keep = _graded_space(build_relations(params, zero_tol), rank_tol)
-    return [v[:k].conj().T for v, k in zip(vh, keep.sum(axis=1))]
+    return [v[:k].T for v, k in zip(vh, keep.sum(axis=1))]
 
 
 def substitution_distance(d: int, r: int, r2: int, x: complex,

@@ -14,6 +14,45 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+# Verbatim stdout of commands whose outputs are exact (integers,
+# Fractions, words), as the hand-written JSON emitter printed them before
+# json.dumps took over; the serializer must not change a byte of them.
+EXACT_OUTPUTS = {
+    "tensor solve --case gsp:4": (
+        '{"case": "gsp:4", "dim": 1, "basis": [[["0/1", "0/1", "0/1", '
+        '"0/1", "0/1", "0/1", "2/1", "0/1", "0/1", "0/1", "0/1"], ["0/1", '
+        '"0/1", "0/1", "2/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", '
+        '"0/1"], ["0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "1/1", '
+        '"0/1", "0/1", "0/1"], ["0/1", "2/1", "0/1", "0/1", "0/1", "0/1", '
+        '"0/1", "0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "0/1", '
+        '"1/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", '
+        '"0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "1/1", "0/1", "0/1"], '
+        '["2/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", '
+        '"0/1", "0/1"], ["0/1", "0/1", "1/1", "0/1", "0/1", "0/1", "0/1", '
+        '"0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "0/1", "0/1", '
+        '"1/1", "0/1", "0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", '
+        '"0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "1/1", "0/1"], ["0/1", '
+        '"0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", '
+        '"-1/1"]]]}\n'
+    ),
+    "walls --r1 2 --r2 1 --d1 3 --d2 0 --lo 0 --hi 3": (
+        '{"walls": [{"tau": "1/2", "witnesses": [[0, 1, 2], [2, 0, 1]]}, '
+        '{"tau": "1/1", "witnesses": [[0, 1, 1], [1, 0, 1], [1, 1, 2], [2, '
+        '0, 2]]}, {"tau": "3/2", "witnesses": [[0, 1, 0], [2, 0, 3]]}, '
+        '{"tau": "2/1", "witnesses": [[0, 1, -1], [1, 0, 2], [1, 1, 1], '
+        '[2, 0, 4]]}, {"tau": "5/2", "witnesses": [[0, 1, -2], [2, 0, '
+        '5]]}], "degenerations": []}\n'
+    ),
+    "mukai solve-tr --r 2 --d 7": (
+        '{"word": "S S S S R R S- R- R- R- S- S-", "r_prime": 3}\n'
+    ),
+    "s3 orbits --d 13": (
+        '{"d": 13, "members": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], '
+        '"orbits": [[1, 6, 11], [2, 4, 5, 7, 8, 10], [3, 9]], '
+        '"phi_fixed": [3, 9], "phibeta_fixed": [11]}\n'
+    ),
+}
+
 
 def test_theta_eval_json(capsys):
     code, out, _ = run_cli(capsys, "theta", "eval", "--d", "5", "--m", "1",
@@ -198,6 +237,39 @@ def test_check_all_quick(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(row["pass"] for row in doc["residuals"])
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_check_all_theta_rows_are_theta_check_rows(capsys, seed):
+    code, out, _ = run_cli(capsys, "check", "--all", "--dmax", "3",
+                           "--seed", seed)
+    assert code == 0
+    prefix = "theta_d3_"
+    got = [dict(row, name=row["name"][len(prefix):])
+           for row in json.loads(out)["residuals"]
+           if row["name"].startswith(prefix)]
+    code, out, _ = run_cli(capsys, "theta", "check", "--d", "3",
+                           "--trials", "25", "--seed", seed)
+    assert code == 0
+    assert got == json.loads(out)["residuals"]
+
+
+def test_check_all_covers_every_module(capsys):
+    code, out, _ = run_cli(capsys, "check", "--all")
+    assert code == 0
+    doc = json.loads(out)
+    names = [row["name"] for row in doc["residuals"]]
+    assert doc["checks"] == len(names) == len(set(names))
+    for prefix in ("theta_d3_", "theta_d5_", "sklyanin_", "substitution_",
+                   "poisson_", "mukai_", "s3_", "walls_", "tensor_"):
+        assert any(name.startswith(prefix) for name in names), prefix
+
+
+@pytest.mark.parametrize("argv", list(EXACT_OUTPUTS))
+def test_exact_outputs_verbatim(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == EXACT_OUTPUTS[argv]
 
 
 def test_floats_printed_at_full_precision(capsys):

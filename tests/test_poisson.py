@@ -11,8 +11,8 @@ from sklab.sklyanin import AlgebraParams, build_relations, relation_space
 # extraction; the h -> 0 noise floor sits near 1e-9 so the comparison
 # tolerance is generous
 GOLDEN_31 = {
-    (2, 1, 1, 2): -1.51583126874281 - 2.75359144323306j,
-    (1, 0, 0, 1): -1.51583126873541 - 2.75359144322936j,
+    (2, 1, 1, 2): -1.51583126874281 + 2.75359144323306j,
+    (1, 0, 0, 1): -1.51583126873541 + 2.75359144322936j,
 }
 
 

@@ -60,7 +60,7 @@ def dense_space(system, rank_tol=1e-9):
     if rows.shape[0] == 0:
         return np.zeros((system.d ** 2, 0), dtype=complex)
     _, s, vh = np.linalg.svd(rows)
-    return vh[:int((s > rank_tol * s[0]).sum())].conj().T
+    return vh[:int((s > rank_tol * s[0]).sum())].T
 
 
 def dense_substitution_distance(d, r, r2, x, modulus):
@@ -134,6 +134,20 @@ def test_blocks_match_dense_oracle(d, modulus):
                                                   modulus)
                    - dense_substitution_distance(d, r, r_inv, X_GENERIC,
                                                  modulus)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_relation_space_holds_the_rows(d, modulus):
+    # the span of the rows themselves, not of their complex conjugates
+    for r in range(d):
+        if gcd(r, d) != 1:
+            continue
+        system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+        rows = system.coeffs.reshape(d * d, d * d)
+        rows = rows[np.abs(rows).max(axis=1) > 0.0].T
+        space = relation_space(system)
+        residual = rows - space @ (space.conj().T @ rows)
+        assert np.abs(residual).max(initial=0.0) <= 1e-12, r
 
 
 @pytest.mark.parametrize("d,r,rp", [(5, 2, 2), (7, 2, 2), (8, 3, 5),
