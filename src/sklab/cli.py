@@ -155,7 +155,7 @@ def _print_table(result: dict, residuals):
     for key, value in result.items():
         if key == "residuals":
             continue
-        if isinstance(value, (dict, list, tuple, float)):
+        if value is None or isinstance(value, (dict, list, tuple, float)):
             value = _dumps(value)
         print(f"{key}: {value}")
     if residuals:
@@ -250,8 +250,9 @@ def cmd_sklyanin_relations(args, config: RunConfig) -> int:
     svals = sklyanin.singular_values(system)
     rank = space.shape[1]
     expected = args.d * (args.d - 1) // 2
+    # no gap exists at rank 0 or full rank; JSON has no infinity
     gap = float(svals[rank - 1] / svals[rank]) if 0 < rank < len(svals) \
-        else float("inf")
+        else None
     if args.dump:
         rows = [{"i": i, "j": j,
                  "terms": [{"n": n, "a": a, "b": b,

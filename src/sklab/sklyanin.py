@@ -324,7 +324,9 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
     formed.  substitution_matrix is the same map in the dense layout.
     """
     src = _grade_bases(AlgebraParams(d, r, x, modulus), zero_tol, rank_tol)
-    dst = _grade_bases(AlgebraParams(d, r2, x, modulus), zero_tol, rank_tol)
+    # a self-inverse r (r2 = r mod d) compares the system with itself
+    dst = src if (r2 - r) % d == 0 else \
+        _grade_bases(AlgebraParams(d, r2, x, modulus), zero_tol, rank_tol)
     rank, rank2 = (sum(b.shape[1] for b in bases) for bases in (src, dst))
     if rank != rank2:
         raise AmbiguousRank(

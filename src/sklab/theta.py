@@ -20,7 +20,8 @@ moderate number of cells away from the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +103,6 @@ class ThetaBasis:
     def omega(self) -> complex:
         return self.modulus.omega
 
-    # -- argument reduction --------------------------------------------------
-
-    def _reduce(self, z):
-        return reduce_to_cell(z, self.omega)
-
     def _cell_multiplier(self, z_red, p, q):
         # theta_m(z_red + p + q*omega) =
         #   (-1)^(d p + q) exp(-pi i d omega q^2 - 2 pi i d q z_red) theta_m(z_red)
@@ -118,23 +114,24 @@ class ThetaBasis:
 
     # -- series --------------------------------------------------------------
 
-    def _series(self, m, z_red, want_deriv=False):
-        """Sum the defining series at reduced arguments (1-d array z_red)."""
+    def _series(self, ms, z_red, want_deriv=False):
+        """Sum the defining series: one row per index in ms, one column per
+        reduced argument in z_red; each row passes its own truncation test."""
         d = self.d
         w = self.omega
-        mu = (m % d) / d + 0.5
+        mu = (np.atleast_1d(ms)[:, None] % d) / d + 0.5
         lin = d * z_red + 0.5
-        decay = np.pi * d * w.imag
-        half_width = 3.0 + 6.0 / np.sqrt(decay)
+        half_width = 3.0 + 6.0 / np.sqrt(np.pi * d * w.imag)
         cap = 16.0 * half_width + 64.0
         while True:
-            k_lo = int(np.ceil(-half_width - mu))
-            k_hi = int(np.floor(half_width - mu))
-            c = np.arange(k_lo, k_hi + 1) + mu
-            expo = (1j * np.pi * d * w) * c * c + _TWO_PI_I * np.outer(lin, c)
-            terms = np.exp(expo)
-            total = terms.sum(axis=1)
-            edge = np.maximum(np.abs(terms[:, 0]), np.abs(terms[:, -1]))
+            # one window of k covering [-half_width, half_width] for every mu
+            k = np.arange(np.ceil(-half_width - mu.max()),
+                          np.floor(half_width - mu.min()) + 1)
+            c = k + mu
+            terms = np.exp(((1j * np.pi * d * w) * c * c)[:, None, :]
+                           + _TWO_PI_I * (lin[:, None] * c[:, None, :]))
+            total = terms.sum(axis=2)
+            edge = np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1]))
             if np.all(edge < self.tail_eps * np.abs(total)):
                 break
             half_width *= 1.5
@@ -144,8 +141,7 @@ class ThetaBasis:
                     f"Im omega={w.imag:g})")
         if not want_deriv:
             return total
-        deriv = (terms * (_TWO_PI_I * d * c)).sum(axis=1)
-        return total, deriv
+        return total, (terms * (_TWO_PI_I * d * c)[:, None, :]).sum(axis=2)
 
     # -- public evaluation ---------------------------------------------------
 
@@ -154,17 +150,15 @@ class ThetaBasis:
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if not np.all(np.isfinite(z_arr)):
             raise ValueError("z must be finite")
-        z_red, p, q = self._reduce(z_arr)
-        vals = self._cell_multiplier(z_red, p, q) * self._series(m, z_red)
+        z_red, p, q = reduce_to_cell(z_arr, self.omega)
+        vals = self._cell_multiplier(z_red, p, q) * self._series(m, z_red)[0]
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
 
     def values_at(self, z: complex) -> np.ndarray:
         """All d values theta_0(z), ..., theta_{d-1}(z) at a single point."""
-        z_arr = np.asarray([complex(z)])
-        z_red, p, q = self._reduce(z_arr)
+        z_red, p, q = reduce_to_cell(np.asarray([complex(z)]), self.omega)
         mult = self._cell_multiplier(z_red, p, q)[0]
-        return np.array([mult * self._series(m, z_red)[0]
-                         for m in range(self.d)])
+        return mult * self._series(np.arange(self.d), z_red)[:, 0]
 
     def values_at_zero(self) -> np.ndarray:
         """The d values theta_m(0) with the exact zero at m = 0.
@@ -182,9 +176,9 @@ class ThetaBasis:
     def dlog(self, m: int, z) -> np.ndarray:
         """Logarithmic derivative theta_m'(z)/theta_m(z), vectorized in z."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        z_red, p, q = self._reduce(z_arr)
+        z_red, p, q = reduce_to_cell(z_arr, self.omega)
         total, deriv = self._series(m, z_red, want_deriv=True)
-        vals = deriv / total - _TWO_PI_I * self.d * q
+        vals = deriv[0] / total[0] - _TWO_PI_I * self.d * q
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
 
 
@@ -214,8 +208,8 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex,
     """
     d = basis.d
     idx = np.arange(d)
-    plus = np.array([basis.eval(i, x) for i in idx])
-    minus = np.array([basis.eval(-i, -x) for i in idx])
+    plus = basis.values_at(x)
+    minus = basis.values_at(-x)[(-idx) % d]
     scale = np.abs(plus).max()
     if scale == 0.0 or np.abs(plus).min() < zero_tol * scale:
         raise ValueError("x is too close to a theta zero for the fit")
@@ -236,20 +230,26 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex,
     return a, b, residual
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_nodes(n):
+    """Gauss-Legendre nodes and weights on [0, 1]; cached, so read-only."""
+    t, weights = np.polynomial.legendre.leggauss(n)
+    nodes = 0.5 * (t + 1.0), 0.5 * weights
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 def _winding(basis, m, base, n):
     w = basis.omega
-    t, weights = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (t + 1.0)
-    weights = 0.5 * weights
+    t, weights = _unit_nodes(n)
     pts = np.concatenate([base + t, base + 1.0 + t * w,
                           base + w + t, base + t * w])
     f = basis.dlog(m, pts)
     if not np.all(np.isfinite(f)):
         return None
-    fb, fr, ft, fl = np.split(f, 4)
-    total = (weights @ fb) + w * (weights @ fr) \
-        - (weights @ ft) - w * (weights @ fl)
-    return total / _TWO_PI_I
+    fb, fr, ft, fl = f.reshape(4, n)
+    return weights @ (fb - ft + w * (fr - fl)) / _TWO_PI_I
 
 
 def theta_zero_count(basis: ThetaBasis, m: int, nodes: int = 160,

@@ -108,6 +108,18 @@ def test_sklyanin_relations_dump_roundtrip(capsys, tmp_path):
             assert set(term) == {"n", "a", "b", "coeff_re", "coeff_im"}
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_sklyanin_relations_without_gap_report_null(capsys, fmt):
+    # rank 0 at d = 1: no singular-value gap exists, which is not an error
+    code, out, _ = run_cli(capsys, "sklyanin", "relations", "--d", "1",
+                           "--r", "0", "--x", "0.11,0.17", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["gap"] is None
+    else:
+        assert "gap: null" in out.splitlines()
+
+
 def test_poisson_extract_then_jacobi(capsys, tmp_path):
     dump = tmp_path / "pi.json"
     code, out, _ = run_cli(capsys, "poisson", "extract", "--d", "3",

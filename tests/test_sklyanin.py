@@ -243,6 +243,24 @@ def test_substitution_isomorphism_positive(modulus):
     assert dist < 1e-8
 
 
+@pytest.mark.parametrize("d,r,r2", [(1, 0, 0), (2, 1, 1), (5, 1, 1),
+                                     (5, 4, 4), (5, 4, 9), (8, 3, 3),
+                                     (8, 7, 7), (12, 5, -7)])
+def test_self_inverse_distance_matches_two_builds(d, r, r2, modulus,
+                                                  monkeypatch):
+    """For r2 = r mod d one build serves both sides, with the same float."""
+    bases = [sklyanin._grade_bases(AlgebraParams(d, q, X_GENERIC, modulus),
+                                   1e-9, 1e-9) for q in (r, r2)]
+    back = (pow(r2, -1, d) * np.arange(d)) % d
+    want = max(subspace_distance(bases[0][s][back], bases[1][(r * s) % d])
+               for s in range(d))
+    builds = []
+    monkeypatch.setattr(sklyanin, "build_relations",
+                        lambda *a: builds.append(a) or build_relations(*a))
+    assert substitution_distance(d, r, r2, X_GENERIC, modulus) == want
+    assert len(builds) == 1
+
+
 def test_substitution_isomorphism_rejects_non_inverse(modulus):
     with pytest.raises(ValueError):
         check_substitution_isomorphism(5, 2, 2, X_GENERIC, modulus)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sklab.theta import (CurveModulus, ThetaBasis, reduce_to_cell,
-                         theta_symmetry_constants, theta_zero_count)
+from sklab.theta import (CurveModulus, ThetaBasis, _unit_nodes,
+                         reduce_to_cell, theta_symmetry_constants,
+                         theta_zero_count)
 
 # Values computed independently with 45-digit summation of the defining
 # series, then rounded to double precision.
@@ -108,3 +109,81 @@ def test_dlog_matches_finite_difference(modulus):
         numeric = (basis.eval(m, z + h) - basis.eval(m, z - h)) \
             / (2 * h * basis.eval(m, z))
         assert abs(basis.dlog(m, z) - numeric) < 1e-6 * max(1.0, abs(numeric))
+
+
+# Cells (p, q) of z = z0 + p + q*omega, from the origin's to far ones.
+CELLS = [(0, 0), (1, 0), (0, 1), (-2, 1), (3, -2), (-3, 3), (2, -3),
+         (3, 3)]
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.05j])
+def test_values_at_matches_scalar_eval(omega):
+    """All d series summed at once equal one scalar eval per index."""
+    compared = 0
+    for d in range(1, 31):
+        basis = ThetaBasis(d, CurveModulus(omega))
+        points = [0.0] + [0.13 + 0.21 * omega + p + q * omega
+                          for p, q in CELLS]
+        for z in points:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.array([basis.eval(m, z) for m in range(d)])
+                got = basis.values_at(z)
+            if not np.all(np.isfinite(want)):
+                # the cell multiplier, common to every index, overflowed
+                assert not np.any(np.isfinite(got))
+                continue
+            assert got.shape == (d,)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            compared += 1
+    assert compared >= 0.6 * 30 * (len(CELLS) + 1)
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j])
+def test_zero_count_is_d_for_every_index(omega):
+    for d in range(1, 13):
+        basis = ThetaBasis(d, CurveModulus(omega))
+        assert [theta_zero_count(basis, m) for m in range(d)] == [d] * d
+
+
+@pytest.mark.parametrize("n", [1, 7, 160, 320])
+def test_unit_nodes_are_leggauss_on_unit_interval(n):
+    t, weights = _unit_nodes(n)
+    ref_t, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(t, 0.5 * (ref_t + 1.0))
+    assert np.array_equal(weights, 0.5 * ref_weights)
+    assert not t.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    assert _unit_nodes(n)[0] is t
+
+
+def scalar_symmetry_fit(basis, x):
+    """Reference fit: 2d scalar evals, as theta_symmetry_constants once did."""
+    d = basis.d
+    idx = np.arange(d)
+    plus = np.array([basis.eval(i, x) for i in idx])
+    minus = np.array([basis.eval(-i, -x) for i in idx])
+    rho = minus / plus
+    if d == 1:
+        b, a = 1.0 + 0.0j, rho[0]
+    else:
+        b = complex(np.mean(rho[1:] / rho[:-1]))
+        a = complex(np.mean(rho * b ** (-idx.astype(float))))
+    residual = float(np.abs(minus - a * b ** idx * plus).max()
+                     / np.abs(plus).max())
+    return a, b, residual
+
+
+def test_symmetry_constants_match_scalar_eval_fit(modulus, rng):
+    for d in (1, 2, 3, 4, 5, 8, 12):
+        basis = ThetaBasis(d, modulus)
+        for _ in range(3):
+            x = complex(rng.uniform(0.05, 0.95)
+                        + rng.uniform(0.05, 0.95) * modulus.omega)
+            got = theta_symmetry_constants(basis, x)
+            want = scalar_symmetry_fit(basis, x)
+            assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+        if d > 1:
+            # theta_0 vanishes at 0: the zero test still refuses the fit
+            with pytest.raises(ValueError):
+                theta_symmetry_constants(basis, 0.0)
