@@ -8,7 +8,7 @@ t_* = 0, so this module computes t_star matrices, tests invariance, and
 solves the joint linear system for the admissible space.
 
 All built-in cases are exact: structure constants and actions are
-rational, kernels come from fraction-free row reduction, and the
+rational, kernels come from sparse row reduction over Q, and the
 headline dimensions (GL pairs, gsp4, sl2 before/after central
 augmentation) are unambiguous integers, not numerical ranks.  Float
 input is accepted through the same entry points with a 1e-10 residual
@@ -18,6 +18,7 @@ cutoff standing in for exactness.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -101,19 +102,13 @@ class LieRepData:
                         raise ValueError("structure constants fail jacobi")
         for i in range(m):
             for j in range(m):
-                comm = _mat_sub(_mat_mul(acts[i], acts[j]),
-                                _mat_mul(acts[j], acts[i]))
-                expect = None
-                for k in range(m):
-                    if c[i][j][k] == 0:
-                        continue
-                    term = _mat_scale(acts[k], c[i][j][k])
-                    expect = term if expect is None else _mat_add(expect, term)
-                if expect is None:
-                    expect = [[0] * n for _ in range(n)]
+                comm = _commutator(acts[i], acts[j])
+                terms = [(acts[k], c[i][j][k]) for k in range(m)
+                         if c[i][j][k] != 0]
                 for a in range(n):
                     for b in range(n):
-                        if abs(comm[a][b] - expect[a][b]) > cut:
+                        expect = sum(val * mat[a][b] for mat, val in terms)
+                        if abs(comm[a][b] - expect) > cut:
                             raise ValueError("action is not a homomorphism")
 
 
@@ -137,32 +132,11 @@ class SymTensor:
         return len(self.t)
 
 
-def _mat_mul(a, b):
-    n, mid, p = len(a), len(b), len(b[0])
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        row = out[i]
-        for k in range(mid):
-            v = ai[k]
-            if v == 0:
-                continue
-            bk = b[k]
-            for j in range(p):
-                row[j] += v * bk[j]
-    return out
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
+def _commutator(a, b):
+    """[A, B] = AB - BA of square list matrices."""
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
 
 
 def sym_pairs(n: int):
@@ -234,55 +208,72 @@ def check_invariance(rep: LieRepData, t: SymTensor):
 
 
 def _rref(rows, ncols, exact):
-    """Row-reduce in place; returns pivot column list."""
+    """Sparse reduced row-echelon form of {col: value} rows.
+
+    Zeros are never stored, and the rows are consumed.  Pivots are taken
+    in column order: exact input takes the first row with a nonzero in the
+    column (the reduced form is unique, so the choice does not show in the
+    output), float input the largest entry above FLOAT_TOL.  Each pivot row
+    is normalised and its column cleared from every other row; rows that
+    reduce to nothing are dropped.  Returns the pivot columns and the
+    reduced rows, one per pivot in the same order.
+    """
     cut = 0 if exact else FLOAT_TOL
-    pivots = []
-    r = 0
+    rest = [row for row in rows if row]
+    pivots, reduced = [], []
     for col in range(ncols):
         best = None
-        for i in range(r, len(rows)):
-            if abs(rows[i][col]) > cut:
-                if best is None or abs(rows[i][col]) > abs(rows[best][col]):
+        for i, row in enumerate(rest):
+            x = row.get(col)
+            if x is not None and abs(x) > cut:
+                if best is None or abs(x) > abs(rest[best][col]):
                     best = i
                     if exact:
                         break
         if best is None:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                if abs(f) > 0:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_row = rest.pop(best)
+        piv = piv_row[col]
+        piv_row = {c: x / piv for c, x in piv_row.items()}
+        for group in (reduced, rest):
+            for row in group:
+                f = row.get(col)
+                if f is None:
+                    continue
+                for c, y in piv_row.items():
+                    x = row.get(c, 0) - f * y
+                    if x:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
+        rest = [row for row in rest if row]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
+        reduced.append(piv_row)
+        if not rest:
             break
-    del rows[r:]
-    return pivots
+    return pivots, reduced
 
 
 def _kernel_basis(rows, ncols, exact):
-    """Basis of the nullspace of the stacked row system.
+    """Basis of the nullspace of the stacked {col: value} row system.
 
     Each basis vector carries 1 at its own free coordinate and 0 at the
     other free coordinates, so coordinates of any kernel member can be
     read off at the free positions.
     """
-    if exact:
-        work = [list(map(Fraction, row)) for row in rows if any(x != 0 for x in row)]
-    else:
-        work = [list(row) for row in rows if any(x != 0 for x in row)]
-    pivots = _rref(work, ncols, exact)
-    free = [c for c in range(ncols) if c not in pivots]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    work = [{c: Fraction(x) if exact else x for c, x in row.items() if x != 0}
+            for row in rows]
+    pivots, reduced = _rref(work, ncols, exact)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        vec = [Fraction(0) if exact else 0.0] * ncols
-        vec[f] = Fraction(1) if exact else 1.0
-        for rix, p in enumerate(pivots):
-            vec[p] = -work[rix][f]
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for p, row in zip(pivots, reduced):
+            vec[p] = -row.get(f, zero)
         basis.append(vec)
     return basis
 
@@ -328,14 +319,16 @@ def solve_admissible(rep: LieRepData):
 
     rows = []
     for k in range(m):
+        # nonzero c[k][a][u] over a, for each u
+        ad = [[(a, c[k][a][u]) for a in range(m) if c[k][a][u] != 0]
+              for u in range(m)]
         for u in range(m):
             for v in range(u, m):
-                row = [0 if exact else 0.0] * nsym
-                for a in range(m):
-                    if c[k][a][u] != 0:
-                        row[gindex[(min(a, v), max(a, v))]] += c[k][a][u]
-                    if c[k][a][v] != 0:
-                        row[gindex[(min(u, a), max(u, a))]] += c[k][a][v]
+                row = defaultdict(int)
+                for a, val in ad[u]:
+                    row[gindex[(min(a, v), max(a, v))]] += val
+                for a, val in ad[v]:
+                    row[gindex[(min(u, a), max(u, a))]] += val
                 rows.append(row)
     invariant_vecs = _kernel_basis(rows, nsym, exact)
     if not invariant_vecs:
@@ -347,9 +340,7 @@ def solve_admissible(rep: LieRepData):
         mat = t_star(rep, cand)
         star_cols.append([entry for row in mat for entry in row])
     # solve sum_r s_r * star_cols[r] = 0 for the combination coefficients
-    nrows = len(star_cols[0])
-    stacked = [[star_cols[r][i] for r in range(len(star_cols))]
-               for i in range(nrows)]
+    stacked = [dict(enumerate(entries)) for entries in zip(*star_cols)]
     combo = _kernel_basis(stacked, len(star_cols), exact)
     out = []
     for coeffs in combo:
@@ -465,20 +456,21 @@ def _commutator_rep_from_matrices(mats, n):
     """
     m = len(mats)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    comms = [_mat_sub(_mat_mul(mats[i], mats[j]), _mat_mul(mats[j], mats[i]))
-             for i, j in pairs]
-    work = [[Fraction(mat[a][b]) for mat in list(mats) + comms]
+    cols = list(mats) + [_commutator(mats[i], mats[j]) for i, j in pairs]
+    work = [{col: Fraction(mat[a][b]) for col, mat in enumerate(cols)
+             if mat[a][b] != 0}
             for a in range(n) for b in range(n)]
-    pivots = _rref(work, m + len(pairs), exact=True)
+    pivots, reduced = _rref(work, len(cols), exact=True)
     if pivots[:m] != list(range(m)):
         raise ValueError("matrix list is not linearly independent")
     if len(pivots) > m:
         raise ValueError("vector is outside the span")
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    zero = Fraction(0)
+    c = [[[zero] * m for _ in range(m)] for _ in range(m)]
     for col, (i, j) in enumerate(pairs, start=m):
         for k in range(m):
-            c[i][j][k] = work[k][col]
-            c[j][i][k] = -work[k][col]
+            c[i][j][k] = reduced[k].get(col, zero)
+            c[j][i][k] = -reduced[k].get(col, zero)
     return LieRepData(
         dim_g=m, dim_V=n,
         bracket=tuple(tuple(tuple(row) for row in pl) for pl in c),
@@ -508,7 +500,7 @@ def sp_rep(two_r: int) -> LieRepData:
     rows = []
     for a in range(n):
         for b in range(a, n):  # X^T Omega + Omega X is antisymmetric
-            row = [0] * (n * n)
+            row = defaultdict(int)
             for k in range(n):
                 # (X^T Omega)[a][b] = X[k][a] Omega[k][b]
                 row[k * n + a] += omega[k][b]

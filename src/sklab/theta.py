@@ -15,7 +15,8 @@ an eigenbasis for translation by 1/d.  The family satisfies, for every d,
 and each theta_m has exactly d zeros per fundamental cell.  Evaluation
 reduces the argument to the fundamental cell first and then sums the
 series adaptively, so values stay accurate (and finite) for any z a
-moderate number of cells away from the origin.
+moderate number of cells away from the origin; farther out, a value too
+large for a float raises ThetaOverflowError instead of turning into nan.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ __all__ = [
     "ConvergenceError",
     "CurveModulus",
     "ThetaBasis",
+    "ThetaOverflowError",
     "reduce_to_cell",
     "theta_symmetry_constants",
     "theta_zero_count",
 ]
 
 _TWO_PI_I = 2j * np.pi
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def reduce_to_cell(z, omega: complex):
@@ -52,6 +55,10 @@ def reduce_to_cell(z, omega: complex):
 
 class ConvergenceError(RuntimeError):
     """Adaptive truncation, contour placement, or a constants fit failed."""
+
+
+class ThetaOverflowError(ArithmeticError):
+    """A theta value is too large for a float: z lies too many cells out."""
 
 
 @dataclass(frozen=True)
@@ -103,14 +110,25 @@ class ThetaBasis:
     def omega(self) -> complex:
         return self.modulus.omega
 
-    def _cell_multiplier(self, z_red, p, q):
+    def _from_cell(self, series, z_red, p, q):
         # theta_m(z_red + p + q*omega) =
         #   (-1)^(d p + q) exp(-pi i d omega q^2 - 2 pi i d q z_red) theta_m(z_red)
-        # (independent of m).
+        # (independent of m); series holds theta_m(z_red).
         d = self.d
         sign = 1.0 - 2.0 * ((d * p + q) % 2)
-        return sign * np.exp(-1j * np.pi * d * self.omega * q * q
-                             - _TWO_PI_I * d * q * z_red)
+        if not np.count_nonzero(q):
+            return sign * series  # the exponential is exp(0) = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = sign * np.exp(-1j * np.pi * d * self.omega * q * q
+                                 - _TWO_PI_I * d * q * z_red) * series
+        if not np.isfinite(vals).all():
+            # real part of the exponent, per z; the largest overflows first
+            expo = np.pi * d * q * (q * self.omega.imag + 2.0 * z_red.imag)
+            j = np.argmax(expo)
+            raise ThetaOverflowError(
+                f"theta value is not a finite float at d={d}, q={q[j]}: "
+                f"cell exponent {expo[j]:.1f}, bound {_LOG_FLOAT_MAX:.2f}")
+        return vals
 
     # -- series --------------------------------------------------------------
 
@@ -151,14 +169,14 @@ class ThetaBasis:
         if not np.all(np.isfinite(z_arr)):
             raise ValueError("z must be finite")
         z_red, p, q = reduce_to_cell(z_arr, self.omega)
-        vals = self._cell_multiplier(z_red, p, q) * self._series(m, z_red)[0]
+        vals = self._from_cell(self._series(m, z_red)[0], z_red, p, q)
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
 
     def values_at(self, z: complex) -> np.ndarray:
         """All d values theta_0(z), ..., theta_{d-1}(z) at a single point."""
         z_red, p, q = reduce_to_cell(np.asarray([complex(z)]), self.omega)
-        mult = self._cell_multiplier(z_red, p, q)[0]
-        return mult * self._series(np.arange(self.d), z_red)[:, 0]
+        return self._from_cell(self._series(np.arange(self.d), z_red)[:, 0],
+                               z_red, p, q)
 
     def values_at_zero(self) -> np.ndarray:
         """The d values theta_m(0) with the exact zero at m = 0.
@@ -201,12 +219,20 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex,
     Raises
     ------
     ValueError
-        If some |theta_i(x)| is below zero_tol relative to the largest,
+        If d*x lies within 1e-12 (1 + |omega|) of the lattice Z + Z omega
+        (x is a d-torsion point, where some theta_i(x) vanishes exactly),
+        or if some |theta_i(x)| is below zero_tol relative to the largest,
         i.e. x sits too close to a zero divisor of the identity.
     ConvergenceError
         If the fitted constants violate the identity or |b^d - 1| >= fit_tol.
     """
     d = basis.d
+    dx_red, _, _ = reduce_to_cell(d * complex(x), basis.omega)
+    dist = abs(complex(dx_red))
+    bound = 1e-12 * (1.0 + abs(basis.omega))
+    if dist < bound:
+        raise ValueError(f"d*x is {dist:.3e} from the lattice Z + Z omega, "
+                         f"below {bound:.3e}")
     idx = np.arange(d)
     plus = basis.values_at(x)
     minus = basis.values_at(-x)[(-idx) % d]

@@ -307,3 +307,13 @@ def test_non_finite_coefficient_is_exit_one_without_traceback(capsys,
     assert out == ""
     assert "verification failed: non-finite relation coefficient" in err
     assert "Traceback" not in err
+
+
+def test_theta_overflow_is_exit_one_without_traceback(capsys):
+    # d = 9, omega = 3i, z three cells up: the cell multiplier overflows
+    code, out, err = run_cli(capsys, "theta", "eval", "--omega", "0,3",
+                             "--d", "9", "--m", "0", "--z", "0.1,9.2")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: theta value is not a finite float" in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,102 @@ from sklab.invtensor import (LieRepData, SymTensor, augment_with_center,
 
 def max_abs(matrix):
     return max((abs(x) for row in matrix for x in row), default=0)
+
+
+# ------------------------------------------------- dense elimination oracle
+
+
+def dense_rref(rows, ncols, exact):
+    """Reference eliminator: dense reduced row-echelon form of list rows,
+    in place, with the sparse one's pivot rules; returns the pivots."""
+    cut = 0 if exact else invtensor.FLOAT_TOL
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        best = None
+        for i in range(r, len(rows)):
+            if abs(rows[i][col]) > cut:
+                if best is None or abs(rows[i][col]) > abs(rows[best][col]):
+                    best = i
+                    if exact:
+                        break
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        piv = rows[r][col]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    del rows[r:]
+    return pivots
+
+
+def dense_kernel(rows, ncols, exact):
+    if exact:
+        work = [list(map(Fraction, row)) for row in rows if any(row)]
+    else:
+        work = [list(row) for row in rows if any(x != 0 for x in row)]
+    pivots = dense_rref(work, ncols, exact)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0) if exact else 0.0] * ncols
+        vec[f] = Fraction(1) if exact else 1.0
+        for rix, p in enumerate(pivots):
+            vec[p] = -work[rix][f]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve_admissible(rep):
+    """solve_admissible on dense list rows and the dense eliminator."""
+    exact = rep.is_exact()
+    m, c = rep.dim_g, rep.bracket
+    gpairs = invtensor.sym_pairs(m)
+    gindex = {ab: s for s, ab in enumerate(gpairs)}
+    rows = []
+    for k in range(m):
+        for u in range(m):
+            for v in range(u, m):
+                row = [0 if exact else 0.0] * len(gpairs)
+                for a in range(m):
+                    row[gindex[(min(a, v), max(a, v))]] += c[k][a][u]
+                    row[gindex[(min(u, a), max(u, a))]] += c[k][a][v]
+                rows.append(row)
+    invariant = dense_kernel(rows, len(gpairs), exact)
+    if not invariant:
+        return []
+    stars = [[x for row in t_star(rep, invtensor._tensor_from_sym_vec(
+        vec, gpairs, m)) for x in row] for vec in invariant]
+    combo = dense_kernel([list(col) for col in zip(*stars)], len(stars), exact)
+    out = []
+    for coeffs in combo:
+        vec = [0 if exact else 0.0] * len(gpairs)
+        for weight, base in zip(coeffs, invariant):
+            if weight != 0:
+                vec = [x + weight * y for x, y in zip(vec, base)]
+        if exact:
+            vec = invtensor._normalize_exact(vec)
+        out.append(invtensor._tensor_from_sym_vec(vec, gpairs, m))
+    return out
+
+
+def as_dicts(rows):
+    return [{c: x for c, x in enumerate(row) if x != 0} for row in rows]
+
+
+def float_copy(rep):
+    return LieRepData(
+        dim_g=rep.dim_g, dim_V=rep.dim_V,
+        bracket=tuple(tuple(tuple(float(x) for x in row) for row in plane)
+                      for plane in rep.bracket),
+        action=tuple(tuple(tuple(float(x) for x in row) for row in mat)
+                     for mat in rep.action))
 
 
 def test_sym_tensor_must_be_symmetric():
@@ -150,3 +247,131 @@ def test_loader_rejects_garbage(tmp_path):
                                 "bracket": [[[1]]], "action": []}))
     with pytest.raises((ValueError, KeyError)):
         load_rep_json(str(path))
+
+
+ORACLE_REPS = ([(f"gl({r1},{r2})", lambda r1=r1, r2=r2: gl_pair_rep(r1, r2))
+                for r1 in (1, 2, 3) for r2 in (1, 2, 3)]
+               + [("gsp4", lambda: gsp_rep(4)), ("sl2", sl2_rep),
+                  ("sl2+center", lambda: augment_with_center(sl2_rep()))])
+
+
+@pytest.mark.parametrize("make", [make for _, make in ORACLE_REPS],
+                         ids=[name for name, _ in ORACLE_REPS])
+def test_solve_admissible_equals_dense_oracle(make):
+    rep = make()
+    got = solve_admissible(rep)
+    want = dense_solve_admissible(rep)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("two_r", [4, 6])
+def test_sp_rep_equals_dense_oracle(two_r):
+    n = two_r
+    omega = invtensor.symplectic_form(n)
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[k * n + a] += omega[k][b]
+                row[k * n + b] += omega[a][k]
+            rows.append(row)
+    mats = [[[vec[a * n + b] for b in range(n)] for a in range(n)]
+            for vec in map(invtensor._normalize_exact,
+                           dense_kernel(rows, n * n, exact=True))]
+    rep = sp_rep(n)
+    assert rep.action == tuple(tuple(map(tuple, mat)) for mat in mats)
+    # structure constants: one dense reduction of the columns A_0 .. A_m-1
+    # followed by every [A_i, A_j], i < j
+    m = len(mats)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    cols = [[x for row in mat for x in row] for mat in mats]
+    for i, j in pairs:
+        cols.append([sum(mats[i][a][k] * mats[j][k][b]
+                         - mats[j][a][k] * mats[i][k][b] for k in range(n))
+                     for a in range(n) for b in range(n)])
+    work = [list(map(Fraction, r)) for r in zip(*cols)]
+    assert dense_rref(work, len(cols), exact=True) == list(range(m))
+    want = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for col, (i, j) in enumerate(pairs, start=m):
+        for k in range(m):
+            want[i][j][k], want[j][i][k] = work[k][col], -work[k][col]
+    assert rep.bracket == tuple(tuple(map(tuple, plane)) for plane in want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_rref_matches_dense_on_rank_deficient_systems(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(4, 14), rng.randint(3, 12)
+    rank = rng.randint(1, min(4, ncols - 1))
+    left = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(rank)]
+            for _ in range(nrows)]
+    right = [[rng.choice([0, 0, 0, 1, -2, 5]) for _ in range(ncols)]
+             for _ in range(rank)]
+    rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)]
+            for lrow in left]
+    dense = [list(map(Fraction, row)) for row in rows if any(row)]
+    want = dense_rref(dense, ncols, exact=True)
+    got, reduced = invtensor._rref(
+        [{c: Fraction(x) for c, x in row.items()} for row in as_dicts(rows)],
+        ncols, exact=True)
+    assert got == want
+    assert [[row.get(c, 0) for c in range(ncols)] for row in reduced] == dense
+    kernel = invtensor._kernel_basis(as_dicts(rows), ncols, exact=True)
+    assert kernel == dense_kernel(rows, ncols, exact=True)
+    assert len(kernel) == ncols - len(want) >= ncols - rank
+    # float input: the same pivots, reduced rows within 1e-10
+    frows = [[float(x) for x in row] for row in rows]
+    fdense = [row for row in frows if any(row)]
+    assert dense_rref(fdense, ncols, exact=False) == want
+    fgot, freduced = invtensor._rref(as_dicts(frows), ncols, exact=False)
+    assert fgot == want
+    assert all(abs(row.get(c, 0.0) - frow[c]) <= 1e-10
+               for row, frow in zip(freduced, fdense) for c in range(ncols))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_rref_matches_dense_on_float_systems(seed):
+    """Rank-deficient systems with non-integer entries: rounding leaves
+    residues the 1e-10 cut must not take as pivots, and the largest-pivot
+    rule decides the rounding, which the dense reference reproduces."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(4, 14), rng.randint(3, 12)
+    rank = rng.randint(1, min(4, ncols - 1))
+    left = [[rng.uniform(-2, 2) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(ncols)]
+             for _ in range(rank)]
+    rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)]
+            for lrow in left]
+    dense = [list(row) for row in rows]
+    want = dense_rref(dense, ncols, exact=False)
+    got, reduced = invtensor._rref(as_dicts(rows), ncols, exact=False)
+    assert got == want
+    # left has full column rank, so the system's rank is that of right
+    assert len(got) == len(dense_rref([list(map(Fraction, row))
+                                       for row in right], ncols, exact=True))
+    assert [[row.get(c, 0.0) for c in range(ncols)] for row in reduced] \
+        == dense
+
+
+@pytest.mark.parametrize("make", [lambda: gl_pair_rep(2, 1),
+                                  lambda: gsp_rep(4)], ids=["gl(2,1)", "gsp4"])
+def test_float_solve_within_tolerance_of_dense_oracle(make):
+    rep = float_copy(make())
+    assert not rep.is_exact()
+    got = solve_admissible(rep)
+    want = dense_solve_admissible(rep)
+    assert len(got) == len(want) >= 1
+    for g, w in zip(got, want):
+        assert max(abs(x - y) for gr, wr in zip(g.t, w.t)
+                   for x, y in zip(gr, wr)) <= 1e-10
+
+
+def test_gl33_admissible_space():
+    rep = gl_pair_rep(3, 3)
+    basis = solve_admissible(rep)
+    assert len(basis) == 3
+    for t in basis:
+        assert check_invariance(rep, t) == 0
+        assert max_abs(t_star(rep, t)) == 0

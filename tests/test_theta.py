@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sklab.theta import (CurveModulus, ThetaBasis, _unit_nodes,
-                         reduce_to_cell, theta_symmetry_constants,
-                         theta_zero_count)
+from sklab.theta import (CurveModulus, ThetaBasis, ThetaOverflowError,
+                         _unit_nodes, reduce_to_cell,
+                         theta_symmetry_constants, theta_zero_count)
 
 # Values computed independently with 45-digit summation of the defining
 # series, then rounded to double precision.
@@ -116,26 +116,52 @@ CELLS = [(0, 0), (1, 0), (0, 1), (-2, 1), (3, -2), (-3, 3), (2, -3),
          (3, 3)]
 
 
+def cell_overflows(d, omega, z):
+    """The cell multiplier of z, common to every index, overflows a float:
+    its exponent has real part pi d q (q Im omega + 2 Im z_red)."""
+    z_red, _, q = reduce_to_cell(z, omega)
+    expo = np.pi * d * q * (q * omega.imag + 2.0 * z_red.imag)
+    return expo > np.log(np.finfo(float).max)
+
+
 @pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.05j])
 def test_values_at_matches_scalar_eval(omega):
-    """All d series summed at once equal one scalar eval per index."""
+    """All d series summed at once equal one scalar eval per index; where
+    the cell multiplier overflows, both refuse instead of returning nan."""
     compared = 0
     for d in range(1, 31):
         basis = ThetaBasis(d, CurveModulus(omega))
         points = [0.0] + [0.13 + 0.21 * omega + p + q * omega
                           for p, q in CELLS]
         for z in points:
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = np.array([basis.eval(m, z) for m in range(d)])
-                got = basis.values_at(z)
-            if not np.all(np.isfinite(want)):
-                # the cell multiplier, common to every index, overflowed
-                assert not np.any(np.isfinite(got))
+            if cell_overflows(d, omega, z):
+                with pytest.raises(ThetaOverflowError, match=f"d={d}, q="):
+                    basis.values_at(z)
+                for m in range(d):
+                    with pytest.raises(ThetaOverflowError):
+                        basis.eval(m, z)
                 continue
+            want = np.array([basis.eval(m, z) for m in range(d)])
+            got = basis.values_at(z)
             assert got.shape == (d,)
+            assert np.all(np.isfinite(want))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             compared += 1
     assert compared >= 0.6 * 30 * (len(CELLS) + 1)
+
+
+def test_overflow_error_names_d_q_exponent_and_bound():
+    basis = ThetaBasis(9, CurveModulus(3j))
+    with pytest.raises(ThetaOverflowError) as info:
+        basis.eval(0, 0.1 + 9.2j)
+    assert isinstance(info.value, ArithmeticError)
+    message = ("theta value is not a finite float at d=9, q=3: "
+               "cell exponent 797.3, bound 709.78")
+    assert str(info.value) == message
+    # among several z the message names the one that overflows
+    with pytest.raises(ThetaOverflowError) as info:
+        basis.eval(0, np.array([0.1 + 0.2j, 0.1 + 3.2j, 0.1 + 9.2j]))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j])
@@ -183,7 +209,20 @@ def test_symmetry_constants_match_scalar_eval_fit(modulus, rng):
             got = theta_symmetry_constants(basis, x)
             want = scalar_symmetry_fit(basis, x)
             assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
-        if d > 1:
-            # theta_0 vanishes at 0: the zero test still refuses the fit
-            with pytest.raises(ValueError):
-                theta_symmetry_constants(basis, 0.0)
+        # theta_0 vanishes at 0: the fit is refused at every d
+        with pytest.raises(ValueError):
+            theta_symmetry_constants(basis, 0.0)
+
+
+def test_symmetry_constants_refuse_torsion_points(modulus):
+    w = modulus.omega
+    # d = 1: min and max |theta| are one number, so only the lattice
+    # test on d*x can refuse x = 0
+    for x in (0.0, 1e-13, 1.0 + w):
+        with pytest.raises(ValueError, match="from the lattice"):
+            theta_symmetry_constants(ThetaBasis(1, modulus), x)
+    # d*x = 1 + omega is a lattice point; theta_2 vanishes at x
+    with pytest.raises(ValueError, match="from the lattice"):
+        theta_symmetry_constants(ThetaBasis(3, modulus), (1 + w) / 3)
+    # a point off the torsion points still fits
+    theta_symmetry_constants(ThetaBasis(3, modulus), (1 + w) / 3 + 0.05)
