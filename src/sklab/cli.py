@@ -431,6 +431,8 @@ def _s3_row(dmax: int):
 
 
 def cmd_s3_check(args, config: RunConfig) -> int:
+    if args.dmax < 2:
+        raise UsageError(f"--dmax must be at least 2, got {args.dmax}")
     bad, row = _s3_row(args.dmax)
     return report({"dmax": args.dmax, "failures": bad, "residuals": [row]},
                   config)

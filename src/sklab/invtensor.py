@@ -193,16 +193,21 @@ def check_invariance(rep: LieRepData, t: SymTensor):
         raise ValueError("tensor dimension does not match dim_g")
     m = rep.dim_g
     c = rep.bracket
+    tt = t.t
     worst = 0
     for k in range(m):
+        # nonzero c[k][a][u] over a, for each u
+        ad = [[(a, c[k][a][u]) for a in range(m) if c[k][a][u] != 0]
+              for u in range(m)]
         for u in range(m):
-            for v in range(m):
+            # t is symmetric, so the (v, u) entry equals the (u, v) one
+            # (up to float rounding) and, coming later, never sets the max
+            for v in range(u, m):
                 acc = 0
-                for a in range(m):
-                    if c[k][a][u] != 0:
-                        acc += c[k][a][u] * t.t[a][v]
-                    if c[k][a][v] != 0:
-                        acc += c[k][a][v] * t.t[u][a]
+                for a, val in ad[u]:
+                    acc += val * tt[a][v]
+                for a, val in ad[v]:
+                    acc += val * tt[u][a]
                 worst = max(worst, abs(acc))
     return worst
 
@@ -514,7 +519,7 @@ def sp_rep(two_r: int) -> LieRepData:
         mats.append([[vec[a * n + b] for b in range(n)] for a in range(n)])
     expected = (n // 2) * (n + 1)
     if len(mats) != expected:
-        raise AssertionError(f"sp_{n} basis has size {len(mats)}, expected {expected}")
+        raise ArithmeticError(f"sp_{n} basis has size {len(mats)}, expected {expected}")
     return _commutator_rep_from_matrices(mats, n)
 
 

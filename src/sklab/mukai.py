@@ -262,9 +262,11 @@ def orbit_invariants(v1: KVector, v2: KVector) -> OrbitInvariant:
     sign = old_r  # +-1
     w = (sign - old_u * v2.r) // v2.d if v2.d != 0 else 0
     alpha = (sign * (old_u * v1.r + w * v1.d)) % modulus
-    assert (v1.r - alpha * v2.r) % modulus == 0
-    assert (v1.d - alpha * v2.d) % modulus == 0
-    assert gcd(alpha, modulus) == 1
+    gap = ((v1.r - alpha * v2.r) % modulus, (v1.d - alpha * v2.d) % modulus)
+    if gap != (0, 0) or gcd(alpha, modulus) != 1:
+        raise ArithmeticError(
+            f"alpha = {alpha} leaves v1 - alpha*v2 = {gap} mod {modulus} and "
+            f"gcd(alpha, {modulus}) = {gcd(alpha, modulus)}; want (0, 0) and 1")
     return OrbitInvariant(det=det, alpha=alpha)
 
 
@@ -301,7 +303,9 @@ def sl2_to_word(matrix, max_len: int | None = None) -> GroupWord:
     if work[0][0] == -1:
         push("S")
         push("S")
-    assert work[0][0] == 1 and work[1][0] == 0 and work[1][1] == 1
+    if work[0][0] != 1 or work[1][0] != 0 or work[1][1] != 1:
+        raise ArithmeticError(
+            f"Euclidean reduction left {work}, not unipotent upper triangular")
     shear = work[0][1]
     if shear != 0:
         # multiply by L^{-shear} = S R^{shear} S^{-1}, applied right to left
@@ -309,10 +313,13 @@ def sl2_to_word(matrix, max_len: int | None = None) -> GroupWord:
         for _ in range(abs(shear)):
             push("R" if shear > 0 else "R-")
         push("S")
-    assert work == IDENTITY
+    if work != IDENTITY:
+        raise ArithmeticError(f"shear removal left {work}, not the identity")
     word = GroupWord(tuple(LETTER_INVERSE[l] for l in applied))
-    if word_matrix(word) != matrix:
-        raise AssertionError("word reconstruction failed, this is a bug")
+    product = word_matrix(word)
+    if product != matrix:
+        raise ArithmeticError(
+            f"word {word} multiplies to {product}, not {matrix}")
     if max_len is not None and len(word) > max_len:
         raise TransporterError(
             f"word of length {len(word)} exceeds max_len={max_len}")
@@ -339,8 +346,9 @@ def solve_transporter(src, dst, max_len: int = 40) -> GroupWord:
     dst_cols = ((d1.r, d2.r), (d1.d, d2.d))
     raw = _mat_mul(dst_cols, adj)
     if any(entry % det for row in raw for entry in row):
-        raise AssertionError(
-            "transporter not integral despite equal invariants, this is a bug")
+        raise ArithmeticError(
+            f"transporter {raw} / {det} is not integral despite equal "
+            f"invariants")
     t = tuple(tuple(entry // det for entry in row) for row in raw)
     return sl2_to_word(t, max_len=max_len)
 
@@ -349,13 +357,22 @@ def _normalize_to_zero_shift(word: GroupWord, obj: DerivedObject) -> GroupWord:
     """Append central S^{+-4} powers so the word sends obj to shift 0."""
     landed = act_word(obj, word)
     if landed.shift % 2:
-        raise AssertionError("cannot fix an odd shift with central elements")
+        raise ArithmeticError(
+            f"shift {landed.shift} is odd; central elements fix even shifts")
     steps = landed.shift // 2
     if steps == 0:
         return word
     letter = "S" if steps > 0 else "S-"
     fixer = GroupWord((letter,) * (4 * abs(steps)))
     return fixer * word
+
+
+def _check_lands_on_trivial(E: DerivedObject, word: GroupWord) -> None:
+    """Raise ArithmeticError unless the word sends E to O_X at shift 0."""
+    landed = act_word(E, word)
+    if landed != Bundle(1, 0, 0):
+        raise ArithmeticError(
+            f"word {word} sends {E} to {landed}, not {Bundle(1, 0, 0)}")
 
 
 def solve_T_r(E: DerivedObject):
@@ -375,9 +392,11 @@ def solve_T_r(E: DerivedObject):
     r_prime = (-pow(r, -1, d)) % d
     matrix = ((-r_prime, (1 + r * r_prime) // d), (-d, r))
     word = _normalize_to_zero_shift(sl2_to_word(matrix), E)
-    assert act_word(E, word) == Bundle(1, 0, 0)
+    _check_lands_on_trivial(E, word)
     e_prime = act_word(Bundle(1, 0, 0), word)
-    assert e_prime == Bundle(r_prime, d, -1)
+    if e_prime != Bundle(r_prime, d, -1):
+        raise ArithmeticError(
+            f"companion is {e_prime}, expected {Bundle(r_prime, d, -1)}")
     return word, e_prime
 
 
@@ -395,9 +414,11 @@ def solve_U_r(E: DerivedObject):
     r_dprime = pow(r, -1, d) if d > 1 else 0
     matrix = ((r_dprime, (1 - r * r_dprime) // d), (-d, r))
     word = _normalize_to_zero_shift(sl2_to_word(matrix), E)
-    assert act_word(E, word) == Bundle(1, 0, 0)
-    companion = act_word(Bundle(1, 0, 0), word)
-    assert signed_kvector(companion) == (r_dprime, -d) or d == 1
+    _check_lands_on_trivial(E, word)
+    companion = signed_kvector(act_word(Bundle(1, 0, 0), word))
+    if companion != (r_dprime, -d) and d != 1:
+        raise ArithmeticError(
+            f"companion class is {companion}, expected {(r_dprime, -d)}")
     return word, r_dprime
 
 

@@ -8,6 +8,10 @@ so together they generate a copy of S3 permuting R_d.
 For even d the set is empty (one of r, r+1 is even), so everything
 interesting happens at odd d, where phi beta has the single fixed point
 r = -2 and phi fixes exactly the roots of r^2 + r + 1 = 0 mod d.
+
+``apply`` acts on a single residue.  The whole-set checks (relations,
+fixed points, orbits) compute the action once per call instead, from one
+table of inverses mod d: phi and beta are then lookups into it.
 """
 
 from __future__ import annotations
@@ -81,49 +85,74 @@ class ResidueSet:
         return r in self.members
 
 
+def _in_residue_set(r: int, d: int) -> bool:
+    """The membership rule of R_d: r and r + 1 (so r(r + 1)) are units mod d."""
+    return gcd(r * (r + 1), d) == 1
+
+
 def residue_set(d: int) -> ResidueSet:
     """Residues r mod d with gcd(r, d) = gcd(r + 1, d) = 1."""
     if d < 2:
         raise ValueError("modulus must be at least 2")
-    members = tuple(r for r in range(1, d)
-                    if gcd(r, d) == 1 and gcd(r + 1, d) == 1)
+    members = tuple(r for r in range(1, d) if _in_residue_set(r, d))
     return ResidueSet(d=d, members=members)
-
-
-def _phi(r: int, d: int) -> int:
-    return (-pow(r + 1, -1, d)) % d
-
-
-def _beta(r: int, d: int) -> int:
-    return pow(r, -1, d) % d
 
 
 def apply(g: S3Element, r: int, d: int) -> int:
     """Act by g on a residue.  Raises if r is outside R_d."""
-    if gcd(r, d) != 1 or gcd(r + 1, d) != 1:
+    if not _in_residue_set(r, d):
         raise ValueError(f"residue {r} is not in R_{d}")
     out = r % d
     if g.e:
-        out = _beta(out, d)
+        out = pow(out, -1, d)
     for _ in range(g.k):
-        out = _phi(out, d)
+        out = (-pow(out + 1, -1, d)) % d
     return out
+
+
+def _action_tables(d: int):
+    """R_d with phi and beta as lists indexed by residue (0 off R_d).
+
+    inv[u] = u^{-1} mod d at every unit u, one pow per pair {u, u^{-1}};
+    then beta(r) = inv[r] and phi(r) = -inv[r + 1] for each member r.
+    """
+    members = residue_set(d).members
+    inv = [0] * d
+    for u in range(1, d):
+        if not inv[u] and gcd(u, d) == 1:
+            v = pow(u, -1, d)
+            inv[u], inv[v] = v, u
+    phi, beta = [0] * d, [0] * d
+    for r in members:
+        # r + 1 < d, since r = d - 1 has r + 1 = 0, which is no unit
+        phi[r] = d - inv[r + 1]
+        beta[r] = inv[r]
+    return members, phi, beta
+
+
+def _closed_action(d: int):
+    """The action tables, checked to map R_d into itself.
+
+    An image outside R_d raises the ValueError ``apply`` raises when it is
+    fed that image.
+    """
+    members, phi, beta = _action_tables(d)
+    inside = set(members)
+    for r in members:
+        for image in (phi[r], beta[r]):
+            if image not in inside:
+                raise ValueError(f"residue {image} is not in R_{d}")
+    return members, phi, beta
 
 
 def check_group_relations(d: int) -> bool:
     """phi^3 = beta^2 = (phi beta)^2 = id pointwise on R_d."""
-    rset = residue_set(d)
-    phibeta = PHI * BETA
-    for r in rset.members:
-        if apply(PHI, apply(PHI, apply(PHI, r, d), d), d) != r:
+    members, phi, beta = _closed_action(d)
+    for r in members:
+        if phi[phi[phi[r]]] != r or beta[beta[r]] != r:
             return False
-        if apply(BETA, apply(BETA, r, d), d) != r:
+        if phi[beta[phi[beta[r]]]] != r:
             return False
-        if apply(phibeta, apply(phibeta, r, d), d) != r:
-            return False
-        # closure: images stay inside R_d (apply would raise otherwise)
-        apply(PHI, apply(PHI, r, d), d)
-        apply(BETA, r, d)
     return True
 
 
@@ -132,30 +161,36 @@ def fixed_points(d: int) -> dict:
 
     The scan is cross-checked against the defining congruences:
     phi-fixed means r^2 + r + 1 = 0 mod d, and for odd d the phi beta
-    fixed set is exactly {d - 2} when that residue lies in R_d.
+    fixed set is exactly {d - 2} when that residue lies in R_d.  A failed
+    cross-check raises ArithmeticError.
     """
-    rset = residue_set(d)
-    phibeta = PHI * BETA
-    phi_fixed = tuple(r for r in rset.members if apply(PHI, r, d) == r)
-    pb_fixed = tuple(r for r in rset.members if apply(phibeta, r, d) == r)
+    members, phi, beta = _closed_action(d)
+    phi_fixed = tuple(r for r in members if phi[r] == r)
+    pb_fixed = tuple(r for r in members if phi[beta[r]] == r)
     for r in phi_fixed:
-        assert (r * r + r + 1) % d == 0
+        if (r * r + r + 1) % d:
+            raise ArithmeticError(
+                f"phi fixes {r} mod {d} but r^2 + r + 1 = "
+                f"{(r * r + r + 1) % d} mod {d}, not 0")
     if d % 2:
-        expected = tuple(r for r in ((d - 2) % d,) if r in rset.members)
-        assert pb_fixed == expected
+        expected = tuple(r for r in ((d - 2) % d,) if r in members)
+        if pb_fixed != expected:
+            raise ArithmeticError(
+                f"phi beta fixes {pb_fixed} mod {d}, expected {expected}")
     return {"phi_fixed": phi_fixed, "phibeta_fixed": pb_fixed}
 
 
 def orbit_report(d: int):
     """Partition of R_d into orbits of the full six-element group."""
-    rset = residue_set(d)
-    remaining = set(rset.members)
+    members, phi, beta = _closed_action(d)
+    remaining = set(members)
     orbits = []
-    group = all_elements()
-    for r in rset.members:
+    for r in members:
         if r not in remaining:
             continue
-        orbit = sorted({apply(g, r, d) for g in group})
+        # phi^k beta^e for k = 0, 1, 2 and e = 0, 1
+        b = beta[r]
+        orbit = sorted({r, phi[r], phi[phi[r]], b, phi[b], phi[phi[b]]})
         orbits.append(tuple(orbit))
         remaining.difference_update(orbit)
     return orbits

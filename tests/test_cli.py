@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import SRC
+from sklab import mukai, residues
 from sklab.cli import run
 from sklab.theta import ThetaBasis
 
@@ -316,4 +319,55 @@ def test_theta_overflow_is_exit_one_without_traceback(capsys):
     assert code == 1
     assert out == ""
     assert "verification failed: theta value is not a finite float" in err
+    assert "Traceback" not in err
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, and with them any check they make
+    for path in sorted((SRC / "sklab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("dmax", ["-5", "0", "1"])
+def test_s3_check_small_dmax_is_usage_error(capsys, dmax):
+    code, out, err = run_cli(capsys, "s3", "check", "--dmax", dmax)
+    assert code == 2
+    assert out == ""
+    assert f"--dmax must be at least 2, got {dmax}" in err
+
+
+def test_s3_check_smallest_dmax(capsys):
+    code, out, _ = run_cli(capsys, "s3", "check", "--dmax", "2")
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+
+
+def test_failed_residue_cross_check_is_exit_one(capsys, monkeypatch):
+    build = residues._action_tables
+
+    def phi_fixes_one(d):
+        members, phi, beta = build(d)
+        phi = list(phi)
+        phi[1] = 1
+        return members, phi, beta
+
+    monkeypatch.setattr(residues, "_action_tables", phi_fixes_one)
+    code, out, err = run_cli(capsys, "s3", "fixed", "--d", "7")
+    assert code == 1
+    assert out == ""
+    assert ("verification failed: phi fixes 1 mod 7 but r^2 + r + 1 = 3 "
+            "mod 7, not 0") in err
+    assert "Traceback" not in err
+
+
+def test_failed_word_cross_check_is_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(mukai, "sl2_to_word", lambda matrix: mukai.GroupWord(()))
+    code, out, err = run_cli(capsys, "mukai", "solve-tr", "--r", "2",
+                             "--d", "7")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: word (empty) sends Bundle(2, 7)[0]" in err
     assert "Traceback" not in err

@@ -99,6 +99,23 @@ def dense_solve_admissible(rep):
     return out
 
 
+def dense_check_invariance(rep, t):
+    """Reference invariance check: the scan over all m^4 (k, u, v, a)."""
+    m, c = rep.dim_g, rep.bracket
+    worst = 0
+    for k in range(m):
+        for u in range(m):
+            for v in range(m):
+                acc = 0
+                for a in range(m):
+                    if c[k][a][u] != 0:
+                        acc += c[k][a][u] * t.t[a][v]
+                    if c[k][a][v] != 0:
+                        acc += c[k][a][v] * t.t[u][a]
+                worst = max(worst, abs(acc))
+    return worst
+
+
 def as_dicts(rows):
     return [{c: x for c, x in enumerate(row) if x != 0} for row in rows]
 
@@ -375,3 +392,60 @@ def test_gl33_admissible_space():
     for t in basis:
         assert check_invariance(rep, t) == 0
         assert max_abs(t_star(rep, t)) == 0
+
+
+def seeded_tensors(m, seed, count=3):
+    """Symmetric tensors with small int and half-integer Fraction entries."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        t = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                x = rng.randint(-3, 3)
+                t[i][j] = t[j][i] = Fraction(x, 2) if rng.random() < 0.3 else x
+        out.append(SymTensor(t))
+    return out
+
+
+def invariance_cases(name, rep, seed):
+    """Invariant basis tensors, then seeded generic tensors."""
+    basis = solve_admissible(rep)
+    if name == "sl2":  # no admissible tensor, but the Casimir is invariant
+        basis.append(sl2_casimir_tensor())
+    return basis, seeded_tensors(rep.dim_g, seed)
+
+
+SEEDED_REPS = [(seed, name, make)
+               for seed, (name, make) in enumerate(ORACLE_REPS)]
+
+
+@pytest.mark.parametrize("seed, name, make", SEEDED_REPS,
+                         ids=[name for name, _ in ORACLE_REPS])
+def test_check_invariance_equals_dense_oracle(seed, name, make):
+    rep = make()
+    basis, generic = invariance_cases(name, rep, seed)
+    nonabelian = any(x != 0 for plane in rep.bracket for row in plane
+                     for x in row)
+    for t in basis + generic:
+        got, want = check_invariance(rep, t), dense_check_invariance(rep, t)
+        assert got == want
+        assert repr(got) == repr(want)
+    for t in basis:
+        assert check_invariance(rep, t) == 0
+    if nonabelian:
+        assert any(check_invariance(rep, t) != 0 for t in generic)
+
+
+@pytest.mark.parametrize("seed, name, make", SEEDED_REPS,
+                         ids=[name for name, _ in ORACLE_REPS])
+def test_float_check_invariance_within_tolerance_of_dense_oracle(seed, name,
+                                                                 make):
+    exact = make()
+    rep = float_copy(exact)
+    basis, generic = invariance_cases(name, exact, seed)
+    for t in basis + generic:
+        ft = SymTensor([[float(x) for x in row] for row in t.t])
+        got, want = check_invariance(rep, ft), dense_check_invariance(rep, ft)
+        assert type(got) is type(want)
+        assert abs(got - want) <= 1e-12

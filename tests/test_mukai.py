@@ -182,3 +182,19 @@ def test_hom_dims():
         hom_dims(KVector(-2, 5))
     with pytest.raises(ValueError):
         hom_dims(KVector(2, 4))
+
+
+def test_sl2_to_word_cross_check_raises(monkeypatch):
+    # a word_matrix that lies makes the replayed word fail its check
+    monkeypatch.setattr(mukai, "word_matrix", lambda word: ((1, 1), (0, 1)))
+    with pytest.raises(ArithmeticError,
+                       match=r"multiplies to \(\(1, 1\), \(0, 1\)\)"):
+        sl2_to_word(((2, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("solver", [solve_T_r, solve_U_r])
+def test_solver_landing_cross_check_raises(monkeypatch, solver):
+    monkeypatch.setattr(mukai, "sl2_to_word", lambda matrix: GroupWord(()))
+    with pytest.raises(ArithmeticError,
+                       match=r"sends Bundle\(2, 7\)\[0\] to Bundle\(2, 7\)"):
+        solver(Bundle(2, 7, 0))

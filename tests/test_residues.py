@@ -1,5 +1,6 @@
 import pytest
 
+from sklab import residues
 from sklab.residues import (BETA, IDENTITY, PHI, S3Element, all_elements,
                             apply, check_group_relations, fixed_points,
                             orbit_report, residue_set)
@@ -105,3 +106,114 @@ def test_orbits_partition():
 def test_canonical_normal_form():
     assert S3Element(5, 3) == S3Element(2, 1)
     assert S3Element(-1, 0) == S3Element(2, 0)
+
+
+# ------------------------------------------- apply-chaining oracle
+
+
+def chained_check_group_relations(d):
+    """The relation check as a chain of single-residue apply calls."""
+    rset = residue_set(d)
+    phibeta = PHI * BETA
+    for r in rset.members:
+        if apply(PHI, apply(PHI, apply(PHI, r, d), d), d) != r:
+            return False
+        if apply(BETA, apply(BETA, r, d), d) != r:
+            return False
+        if apply(phibeta, apply(phibeta, r, d), d) != r:
+            return False
+        # closure: images stay inside R_d (apply would raise otherwise)
+        apply(PHI, apply(PHI, r, d), d)
+        apply(BETA, r, d)
+    return True
+
+
+def chained_fixed_points(d):
+    rset = residue_set(d)
+    phibeta = PHI * BETA
+    phi_fixed = tuple(r for r in rset.members if apply(PHI, r, d) == r)
+    pb_fixed = tuple(r for r in rset.members if apply(phibeta, r, d) == r)
+    for r in phi_fixed:
+        assert (r * r + r + 1) % d == 0
+    if d % 2:
+        expected = tuple(r for r in ((d - 2) % d,) if r in rset.members)
+        assert pb_fixed == expected
+    return {"phi_fixed": phi_fixed, "phibeta_fixed": pb_fixed}
+
+
+def chained_orbit_report(d):
+    rset = residue_set(d)
+    remaining = set(rset.members)
+    orbits = []
+    for r in rset.members:
+        if r not in remaining:
+            continue
+        orbit = sorted({apply(g, r, d) for g in all_elements()})
+        orbits.append(tuple(orbit))
+        remaining.difference_update(orbit)
+    return orbits
+
+
+def test_tables_equal_apply_chaining_oracle():
+    for d in range(2, 401):
+        assert check_group_relations(d) is chained_check_group_relations(d)
+        assert fixed_points(d) == chained_fixed_points(d)
+        assert orbit_report(d) == chained_orbit_report(d)
+
+
+def test_tables_agree_with_apply():
+    for d in (7, 35, 101, 143):
+        members, phi, beta = residues._action_tables(d)
+        assert members == residue_set(d).members
+        for r in members:
+            assert phi[r] == apply(PHI, r, d)
+            assert beta[r] == apply(BETA, r, d)
+
+
+def patched_tables(monkeypatch, edit):
+    """Route the whole-set checks through tables changed by edit(phi)."""
+    build = residues._action_tables
+
+    def broken(d):
+        members, phi, beta = build(d)
+        phi = list(phi)
+        edit(phi)
+        return members, phi, beta
+
+    monkeypatch.setattr(residues, "_action_tables", broken)
+
+
+def swap_images(phi):
+    # phi stays a permutation of R_7 but loses order 3
+    phi[1], phi[2] = phi[2], phi[1]
+
+
+def other_three_cycle(phi):
+    # phi = (1 2 3) keeps phi^3 = id, but phi beta is no involution
+    phi[1:6] = [2, 3, 1, 4, 5]
+
+
+@pytest.mark.parametrize("edit", [swap_images, other_three_cycle])
+def test_broken_phi_table_fails_relations(monkeypatch, edit):
+    patched_tables(monkeypatch, edit)
+    assert check_group_relations(7) is False
+
+
+def test_phi_image_outside_residue_set_raises(monkeypatch):
+    # 6 = -1 mod 7 is not in R_7
+    patched_tables(monkeypatch, lambda phi: phi.__setitem__(2, 6))
+    for check in (check_group_relations, fixed_points, orbit_report):
+        with pytest.raises(ValueError, match="residue 6 is not in R_7"):
+            check(7)
+
+
+@pytest.mark.parametrize("residue, image, message", [
+    # phi fixing 1 contradicts 1 + 1 + 1 = 3 != 0 mod 7
+    (1, 1, r"phi fixes 1 mod 7 but r\^2 \+ r \+ 1 = 3 mod 7"),
+    # phi(4) = 2 with beta(2) = 4 makes phi beta fix 2 beside d - 2 = 5
+    (4, 2, r"phi beta fixes \(2, 5\) mod 7, expected \(5,\)"),
+])
+def test_fixed_point_cross_checks_raise(monkeypatch, residue, image, message):
+    patched_tables(monkeypatch, lambda phi: phi.__setitem__(residue, image))
+    with pytest.raises(ArithmeticError, match=message):
+        fixed_points(7)
