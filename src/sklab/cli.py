@@ -258,9 +258,7 @@ def cmd_sklyanin_relations(args, config: RunConfig) -> int:
                  "terms": [{"n": n, "a": a, "b": b,
                             "coeff_re": c.real, "coeff_im": c.imag}
                            for n, a, b, c in terms]}
-                for i, j, terms in sklyanin.relation_terms(
-                    params, zero_tol=config.zero_tol,
-                    tail_eps=config.tail_eps)]
+                for i, j, terms in sklyanin.relation_terms(system)]
         payload = {"d": args.d, "r": params.r,
                    "x": [args.x.real, args.x.imag],
                    "rows": rows, "rank": rank}

@@ -61,11 +61,6 @@ def _mat_mul(m1, m2):
     )
 
 
-def _mat_vec(m, v):
-    return (m[0][0] * v[0] + m[0][1] * v[1],
-            m[1][0] * v[0] + m[1][1] * v[1])
-
-
 class TransporterError(RuntimeError):
     """No transporter word (invariant mismatch or length budget exceeded)."""
 

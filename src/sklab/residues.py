@@ -99,7 +99,9 @@ def residue_set(d: int) -> ResidueSet:
 
 
 def apply(g: S3Element, r: int, d: int) -> int:
-    """Act by g on a residue.  Raises if r is outside R_d."""
+    """Act by g on a residue.  Raises if d < 2 or r is outside R_d."""
+    if d < 2:
+        raise ValueError("modulus must be at least 2")
     if not _in_residue_set(r, d):
         raise ValueError(f"residue {r} is not in R_{d}")
     out = r % d

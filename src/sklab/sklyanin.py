@@ -20,6 +20,7 @@ of Q_{d,r}(x) onto that of Q_{d,r'}(x).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -68,7 +69,8 @@ class AlgebraParams:
 
     r is stored reduced mod d and must be a unit mod d; x must not be a
     lattice point (x = 0 is the symmetric-algebra degeneration, reached
-    only as a limit by the poisson module).
+    only as a limit by the poisson module).  x may lie in any cell; it
+    must be finite.
     """
 
     d: int
@@ -83,6 +85,8 @@ class AlgebraParams:
         if gcd(self.r, self.d) != 1:
             raise ValueError(f"r={self.r} is not a unit mod d={self.d}")
         object.__setattr__(self, "x", complex(self.x))
+        if not np.isfinite(self.x):
+            raise ValueError("x must be finite")
         x_red, _, _ = reduce_to_cell(self.x, self.modulus.omega)
         if abs(complex(x_red)) < 1e-12 * (1.0 + abs(self.modulus.omega)):
             raise ValueError("x is congruent to 0 mod the lattice")
@@ -120,41 +124,82 @@ class RelationSystem:
         coeffs[i, (s - i) % d, a, (r * s - a) % d] = self.blocks
         return coeffs
 
+    @functools.cached_property
+    def _svd(self):
+        """Batched SVD of the grade blocks and the global sorted spectrum.
 
-def _min_ratio(vals: np.ndarray):
-    """Index and size of the smallest |theta_m| relative to the largest."""
+        Computed on first use and kept, so relation_space, singular_values
+        and the substitution check share one decomposition per system.
+        Rows below ROW_DROP_CUTOFF of the largest row are zeroed first.
+        The spectrum of the stacked kept rows is the union of the block
+        spectra: a block with m kept rows has m singular values, and the
+        d - m trailing ones that its zeroed rows add are set to exact zeros
+        and left out.  Returns (vh, block_svals, spectrum), all read-only.
+        """
+        rowmax = np.abs(self.blocks).max(axis=2)
+        live = (rowmax > 0.0) & (rowmax >= ROW_DROP_CUTOFF * rowmax.max())
+        _, svals, vh = np.linalg.svd(np.where(live[..., None],
+                                              self.blocks, 0.0))
+        kept = live.sum(axis=1)
+        svals[np.arange(self.d) >= kept[:, None]] = 0.0
+        spectrum = np.sort(svals, axis=None)[::-1][:int(kept.sum())]
+        for a in (vh, svals, spectrum):
+            a.flags.writeable = False
+        return vh, svals, spectrum
+
+
+def _gate(basis: ThetaBasis, x: complex, zero_tol: float) -> np.ndarray:
+    """theta values at x and -x (rows 0 and 1): the denominator gate.
+
+    Refuses x when the smallest |theta_m| at x or at -x is below zero_tol
+    times the largest at the same point, naming the worse of the two.
+    """
+    vals = np.stack([basis.values_at(x), basis.values_at(-x)])
     mags = np.abs(vals)
-    m = int(mags.argmin())
-    return m, mags[m] / mags.max()
+    ratios = mags.min(axis=1) / mags.max(axis=1)
+    w = int(ratios.argmin())
+    if ratios[w] < zero_tol:
+        raise DenominatorNearZero(int(mags[w].argmin()), ("x", "-x")[w],
+                                  float(ratios[w]), zero_tol)
+    return vals
 
 
-def _theta_triple(params: AlgebraParams, zero_tol: float, tail_eps: float):
-    """theta values at 0, x and -x, with the near-zero precondition check."""
-    basis = ThetaBasis(params.d, params.modulus, tail_eps=tail_eps)
+def _theta_triple(params: AlgebraParams, zero_tol: float,
+                  tail_eps: float = 1e-14):
+    """Gated theta values at 0, x_red and -x_red, x_red = x in the cell.
+
+    Shifting x by p + q*omega multiplies every denominator by one common
+    factor, which the row scaling removes up to its phase; the theta(0)
+    values carry that phase, exp(i (2 pi d Re(omega) q^2 + 4 pi d q
+    Re(x_red))), so the scaled coefficients are those at x.  The triple
+    does not depend on r, so one serves every system at the same (d, x).
+    """
+    d, omega = params.d, params.modulus.omega
+    basis = ThetaBasis(d, params.modulus, tail_eps=tail_eps)
+    x_red, _, q = reduce_to_cell(params.x, omega)
+    at_x, at_minus_x = _gate(basis, complex(x_red), zero_tol)
     at_zero = basis.values_at_zero()
-    at_x = basis.values_at(params.x)
-    at_minus_x = basis.values_at(-params.x)
-    for which, vals in (("x", at_x), ("-x", at_minus_x)):
-        bad, ratio = _min_ratio(vals)
-        if ratio < zero_tol:
-            raise DenominatorNearZero(bad, which, ratio, zero_tol)
+    if q:
+        at_zero *= np.exp(2j * np.pi * d * q * (omega.real * q
+                                                + 2.0 * x_red.real))
     return at_zero, at_x, at_minus_x
 
 
-def _coefficient_table(params: AlgebraParams, zero_tol: float,
-                       tail_eps: float) -> np.ndarray:
-    """Scaled coefficient table[k, n] of term n of every relation R_ij, j-i=k.
+def _system(params: AlgebraParams, triple) -> RelationSystem:
+    """Grade blocks of Q_{d,r}(x) from the theta triple of (d, x).
 
-    A coefficient depends on (i, j) only through k = j - i (the Heisenberg
+    Term n of every relation R_ij with j - i = k has the coefficient
+    table[k, n]: it depends on (i, j) only through k (the Heisenberg
     shift), and the d terms of a row land on distinct monomials, so the
     row maximum is a maximum over n and the per-row scale is one number
     per k.  Terms whose numerator theta is an exact zero stay exact zeros;
     at small x their denominators vanish to second order, and dividing
     rounding-level numerator noise by them would pollute the row with
-    entries that blow up like 1/x^2.
+    entries that blow up like 1/x^2.  Entry (s, i, a) of the blocks is
+    term n = s - i - a/r of R_{i,s-i}.
     """
     d, r = params.d, params.r
-    at_zero, at_x, at_minus_x = _theta_triple(params, zero_tol, tail_eps)
+    at_zero, at_x, at_minus_x = triple
     k, n = np.ogrid[:d, :d]
     num = at_zero[(k + (r - 1) * n) % d]
     den = at_minus_x[(k - n) % d] * at_x[(r * n) % d]
@@ -164,7 +209,10 @@ def _coefficient_table(params: AlgebraParams, zero_tol: float,
         raise ArithmeticError(
             "non-finite relation coefficient slipped through")
     top = np.abs(table).max(axis=1, keepdims=True)
-    return table / np.where(top > 0.0, top, 1.0)
+    table /= np.where(top > 0.0, top, 1.0)
+    s, i, a = np.ogrid[:d, :d, :d]
+    n = (s - i - pow(r, -1, d) * a) % d
+    return RelationSystem(params, table[(s - 2 * i) % d, n])
 
 
 def build_relations(params: AlgebraParams, zero_tol: float = 1e-9,
@@ -173,29 +221,23 @@ def build_relations(params: AlgebraParams, zero_tol: float = 1e-9,
 
     Every denominator theta is checked against zero_tol (relative to the
     largest theta value at the same point) before any division happens, so
-    a row can never silently contain an underflowed entry.  Entry (s, i, a)
-    is term n = s - i - a/r of R_{i,s-i}, read straight from the table.
+    a row can never silently contain an underflowed entry.
     """
-    d, r = params.d, params.r
-    table = _coefficient_table(params, zero_tol, tail_eps)
-    s, i, a = np.ogrid[:d, :d, :d]
-    n = (s - i - pow(r, -1, d) * a) % d
-    return RelationSystem(params, table[(s - 2 * i) % d, n])
+    return _system(params, _theta_triple(params, zero_tol, tail_eps))
 
 
-def relation_terms(params: AlgebraParams, zero_tol: float = 1e-9,
-                   tail_eps: float = 1e-14):
+def relation_terms(sys: RelationSystem):
     """Per-term breakdown of every relation row, for serialization.
 
     Each entry is (i, j, [(n, a, b, coeff), ...]), rows in (i, j) order and
-    terms in n order, with exact-zero terms left out.  The coefficients are
-    the entries of RelationSystem.coeffs, so summing the terms of a row at
-    each (a, b) reproduces it.
+    terms in n order, with exact-zero terms left out.  Term n of R_ij is
+    the block entry blocks[i + j, i, r(j - n)], so summing the terms of a
+    row at each (a, b) reproduces RelationSystem.coeffs.
     """
-    d, r = params.d, params.r
-    table = _coefficient_table(params, zero_tol, tail_eps)
+    d, r = sys.d, sys.params.r
     i, j, n = np.ogrid[:d, :d, :d]
-    a, b, coeff = (r * (j - n)) % d, (r * (i + n)) % d, table[(j - i) % d, n]
+    a, b = (r * (j - n)) % d, (r * (i + n)) % d
+    coeff = sys.blocks[(i + j) % d, i, a]
     keep = coeff != 0.0
     # every kept term in (i, j, n) order, then cut into one list per row
     terms = list(zip(*(np.broadcast_to(v, keep.shape)[keep].tolist()
@@ -205,31 +247,9 @@ def relation_terms(params: AlgebraParams, zero_tol: float = 1e-9,
             for row, (start, end) in enumerate(zip([0] + ends, ends))]
 
 
-def _block_spectrum(sys: RelationSystem, compute_uv: bool):
-    """Batched SVD of the grade blocks and the global sorted spectrum.
-
-    Rows below ROW_DROP_CUTOFF of the largest row are zeroed first.  The
-    spectrum of the stacked kept rows is the union of the block spectra:
-    a block with m kept rows has m singular values, and the d - m trailing
-    ones that its zeroed rows add are set to exact zeros and left out.
-    Returns (vh, block_svals, spectrum); vh is None without compute_uv.
-    """
-    rowmax = np.abs(sys.blocks).max(axis=2)
-    live = (rowmax > 0.0) & (rowmax >= ROW_DROP_CUTOFF * rowmax.max())
-    blocks = np.where(live[..., None], sys.blocks, 0.0)
-    if compute_uv:
-        _, svals, vh = np.linalg.svd(blocks)
-    else:
-        vh, svals = None, np.linalg.svd(blocks, compute_uv=False)
-    kept = live.sum(axis=1)
-    svals[np.arange(sys.d) >= kept[:, None]] = 0.0
-    spectrum = np.sort(svals, axis=None)[::-1][:int(kept.sum())]
-    return vh, svals, spectrum
-
-
 def singular_values(sys: RelationSystem) -> np.ndarray:
     """Singular values of the stacked nonzero relation rows, descending."""
-    return _block_spectrum(sys, compute_uv=False)[2]
+    return sys._svd[2].copy()
 
 
 def _graded_space(sys: RelationSystem, rank_tol: float):
@@ -242,7 +262,7 @@ def _graded_space(sys: RelationSystem, rank_tol: float):
     the largest one, and without a clear gap there (consecutive ratio
     < 10) AmbiguousRank is raised.
     """
-    vh, svals, s = _block_spectrum(sys, compute_uv=True)
+    vh, svals, s = sys._svd
     if len(s) == 0:
         return vh, np.zeros(svals.shape, dtype=bool)
     keep = svals > rank_tol * s[0]
@@ -301,9 +321,9 @@ def substitution_matrix(d: int, mult: int) -> np.ndarray:
     return perm
 
 
-def _grade_bases(params: AlgebraParams, zero_tol: float, rank_tol: float):
+def _grade_bases(sys: RelationSystem, rank_tol: float):
     """Relation-space basis of each grade s, as columns over coordinate a."""
-    vh, keep = _graded_space(build_relations(params, zero_tol), rank_tol)
+    vh, keep = _graded_space(sys, rank_tol)
     return [v[:k].T for v, k in zip(vh, keep.sum(axis=1))]
 
 
@@ -322,11 +342,14 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
     coordinate subspaces, so the distance of the whole spaces is the
     largest distance between matching grades; no d^2 x d^2 matrix is
     formed.  substitution_matrix is the same map in the dense layout.
+    One theta triple serves both systems.
     """
-    src = _grade_bases(AlgebraParams(d, r, x, modulus), zero_tol, rank_tol)
+    params = AlgebraParams(d, r, x, modulus)
+    triple = _theta_triple(params, zero_tol)
+    src = _grade_bases(_system(params, triple), rank_tol)
     # a self-inverse r (r2 = r mod d) compares the system with itself
-    dst = src if (r2 - r) % d == 0 else \
-        _grade_bases(AlgebraParams(d, r2, x, modulus), zero_tol, rank_tol)
+    dst = src if (r2 - r) % d == 0 else _grade_bases(
+        _system(AlgebraParams(d, r2, x, modulus), triple), rank_tol)
     rank, rank2 = (sum(b.shape[1] for b in bases) for bases in (src, dst))
     if rank != rank2:
         raise AmbiguousRank(
@@ -357,9 +380,9 @@ def sample_generic_x(d: int, modulus: CurveModulus, rng,
                      zero_tol: float = 1e-9, max_rejects: int = 50) -> complex:
     """Draw x uniformly in the fundamental cell, away from denominator zeros.
 
-    Rejects any x at which some |theta_m| at x or -x falls below zero_tol
-    relative to the largest basis value there (the gate build_relations
-    applies); the zeros form a measure zero set, so more than a handful of
+    Rejects x by the denominator gate build_relations applies (some
+    |theta_m| at x or -x below zero_tol relative to the largest there);
+    the zeros form a measure zero set, so more than a handful of
     rejections means something is wrong: when all max_rejects + 1 draws
     fail, ConvergenceError is raised, naming the best ratio seen.
     """
@@ -367,10 +390,11 @@ def sample_generic_x(d: int, modulus: CurveModulus, rng,
     best = 0.0
     for _ in range(max_rejects + 1):
         x = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * modulus.omega
-        ratio = min(_min_ratio(basis.values_at(z))[1] for z in (x, -x))
-        if ratio >= zero_tol:
+        try:
+            _gate(basis, x, zero_tol)
             return complex(x)
-        best = max(best, ratio)
+        except DenominatorNearZero as exc:
+            best = max(best, exc.ratio)
     raise ConvergenceError(
         f"no generic x found in {max_rejects + 1} draws: the best "
         f"min/max |theta| ratio at x and -x was {best:.2e}, below "

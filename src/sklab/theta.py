@@ -219,14 +219,17 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex,
     Raises
     ------
     ValueError
-        If d*x lies within 1e-12 (1 + |omega|) of the lattice Z + Z omega
-        (x is a d-torsion point, where some theta_i(x) vanishes exactly),
-        or if some |theta_i(x)| is below zero_tol relative to the largest,
-        i.e. x sits too close to a zero divisor of the identity.
+        If x is not finite, if d*x lies within 1e-12 (1 + |omega|) of the
+        lattice Z + Z omega (x is a d-torsion point, where some theta_i(x)
+        vanishes exactly), or if some |theta_i(x)| is below zero_tol
+        relative to the largest, i.e. x sits too close to a zero divisor of
+        the identity.
     ConvergenceError
         If the fitted constants violate the identity or |b^d - 1| >= fit_tol.
     """
     d = basis.d
+    if not np.isfinite(complex(x)):
+        raise ValueError("x must be finite")
     dx_red, _, _ = reduce_to_cell(d * complex(x), basis.omega)
     dist = abs(complex(dx_red))
     bound = 1e-12 * (1.0 + abs(basis.omega))

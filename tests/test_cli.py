@@ -146,6 +146,20 @@ def test_poisson_extract_rejects_nonpositive_h(capsys):
         assert "h must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sklyanin", "relations", "--d", "3", "--r", "1", "--x", "nan"),
+    ("sklyanin", "relations", "--d", "3", "--r", "1", "--x", "inf,0"),
+    ("sklyanin", "check-iso", "--d", "5", "--r", "2", "--rprime", "3",
+     "--x", "0.11,-inf"),
+    ("poisson", "extract", "--d", "3", "--r", "1", "--h", "inf"),
+])
+def test_non_finite_x_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: x must be finite" in err
+
+
 def test_no_generic_x_is_exit_one_without_traceback(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "sklab.cli", "theta", "check", "--d", "3",

@@ -18,6 +18,13 @@ def test_residue_set_rejects_small_modulus():
         residue_set(1)
 
 
+def test_apply_rejects_small_modulus():
+    # R_1 does not exist, although every residue is a unit mod 1
+    for d in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            apply(PHI, 0, d)
+
+
 def test_apply_rejects_outsiders():
     with pytest.raises(ValueError):
         apply(PHI, 6, 7)  # 6 = -1 mod 7 has gcd(6+1, 7) = 7

@@ -10,7 +10,7 @@ from sklab.sklyanin import (AlgebraParams, AmbiguousRank, DenominatorNearZero,
                             singular_values, subspace_distance,
                             substitution_distance, substitution_matrix,
                             check_substitution_isomorphism)
-from sklab.theta import ThetaBasis
+from sklab.theta import ThetaBasis, reduce_to_cell
 
 X_GENERIC = 0.11 + 0.17j
 
@@ -73,6 +73,13 @@ def dense_substitution_distance(d, r, r2, x, modulus):
 def test_params_reject_non_coprime(modulus):
     with pytest.raises(ValueError):
         AlgebraParams(4, 2, X_GENERIC, modulus)
+
+
+@pytest.mark.parametrize("x", [complex("nan"), complex("inf"),
+                               complex(0.1, float("-inf")), float("nan")])
+def test_params_reject_non_finite_x(modulus, x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        AlgebraParams(3, 1, x, modulus)
 
 
 def test_params_reduce_r_mod_d(modulus):
@@ -172,7 +179,7 @@ def test_relation_terms_sum_to_coeffs(modulus):
     params = AlgebraParams(5, 2, X_GENERIC, modulus)
     system = build_relations(params)
     rebuilt = np.zeros_like(system.coeffs)
-    for i, j, terms in relation_terms(params):
+    for i, j, terms in relation_terms(system):
         for n, a, b, coeff in terms:
             rebuilt[i, j, a, b] += coeff
     assert np.max(np.abs(rebuilt - system.coeffs)) == 0.0
@@ -188,7 +195,8 @@ def test_coefficients_match_loop_oracle(d, modulus):
         # rows have unit max, so this is relative to the row scale
         assert np.abs(build_relations(params).coeffs - want).max() <= 1e-15
         got_rows = [(i, j, [term[:3] for term in terms])
-                    for i, j, terms in relation_terms(params)]
+                    for i, j, terms in relation_terms(
+                        build_relations(params))]
         assert got_rows == want_rows
 
 
@@ -208,10 +216,61 @@ def test_exact_zero_numerators_are_skipped(modulus):
     # for (d, r) = (5, 2) the numerator theta_{j-i+n}(0) vanishes exactly
     # when j - i + n = 0 mod 5; no term with that n may appear
     params = AlgebraParams(5, 2, X_GENERIC, modulus)
-    for i, j, terms in relation_terms(params):
+    for i, j, terms in relation_terms(build_relations(params)):
         for n, a, b, coeff in terms:
             assert (j - i + (params.r - 1) * n) % 5 != 0
             assert coeff != 0
+
+
+def test_one_svd_per_system(modulus, monkeypatch):
+    system = build_relations(AlgebraParams(7, 3, X_GENERIC, modulus))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(a) or svd(*a, **k))
+    space = relation_space(system)
+    svals = singular_values(system)
+    assert relation_space(system).tobytes() == space.tobytes()
+    assert np.array_equal(singular_values(system), svals)
+    assert len(calls) == 1
+    # the dense oracle decomposes the rows without uv; same spectrum
+    want = np.linalg.svd(dense_rows(system), compute_uv=False)
+    assert np.abs(svals - want).max() <= 1e-13 * want[0]
+    # what singular_values hands out is a copy, not the cached spectrum
+    svals[:] = 0.0
+    assert singular_values(system)[0] > 0.0
+
+
+def test_substitution_distance_evaluates_one_theta_triple(modulus,
+                                                           monkeypatch):
+    calls = []
+    values_at = ThetaBasis.values_at
+    monkeypatch.setattr(ThetaBasis, "values_at",
+                        lambda self, z: calls.append(z) or values_at(self, z))
+    assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d,r,q", [(5, 2, 1), (5, 2, -2), (9, 4, 2),
+                                   (9, 2, -1), (15, 2, 2), (15, 7, 3),
+                                   (21, 5, -3)])
+def test_off_cell_x_matches_the_cell(d, r, q, modulus):
+    # a lattice shift of x multiplies the whole table by one phase; direct
+    # evaluation at x overflows once d*q^2 is large (d = 15, q = 2 already)
+    w = modulus.omega
+    x = 0.31 + 0.43 * w + q * (1 + w)
+    x_red = complex(reduce_to_cell(x, w)[0])
+    system = build_relations(AlgebraParams(d, r, x, modulus))
+    cell = build_relations(AlgebraParams(d, r, x_red, modulus))
+    phase = np.exp(2j * np.pi * d * q * (w.real * q + 2.0 * x_red.real))
+    assert np.abs(system.blocks - phase * cell.blocks).max() <= 1e-15
+    space = relation_space(system)
+    assert space.shape == (d * d, d * (d - 1) // 2)
+    assert subspace_distance(space, relation_space(cell)) <= 1e-12
+    if q * q * d <= 20:
+        # near the cell the direct theta values are still accurate
+        want, _ = loop_relations(AlgebraParams(d, r, x, modulus))
+        assert np.abs(system.coeffs - want).max() <= 1e-13
 
 
 def test_ambiguous_rank_raises(modulus):
@@ -249,14 +308,16 @@ def test_substitution_isomorphism_positive(modulus):
 def test_self_inverse_distance_matches_two_builds(d, r, r2, modulus,
                                                   monkeypatch):
     """For r2 = r mod d one build serves both sides, with the same float."""
-    bases = [sklyanin._grade_bases(AlgebraParams(d, q, X_GENERIC, modulus),
-                                   1e-9, 1e-9) for q in (r, r2)]
+    bases = [sklyanin._grade_bases(
+        build_relations(AlgebraParams(d, q, X_GENERIC, modulus)), 1e-9)
+        for q in (r, r2)]
     back = (pow(r2, -1, d) * np.arange(d)) % d
     want = max(subspace_distance(bases[0][s][back], bases[1][(r * s) % d])
                for s in range(d))
     builds = []
-    monkeypatch.setattr(sklyanin, "build_relations",
-                        lambda *a: builds.append(a) or build_relations(*a))
+    system = sklyanin._system
+    monkeypatch.setattr(sklyanin, "_system",
+                        lambda *a: builds.append(a) or system(*a))
     assert substitution_distance(d, r, r2, X_GENERIC, modulus) == want
     assert len(builds) == 1
 
@@ -271,6 +332,27 @@ def test_substitution_negative_control(modulus):
     # far from the true relation space
     dist = substitution_distance(5, 2, 2, X_GENERIC, modulus)
     assert dist > 0.1
+
+
+def loop_sample_generic_x(d, modulus, rng, zero_tol=1e-9, max_rejects=50):
+    """Reference sampler with its own min/max ratio loop, as the module
+    once had; returns the accepted x, or None after max_rejects + 1 draws."""
+    basis = ThetaBasis(d, modulus)
+    for _ in range(max_rejects + 1):
+        x = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * modulus.omega
+        mags = [np.abs(basis.values_at(z)) for z in (x, -x)]
+        if min(m.min() / m.max() for m in mags) >= zero_tol:
+            return complex(x)
+    return None
+
+
+def test_sample_generic_x_matches_reference_loop(modulus):
+    for d in range(3, 22):
+        for seed in range(50):
+            got = sample_generic_x(d, modulus, np.random.default_rng(seed))
+            want = loop_sample_generic_x(d, modulus,
+                                         np.random.default_rng(seed))
+            assert got == want and type(got) is complex, (d, seed)
 
 
 def test_sample_generic_x_avoids_denominator_zeros(modulus, rng):

@@ -226,3 +226,10 @@ def test_symmetry_constants_refuse_torsion_points(modulus):
         theta_symmetry_constants(ThetaBasis(3, modulus), (1 + w) / 3)
     # a point off the torsion points still fits
     theta_symmetry_constants(ThetaBasis(3, modulus), (1 + w) / 3 + 0.05)
+
+
+@pytest.mark.parametrize("x", [complex("nan"), complex("inf"),
+                               complex(0.1, float("-inf"))])
+def test_symmetry_constants_refuse_non_finite_x(modulus, x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        theta_symmetry_constants(ThetaBasis(3, modulus), x)
