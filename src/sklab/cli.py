@@ -39,7 +39,6 @@ class UsageError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     omega: complex = DEFAULT_OMEGA
-    tail_eps: float = 1e-14
     zero_tol: float = 1e-9
     rank_tol: float = 1e-9
     iso_tol: float = 1e-8
@@ -48,8 +47,7 @@ class RunConfig:
     output_format: str = "json"
 
     def validate(self) -> "RunConfig":
-        for name in ("tail_eps", "zero_tol", "rank_tol", "iso_tol",
-                     "bracket_tol"):
+        for name in ("zero_tol", "rank_tol", "iso_tol", "bracket_tol"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
         if self.omega.imag <= 0:
@@ -192,7 +190,7 @@ def _theta_residuals_at(basis, m, z):
 
 
 def cmd_theta_eval(args, config: RunConfig) -> int:
-    basis = ThetaBasis(args.d, config.modulus, tail_eps=config.tail_eps)
+    basis = ThetaBasis(args.d, config.modulus)
     z = args.z
     value = basis.eval(args.m, z)
     res1, res2 = _theta_residuals_at(basis, args.m, z)
@@ -215,7 +213,7 @@ def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
     basis function, and the symmetry fit at a generic x, drawn from rng
     in that order.
     """
-    basis = ThetaBasis(d, config.modulus, tail_eps=config.tail_eps)
+    basis = ThetaBasis(d, config.modulus)
     worst1 = worst2 = 0.0
     for _ in range(trials):
         m = int(rng.integers(0, d))
@@ -244,8 +242,7 @@ def cmd_theta_check(args, config: RunConfig) -> int:
 
 def cmd_sklyanin_relations(args, config: RunConfig) -> int:
     params = sklyanin.AlgebraParams(args.d, args.r, args.x, config.modulus)
-    system = sklyanin.build_relations(params, zero_tol=config.zero_tol,
-                                      tail_eps=config.tail_eps)
+    system = sklyanin.build_relations(params, zero_tol=config.zero_tol)
     space = sklyanin.relation_space(system, rank_tol=config.rank_tol)
     svals = sklyanin.singular_values(system)
     rank = space.shape[1]
@@ -547,7 +544,7 @@ def cmd_check_all(args, config: RunConfig) -> int:
                                           zero_tol=config.zero_tol)
             system = sklyanin.build_relations(
                 sklyanin.AlgebraParams(d, r, x, config.modulus),
-                zero_tol=config.zero_tol, tail_eps=config.tail_eps)
+                zero_tol=config.zero_tol)
             space = sklyanin.relation_space(system, rank_tol=config.rank_tol)
             rank_dev = max(rank_dev, abs(space.shape[1] - d * (d - 1) // 2))
     rows.append(residual_row("sklyanin_rank_dev", rank_dev, 0.5))
@@ -644,7 +641,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, env_cfg: RunConfig):
     parser.add_argument("--format", dest="output_format",
                         choices=("json", "table"),
                         default=env_cfg.output_format, help="output format")
-    parser.add_argument("--tail-eps", type=float, default=env_cfg.tail_eps)
     parser.add_argument("--zero-tol", type=float, default=env_cfg.zero_tol)
     parser.add_argument("--rank-tol", type=float, default=env_cfg.rank_tol)
     parser.add_argument("--iso-tol", type=float, default=env_cfg.iso_tol)

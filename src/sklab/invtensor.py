@@ -83,21 +83,12 @@ class LieRepData:
                 for k in range(m):
                     # jacobi on (x_i, x_j, x_k), coefficient of each x_u
                     acc = [0] * m
-                    for s, val in nz[i][j]:
-                        row = c[s][k]
-                        for u in range(m):
-                            if row[u] != 0:
-                                acc[u] += val * row[u]
-                    for s, val in nz[j][k]:
-                        row = c[s][i]
-                        for u in range(m):
-                            if row[u] != 0:
-                                acc[u] += val * row[u]
-                    for s, val in nz[k][i]:
-                        row = c[s][j]
-                        for u in range(m):
-                            if row[u] != 0:
-                                acc[u] += val * row[u]
+                    for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                        for s, val in nz[a][b]:
+                            row = c[s][e]
+                            for u in range(m):
+                                if row[u] != 0:
+                                    acc[u] += val * row[u]
                     if any(abs(x) > cut for x in acc):
                         raise ValueError("structure constants fail jacobi")
         for i in range(m):
@@ -359,21 +350,27 @@ def solve_admissible(rep: LieRepData):
     return out
 
 
+def _direct_sum_bracket(c1, c2):
+    """Structure constants of g1 + g2: each summand on its own indices.
+
+    The brackets of g1 come first, padded with zeros on the indices of g2,
+    and vice versa; brackets across the two summands vanish.
+    """
+    m1, m2 = len(c1), len(c2)
+    zero = (0,) * (m1 + m2)
+    top = [tuple(tuple(row) + (0,) * m2 for row in pl) + (zero,) * m2
+           for pl in c1]
+    bottom = [(zero,) * m1 + tuple((0,) * m1 + tuple(row) for row in pl)
+              for pl in c2]
+    return tuple(top + bottom)
+
+
 def augment_with_center(rep: LieRepData) -> LieRepData:
     """Append one central element acting as the identity on V."""
     m, n = rep.dim_g, rep.dim_V
-    bracket = []
-    for i in range(m + 1):
-        plane = []
-        for j in range(m + 1):
-            if i < m and j < m:
-                plane.append(tuple(rep.bracket[i][j]) + (0,))
-            else:
-                plane.append((0,) * (m + 1))
-        bracket.append(tuple(plane))
     ident = tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))
     return LieRepData(dim_g=m + 1, dim_V=n,
-                      bracket=tuple(bracket),
+                      bracket=_direct_sum_bracket(rep.bracket, (((0,),),)),
                       action=tuple(rep.action) + (ident,))
 
 
@@ -401,20 +398,7 @@ def gl_pair_rep(r1: int, r2: int) -> LieRepData:
     """gl_{r1} + gl_{r2} acting on Mat(r1, r2) by (X, Y) . M = X M - M Y."""
     if r1 < 1 or r2 < 1:
         raise ValueError("ranks must be positive")
-    m = r1 * r1 + r2 * r2
     n = r1 * r2
-    c1 = _gl_basis_bracket(r1)
-    c2 = _gl_basis_bracket(r2)
-    c = [[[0] * m for _ in range(m)] for _ in range(m)]
-    off = r1 * r1
-    for p in range(off):
-        for q in range(off):
-            for s in range(off):
-                c[p][q][s] = c1[p][q][s]
-    for p in range(r2 * r2):
-        for q in range(r2 * r2):
-            for s in range(r2 * r2):
-                c[off + p][off + q][off + s] = c2[p][q][s]
     action = []
     for i in range(r1):
         for j in range(r1):
@@ -431,8 +415,9 @@ def gl_pair_rep(r1: int, r2: int) -> LieRepData:
                 mat[a * r2 + l][a * r2 + k] = -1
             action.append(tuple(tuple(row) for row in mat))
     return LieRepData(
-        dim_g=m, dim_V=n,
-        bracket=tuple(tuple(tuple(row) for row in pl) for pl in c),
+        dim_g=r1 * r1 + r2 * r2, dim_V=n,
+        bracket=_direct_sum_bracket(_gl_basis_bracket(r1),
+                                    _gl_basis_bracket(r2)),
         action=tuple(action))
 
 

@@ -8,6 +8,13 @@ skyscraper class Torsion(k); k is the homological shift.  S and R
 generate a central extension of SL2(Z) whose only relation is
 S^2 = (RS)^3, the center being generated by S^4 = shift by -2.
 
+An object is a pair (vector, lift): its K-vector (r, d) lies in the
+orientation half-plane (r > 0, or r = 0 with d > 0; the skyscraper is
+(0, 1)), and the shift counts how often its image has crossed out of
+that half-plane.  A letter applies its matrix to (r, d); an image that
+leaves the half-plane is negated, and the shift moves by -1 for S and
++1 for S^{-1}.  R and R^{-1} keep the rank, so they never leave it.
+
 Words multiply like group elements: in a word "S R" the rightmost letter
 acts first, so act(o, S R) = S(R(o)) and word matrices multiply in
 written order.  That convention makes word_matrix a homomorphism and
@@ -148,40 +155,29 @@ def signed_kvector(obj: DerivedObject):
     return (sign * obj.rank, sign * obj.degree)
 
 
-def _act_S(obj: DerivedObject) -> DerivedObject:
-    if obj.kind == "torsion":
-        return Bundle(1, 0, obj.shift)
-    if obj.degree > 0:
-        return Bundle(obj.degree, -obj.rank, obj.shift)
-    if obj.degree < 0:
-        return Bundle(-obj.degree, obj.rank, obj.shift - 1)
-    return Torsion(obj.shift - 1)
+# shift step when the image leaves the orientation half-plane; R and R-
+# keep the rank, so they never do
+_CROSSING_SHIFT = {"S": -1, "S-": 1}
 
 
 def act_letter(obj: DerivedObject, letter: str) -> DerivedObject:
     """One generator applied to an object.
 
-    R twists: degree moves by rank, torsion is untouched.  S follows the
-    rank/degree swap (r, d) -> (d, -r), dropping the shift by one when
-    the degree sign forces a wrap (d < 0) or the output leaves the bundle
-    range (d = 0, landing on the skyscraper).  S^{-1} is S conjugated by
-    the central shift: S^{-1}(o at k) = S(o at k+1), consistent with
-    S^2 = shift(-1).
+    The letter matrix acts on (rank, degree).  If the image leaves the
+    orientation half-plane (r > 0, or r = 0 with d > 0), it is negated and
+    the shift moves by -1 for S and +1 for S^{-1}; R and R^{-1} never
+    leave it.  So S sends (r, d) to (d, -r) when d > 0 and to (-d, r) one
+    shift down otherwise, S^{-1}(o at k) = S(o at k+1), and S^2 is the
+    shift by -1.  The image is the skyscraper exactly when its rank is 0.
     """
-    if letter == "R":
-        if obj.kind == "torsion":
-            return obj
-        return Bundle(obj.rank, obj.degree + obj.rank, obj.shift)
-    if letter == "R-":
-        if obj.kind == "torsion":
-            return obj
-        return Bundle(obj.rank, obj.degree - obj.rank, obj.shift)
-    if letter == "S":
-        return _act_S(obj)
-    if letter == "S-":
-        shifted = DerivedObject(obj.kind, obj.rank, obj.degree, obj.shift + 1)
-        return _act_S(shifted)
-    raise ValueError(f"unknown letter {letter!r}")
+    if letter not in LETTER_MATRIX:
+        raise ValueError(f"unknown letter {letter!r}")
+    (a, b), (c, e) = LETTER_MATRIX[letter]
+    r, d = a * obj.rank + b * obj.degree, c * obj.rank + e * obj.degree
+    shift = obj.shift
+    if r < 0 or (r == 0 and d < 0):
+        r, d, shift = -r, -d, shift + _CROSSING_SHIFT[letter]
+    return DerivedObject("bundle" if r else "torsion", r, d, shift)
 
 
 def act_word(obj: DerivedObject, word: GroupWord) -> DerivedObject:
@@ -237,8 +233,9 @@ def orbit_invariants(v1: KVector, v2: KVector) -> OrbitInvariant:
 
     det is the signed determinant; alpha is the unique unit mod |det| with
     v1 = alpha * v2 modulo det, found from a Bezout representation of 1 =
-    u*r2 + w*d2 (alpha = u*r1 + w*d1 works for both coordinates because
-    the difference is a multiple of det).
+    u*r2 + w*d2 with u = r2^{-1} mod |d2| (alpha = u*r1 + w*d1 works for
+    both coordinates because the difference is a multiple of det, so any
+    Bezout pair gives the same alpha).
     """
     if not (v1.is_primitive() and v2.is_primitive()):
         raise ValueError("orbit invariants need primitive vectors")
@@ -246,17 +243,12 @@ def orbit_invariants(v1: KVector, v2: KVector) -> OrbitInvariant:
     if det == 0:
         raise ValueError("pair is degenerate (det = 0)")
     modulus = abs(det)
-    # extended euclid on (r2, d2)
-    old_r, rem = v2.r, v2.d
-    old_u, u = 1, 0
-    while rem != 0:
-        quot = old_r // rem
-        old_r, rem = rem, old_r - quot * rem
-        old_u, u = u, old_u - quot * u
-    # old_r = gcd = +-1; old_u * r2 + w * d2 = old_r  with  w recovered below
-    sign = old_r  # +-1
-    w = (sign - old_u * v2.r) // v2.d if v2.d != 0 else 0
-    alpha = (sign * (old_u * v1.r + w * v1.d)) % modulus
+    if v2.d:
+        u = pow(v2.r, -1, abs(v2.d))
+        w = (1 - u * v2.r) // v2.d
+    else:  # v2 = (+-1, 0)
+        u, w = v2.r, 0
+    alpha = (u * v1.r + w * v1.d) % modulus
     gap = ((v1.r - alpha * v2.r) % modulus, (v1.d - alpha * v2.d) % modulus)
     if gap != (0, 0) or gcd(alpha, modulus) != 1:
         raise ArithmeticError(
@@ -268,48 +260,36 @@ def orbit_invariants(v1: KVector, v2: KVector) -> OrbitInvariant:
 def sl2_to_word(matrix, max_len: int | None = None) -> GroupWord:
     """A word whose letter matrices multiply to the given SL2(Z) matrix.
 
-    Euclidean reduction on the first column: R-powers shrink the lower
-    entry by at least half per round, S swaps the entries, and whatever
-    upper-triangular part remains is a power of L = [[1,1],[0,1]], which
-    is S R^{-1} S^{-1}.  The applied reductions are inverted and replayed
-    to give the word.  The result is verified exactly before returning.
+    Euclidean reduction on the first column, by row operations: a quotient
+    q takes q times the top row off the bottom one (the letters R^{-q}),
+    which shrinks the lower entry by at least half per round, and S swaps
+    the rows up to sign.  Whatever upper-triangular part remains is a
+    power of L = [[1,1],[0,1]], which is S R^{-1} S^{-1}.  The applied
+    letters are inverted and replayed to give the word.  The result is
+    verified exactly before returning.
     """
-    ((a, b), (c, e)) = matrix
+    (a, b), (c, e) = matrix
     if a * e - b * c != 1:
         raise ValueError("matrix is not in SL2(Z)")
-    work = ((a, b), (c, e))
     applied = []
-
-    def push(letter):
-        nonlocal work
-        applied.append(letter)
-        work = _mat_mul(LETTER_MATRIX[letter], work)
-
-    while work[1][0] != 0:
-        top, low = work[0][0], work[1][0]
-        if top != 0 and abs(low) >= abs(top):
-            quot = round(Fraction(low, top))
-            letter = "R-" if quot > 0 else "R"
-            for _ in range(abs(quot)):
-                push(letter)
-            if work[1][0] == 0:
+    while c != 0:
+        if a != 0 and abs(c) >= abs(a):
+            quot = round(Fraction(c, a))
+            applied += ["R-" if quot > 0 else "R"] * abs(quot)
+            c, e = c - quot * a, e - quot * b
+            if c == 0:
                 break
-        push("S")
-    if work[0][0] == -1:
-        push("S")
-        push("S")
-    if work[0][0] != 1 or work[1][0] != 0 or work[1][1] != 1:
-        raise ArithmeticError(
-            f"Euclidean reduction left {work}, not unipotent upper triangular")
-    shear = work[0][1]
-    if shear != 0:
-        # multiply by L^{-shear} = S R^{shear} S^{-1}, applied right to left
-        push("S-")
-        for _ in range(abs(shear)):
-            push("R" if shear > 0 else "R-")
-        push("S")
-    if work != IDENTITY:
-        raise ArithmeticError(f"shear removal left {work}, not the identity")
+        applied.append("S")
+        a, b, c, e = c, e, -a, -b
+    if a == -1:
+        applied += ["S", "S"]
+        a, b, c, e = -a, -b, -c, -e
+    if (a, c, e) != (1, 0, 1):
+        raise ArithmeticError(f"Euclidean reduction left {((a, b), (c, e))}, "
+                              f"not unipotent upper triangular")
+    if b != 0:
+        # L^{-b} = S R^b S^{-1}, applied right to left, clears the shear
+        applied += ["S-"] + ["R" if b > 0 else "R-"] * abs(b) + ["S"]
     word = GroupWord(tuple(LETTER_INVERSE[l] for l in applied))
     product = word_matrix(word)
     if product != matrix:
@@ -362,12 +342,21 @@ def _normalize_to_zero_shift(word: GroupWord, obj: DerivedObject) -> GroupWord:
     return fixer * word
 
 
-def _check_lands_on_trivial(E: DerivedObject, word: GroupWord) -> None:
-    """Raise ArithmeticError unless the word sends E to O_X at shift 0."""
+def _forced_word(E: DerivedObject, rho: int) -> GroupWord:
+    """Word of matrix ((rho, (1 - r rho)/d), (-d, r)) landing E on O_X.
+
+    The matrix sends E = (r, d) to (1, 0) and (1, 0) to (rho, -d); the
+    central S^4 bookkeeping then lands E exactly at shift 0, which is
+    checked on the word before it is returned.
+    """
+    r, d = E.rank, E.degree
+    word = _normalize_to_zero_shift(
+        sl2_to_word(((rho, (1 - r * rho) // d), (-d, r))), E)
     landed = act_word(E, word)
     if landed != Bundle(1, 0, 0):
         raise ArithmeticError(
             f"word {word} sends {E} to {landed}, not {Bundle(1, 0, 0)}")
+    return word
 
 
 def solve_T_r(E: DerivedObject):
@@ -375,9 +364,8 @@ def solve_T_r(E: DerivedObject):
 
     Returns (w, E_prime) where E_prime = act(O_X, w) is the bundle class
     (r', d) at shift -1 with r*r' = -1 mod d and r' minimal positive.
-    The matrix is forced: it must send (r, d) to (1, 0) and (1, 0) to
-    -(r', d); the central S^4 bookkeeping then lands E exactly at shift 0,
-    and the shift gap between the two outputs is rigidly -1.
+    The matrix is forced (rho = -r' in _forced_word), and the shift gap
+    between the two outputs is rigidly -1.
     """
     if E.kind != "bundle" or E.shift != 0:
         raise ValueError("expected a bundle class at shift 0")
@@ -385,9 +373,7 @@ def solve_T_r(E: DerivedObject):
     if d <= 1:
         raise ValueError("solve_T_r needs degree d > 1")
     r_prime = (-pow(r, -1, d)) % d
-    matrix = ((-r_prime, (1 + r * r_prime) // d), (-d, r))
-    word = _normalize_to_zero_shift(sl2_to_word(matrix), E)
-    _check_lands_on_trivial(E, word)
+    word = _forced_word(E, -r_prime)
     e_prime = act_word(Bundle(1, 0, 0), word)
     if e_prime != Bundle(r_prime, d, -1):
         raise ArithmeticError(
@@ -398,20 +384,19 @@ def solve_T_r(E: DerivedObject):
 def solve_U_r(E: DerivedObject):
     """Word sending E = (r, d) to the trivial class, with dual companion.
 
-    Returns (w, r'') where r''*r = 1 mod d; act(O_X, w) has class
-    (r'', -d), the dual convention for the companion bundle of E.
+    Returns (w, r'') where r''*r = 1 mod d (r'' = 0 at d = 1); act(O_X, w)
+    has class (r'', -d), the dual convention for the companion bundle of
+    E.  The matrix is forced (rho = r'' in _forced_word).
     """
     if E.kind != "bundle" or E.shift != 0:
         raise ValueError("expected a bundle class at shift 0")
     r, d = E.rank, E.degree
     if d < 1:
         raise ValueError("solve_U_r needs positive degree")
-    r_dprime = pow(r, -1, d) if d > 1 else 0
-    matrix = ((r_dprime, (1 - r * r_dprime) // d), (-d, r))
-    word = _normalize_to_zero_shift(sl2_to_word(matrix), E)
-    _check_lands_on_trivial(E, word)
+    r_dprime = pow(r, -1, d)
+    word = _forced_word(E, r_dprime)
     companion = signed_kvector(act_word(Bundle(1, 0, 0), word))
-    if companion != (r_dprime, -d) and d != 1:
+    if companion != (r_dprime, -d):
         raise ArithmeticError(
             f"companion class is {companion}, expected {(r_dprime, -d)}")
     return word, r_dprime
@@ -424,8 +409,7 @@ def hom_dims(v: KVector, assume_trivial: bool = True):
     vanishing on one side and the Euler characteristic h0 - h1 = d fills
     in the other.  At d = 0 the class (1, 0) is ambiguous between O_X,
     which has (1, 1), and a nontrivial degree-zero line bundle with
-    (0, 0); assume_trivial selects the O_X reading, which is the one the
-    solver pipeline needs.
+    (0, 0); assume_trivial selects the O_X reading.
     """
     if not v.is_primitive():
         raise ValueError(f"class {v.as_tuple()} is not primitive")

@@ -26,7 +26,8 @@ from math import gcd
 
 import numpy as np
 
-from .theta import ConvergenceError, CurveModulus, ThetaBasis, reduce_to_cell
+from .theta import (ConvergenceError, CurveModulus, ThetaBasis, lattice_gap,
+                    reduce_to_cell)
 
 __all__ = [
     "AlgebraParams",
@@ -87,8 +88,8 @@ class AlgebraParams:
         object.__setattr__(self, "x", complex(self.x))
         if not np.isfinite(self.x):
             raise ValueError("x must be finite")
-        x_red, _, _ = reduce_to_cell(self.x, self.modulus.omega)
-        if abs(complex(x_red)) < 1e-12 * (1.0 + abs(self.modulus.omega)):
+        dist, bound = lattice_gap(self.x, self.modulus.omega)
+        if dist < bound:
             raise ValueError("x is congruent to 0 mod the lattice")
 
 
@@ -164,8 +165,7 @@ def _gate(basis: ThetaBasis, x: complex, zero_tol: float) -> np.ndarray:
     return vals
 
 
-def _theta_triple(params: AlgebraParams, zero_tol: float,
-                  tail_eps: float = 1e-14):
+def _theta_triple(params: AlgebraParams, zero_tol: float):
     """Gated theta values at 0, x_red and -x_red, x_red = x in the cell.
 
     Shifting x by p + q*omega multiplies every denominator by one common
@@ -175,7 +175,7 @@ def _theta_triple(params: AlgebraParams, zero_tol: float,
     does not depend on r, so one serves every system at the same (d, x).
     """
     d, omega = params.d, params.modulus.omega
-    basis = ThetaBasis(d, params.modulus, tail_eps=tail_eps)
+    basis = ThetaBasis(d, params.modulus)
     x_red, _, q = reduce_to_cell(params.x, omega)
     at_x, at_minus_x = _gate(basis, complex(x_red), zero_tol)
     at_zero = basis.values_at_zero()
@@ -215,15 +215,15 @@ def _system(params: AlgebraParams, triple) -> RelationSystem:
     return RelationSystem(params, table[(s - 2 * i) % d, n])
 
 
-def build_relations(params: AlgebraParams, zero_tol: float = 1e-9,
-                    tail_eps: float = 1e-14) -> RelationSystem:
+def build_relations(params: AlgebraParams,
+                    zero_tol: float = 1e-9) -> RelationSystem:
     """Fill the grade blocks of the relation coefficients of Q_{d,r}(x).
 
     Every denominator theta is checked against zero_tol (relative to the
     largest theta value at the same point) before any division happens, so
     a row can never silently contain an underflowed entry.
     """
-    return _system(params, _theta_triple(params, zero_tol, tail_eps))
+    return _system(params, _theta_triple(params, zero_tol))
 
 
 def relation_terms(sys: RelationSystem):

@@ -31,6 +31,7 @@ __all__ = [
     "CurveModulus",
     "ThetaBasis",
     "ThetaOverflowError",
+    "lattice_gap",
     "reduce_to_cell",
     "theta_symmetry_constants",
     "theta_zero_count",
@@ -51,6 +52,16 @@ def reduce_to_cell(z, omega: complex):
     p = np.rint(z.real - beta * omega.real)
     z_red = z - p - q * omega
     return z_red, p.astype(np.int64), q.astype(np.int64)
+
+
+def lattice_gap(z: complex, omega: complex):
+    """Distance from z to the lattice Z + Z omega, and the lattice bound.
+
+    z counts as a lattice point when the distance is below the bound,
+    1e-12 (1 + |omega|).  Returns (distance, bound).
+    """
+    z_red, _, _ = reduce_to_cell(z, omega)
+    return abs(complex(z_red)), 1e-12 * (1.0 + abs(omega))
 
 
 class ConvergenceError(RuntimeError):
@@ -230,9 +241,7 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex,
     d = basis.d
     if not np.isfinite(complex(x)):
         raise ValueError("x must be finite")
-    dx_red, _, _ = reduce_to_cell(d * complex(x), basis.omega)
-    dist = abs(complex(dx_red))
-    bound = 1e-12 * (1.0 + abs(basis.omega))
+    dist, bound = lattice_gap(d * complex(x), basis.omega)
     if dist < bound:
         raise ValueError(f"d*x is {dist:.3e} from the lattice Z + Z omega, "
                          f"below {bound:.3e}")

@@ -1,5 +1,6 @@
 import ast
 import json
+import shlex
 import subprocess
 import sys
 
@@ -385,3 +386,31 @@ def test_failed_word_cross_check_is_exit_one(capsys, monkeypatch):
     assert out == ""
     assert "verification failed: word (empty) sends Bundle(2, 7)[0]" in err
     assert "Traceback" not in err
+
+
+def test_tail_eps_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "theta", "eval", "--d", "5", "--m", "1",
+                             "--z", "0.13,0.21", "--tail-eps", "1e-12")
+    assert code == 2
+    assert out == ""
+    assert "--tail-eps" in err
+
+
+def readme_commands():
+    """The `sklab ...` lines of README's "Command line" code block."""
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("sklab ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # in order, in a scratch directory: `poisson jacobi` reads the dump
+    # that `poisson extract` wrote
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert {p.name for p in tmp_path.iterdir()} == {"coeffs.json", "pi.json"}

@@ -144,6 +144,52 @@ def test_rep_validation_catches_wrong_brackets():
         bad.validate()
 
 
+def bracket_from(m, table):
+    """dim-m structure constants from {(i, j): {k: c}}, antisymmetrised."""
+    c = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for (i, j), out in table.items():
+        for k, val in out.items():
+            c[i][j][k], c[j][i][k] = val, -val
+    return tuple(tuple(tuple(row) for row in pl) for pl in c)
+
+
+def zero_action(m, n):
+    return tuple(tuple((0,) * n for _ in range(n)) for _ in range(m))
+
+
+def test_rep_validation_refuses_non_antisymmetric_bracket():
+    bracket = (((1,),),)  # [x0, x0] = x0
+    bad = LieRepData(dim_g=1, dim_V=1, bracket=bracket,
+                     action=zero_action(1, 1))
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+def test_rep_validation_refuses_jacobi_failure(order):
+    # [x0, x1] = x1, [x0, x2] = x2, [x1, x2] = x0: antisymmetric, but the
+    # Jacobi sum on (x0, x1, x2) is 2 x0; every relabelling must refuse
+    a, b, e = order
+    bracket = bracket_from(3, {(a, b): {b: 1}, (a, e): {e: 1},
+                               (b, e): {a: 1}})
+    bad = LieRepData(dim_g=3, dim_V=1, bracket=bracket,
+                     action=zero_action(3, 1))
+    with pytest.raises(ValueError, match="fail jacobi"):
+        bad.validate()
+
+
+def test_augment_with_center_is_a_direct_sum():
+    rep = sl2_rep()
+    out = augment_with_center(rep)
+    out.validate()
+    m = rep.dim_g
+    for i in range(m + 1):
+        for j in range(m + 1):
+            want = (rep.bracket[i][j] + (0,) if i < m and j < m
+                    else (0,) * (m + 1))
+            assert out.bracket[i][j] == want
+
+
 def test_commutator_rep_refuses_open_or_dependent_lists():
     e, f = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
     # [e, f] = h is not in span(e, f)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -198,3 +199,144 @@ def test_solver_landing_cross_check_raises(monkeypatch, solver):
     with pytest.raises(ArithmeticError,
                        match=r"sends Bundle\(2, 7\)\[0\] to Bundle\(2, 7\)"):
         solver(Bundle(2, 7, 0))
+
+
+# ------------------------------------------------- oracles: the case-split code
+# The word calculus before it read one orientation rule off the letter
+# matrices: S by cases on the degree sign, S^{-1} as S after a shift, R by
+# cases on the kind; sl2_to_word with one matrix product per letter; and
+# orbit_invariants from a hand-written extended Euclid.
+
+
+def ref_act_S(obj):
+    if obj.kind == "torsion":
+        return Bundle(1, 0, obj.shift)
+    if obj.degree > 0:
+        return Bundle(obj.degree, -obj.rank, obj.shift)
+    if obj.degree < 0:
+        return Bundle(-obj.degree, obj.rank, obj.shift - 1)
+    return Torsion(obj.shift - 1)
+
+
+def ref_act_letter(obj, letter):
+    if letter in ("R", "R-"):
+        if obj.kind == "torsion":
+            return obj
+        step = obj.rank if letter == "R" else -obj.rank
+        return Bundle(obj.rank, obj.degree + step, obj.shift)
+    if letter == "S":
+        return ref_act_S(obj)
+    return ref_act_S(mukai.DerivedObject(obj.kind, obj.rank, obj.degree,
+                                         obj.shift + 1))
+
+
+def ref_act_word(obj, word):
+    for letter in reversed(word.letters):
+        obj = ref_act_letter(obj, letter)
+    return obj
+
+
+def ref_sl2_to_word(matrix):
+    work = matrix
+    applied = []
+
+    def push(letter):
+        nonlocal work
+        applied.append(letter)
+        work = mukai._mat_mul(mukai.LETTER_MATRIX[letter], work)
+
+    while work[1][0] != 0:
+        top, low = work[0][0], work[1][0]
+        if top != 0 and abs(low) >= abs(top):
+            quot = round(Fraction(low, top))
+            for _ in range(abs(quot)):
+                push("R-" if quot > 0 else "R")
+            if work[1][0] == 0:
+                break
+        push("S")
+    if work[0][0] == -1:
+        push("S")
+        push("S")
+    shear = work[0][1]
+    if shear != 0:
+        push("S-")
+        for _ in range(abs(shear)):
+            push("R" if shear > 0 else "R-")
+        push("S")
+    assert work == mukai.IDENTITY
+    return GroupWord(tuple(mukai.LETTER_INVERSE[l] for l in applied))
+
+
+def ref_orbit_invariants(v1, v2):
+    det = v1.r * v2.d - v1.d * v2.r
+    old_r, rem = v2.r, v2.d
+    old_u, u = 1, 0
+    while rem != 0:
+        quot = old_r // rem
+        old_r, rem = rem, old_r - quot * rem
+        old_u, u = u, old_u - quot * u
+    sign = old_r
+    w = (sign - old_u * v2.r) // v2.d if v2.d != 0 else 0
+    return det, (sign * (old_u * v1.r + w * v1.d)) % abs(det)
+
+
+def ref_forced_word(E, rho):
+    r, d = E.rank, E.degree
+    word = ref_sl2_to_word(((rho, (1 - r * rho) // d), (-d, r)))
+    steps = ref_act_word(E, word).shift // 2
+    if steps:
+        word = GroupWord(("S" if steps > 0 else "S-",) * (4 * abs(steps))) * word
+    assert ref_act_word(E, word) == Bundle(1, 0, 0)
+    return word
+
+
+def test_act_letter_matches_case_split_oracle():
+    objects = [Torsion(k) for k in range(-4, 5)]
+    objects += [Bundle(r, d, k) for k in range(-4, 5) for r in range(1, 8)
+                for d in range(-9, 10) if gcd(r, d) == 1 and (d or r == 1)]
+    for obj in objects:
+        for letter in mukai.LETTER_MATRIX:
+            assert mukai.act_letter(obj, letter) == ref_act_letter(obj, letter)
+    with pytest.raises(ValueError, match="unknown letter 'T'"):
+        mukai.act_letter(Torsion(0), "T")
+
+
+def test_sl2_to_word_matches_per_letter_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(10_000):
+        m = word_matrix(random_word(rng, max_len=24))
+        assert str(sl2_to_word(m)) == str(ref_sl2_to_word(m))
+
+
+def test_orbit_invariants_match_extended_euclid_oracle():
+    prim = [KVector(r, d) for r in range(-9, 10) for d in range(-9, 10)
+            if gcd(r, d) == 1]
+    for v1 in prim:
+        for v2 in prim:
+            if v1.r * v2.d == v1.d * v2.r:
+                continue
+            inv = orbit_invariants(v1, v2)
+            assert (inv.det, inv.alpha) == ref_orbit_invariants(v1, v2)
+
+
+def test_solvers_match_oracle_up_to_d60():
+    for d in range(2, 61):
+        for r in range(1, 2 * d):
+            if gcd(r, d) != 1:
+                continue
+            E = Bundle(r, d, 0)
+            r_prime = -pow(r, -1, d) % d
+            word, e_prime = solve_T_r(E)
+            want = ref_forced_word(E, -r_prime)
+            assert word == want
+            assert e_prime == ref_act_word(Bundle(1, 0, 0), want)
+            word, r_dp = solve_U_r(E)
+            assert (word, r_dp) == (ref_forced_word(E, r_dp), pow(r, -1, d))
+
+
+def test_solve_U_r_degree_one_companion():
+    # r'' = 0 at d = 1, and the companion check holds there too
+    for r in range(1, 6):
+        word, r_dp = solve_U_r(Bundle(r, 1, 0))
+        assert r_dp == 0
+        assert signed_kvector(act_word(Bundle(1, 0, 0), word)) == (0, -1)

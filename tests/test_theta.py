@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sklab.sklyanin import AlgebraParams
 from sklab.theta import (CurveModulus, ThetaBasis, ThetaOverflowError,
-                         _unit_nodes, reduce_to_cell,
+                         _unit_nodes, lattice_gap, reduce_to_cell,
                          theta_symmetry_constants, theta_zero_count)
 
 # Values computed independently with 45-digit summation of the defining
@@ -226,6 +227,26 @@ def test_symmetry_constants_refuse_torsion_points(modulus):
         theta_symmetry_constants(ThetaBasis(3, modulus), (1 + w) / 3)
     # a point off the torsion points still fits
     theta_symmetry_constants(ThetaBasis(3, modulus), (1 + w) / 3 + 0.05)
+
+
+def test_one_lattice_bound_for_params_and_symmetry_fit(modulus):
+    w = modulus.omega
+    dist, bound = lattice_gap(2 - 3 * w + 1e-3, w)
+    assert bound == 1e-12 * (1 + abs(w))
+    assert dist == pytest.approx(1e-3, rel=1e-9)
+    # x = 0 refused by AlgebraParams is the same test as d*x = 0 at d = 1
+    for scale, refused in ((0.5, True), (2.0, False)):
+        x = 1 + w + scale * bound
+        assert (lattice_gap(x, w)[0] < bound) == refused
+        if refused:
+            with pytest.raises(ValueError, match="congruent to 0"):
+                AlgebraParams(3, 1, x, modulus)
+            with pytest.raises(ValueError, match="from the lattice"):
+                theta_symmetry_constants(ThetaBasis(1, modulus), x)
+        else:
+            # past the bound both accept; at d = 1 there is no ratio test
+            AlgebraParams(3, 1, x, modulus)
+            theta_symmetry_constants(ThetaBasis(1, modulus), x)
 
 
 @pytest.mark.parametrize("x", [complex("nan"), complex("inf"),
