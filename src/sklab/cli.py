@@ -211,8 +211,10 @@ def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
 
     Functional equations at `trials` random points, zero counts of every
     basis function, and the symmetry fit at a generic x, drawn from rng
-    in that order.
+    in that order.  trials must be at least 1.
     """
+    if trials < 1:
+        raise UsageError(f"trials must be at least 1, got {trials}")
     basis = ThetaBasis(d, config.modulus)
     worst1 = worst2 = 0.0
     for _ in range(trials):

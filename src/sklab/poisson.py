@@ -13,6 +13,11 @@ order h, and -Sym/h converges linearly to the bracket coefficients.
 Two Richardson stages on the ladder h, h/2, h/4 kill the linear error
 and estimate what is left.
 
+The bracket inherits the Z/d grading of the relations: {t_a, t_b} holds
+only monomials t_c t_e with c + e = a + b mod d.  The extraction works
+grade by grade, one small wedge solve per grade of the relation space, so
+pi is exactly zero off the grading.
+
 The Jacobi identity is not built in; jacobi_check verifies it pointwise,
 which is the real evidence that the extracted tensor is Poisson.
 """
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sklyanin import AlgebraParams, build_relations, relation_space
+from .sklyanin import AlgebraParams, _graded_space, build_relations
 from .theta import CurveModulus
 
 __all__ = [
@@ -41,6 +46,9 @@ __all__ = [
 EXTRACTION_DIRECTION = (0.31 + 0.17j) / abs(0.31 + 0.17j)
 
 DEFAULT_H = 3e-5
+
+# Points per batch of jacobi_check
+JACOBI_CHUNK = 8
 
 
 class ExtractionError(RuntimeError):
@@ -88,38 +96,66 @@ def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
     """Bracket matrices -Sym(v)/h at x = h*u, as a (d, d, d, d) array.
 
     For every pair a < b, v is the relation-space element whose
-    antisymmetric part is e_a ^ e_b; one least-squares solve takes all
-    d(d-1)/2 targets as columns.  The result is antisymmetric in (a, b).
+    antisymmetric part is e_a ^ e_b, a target of the one grade s with
+    a + b = rs.  With B_s the grade-s basis in block coordinates (a for
+    t_a t_{rs-a}) and sigma(a) = rs - a, one SVD of the wedge block
+    W_s = (B_s - B_s[sigma])/2 solves every target of grade s (batched
+    over grades of equal shape), and only (v[c] + v[sigma(c)])/2 is
+    written, at (a, b, c, sigma(c)).  The blocks' singular values are
+    those of the dense d^2 x k wedge matrix, so the condition number is
+    the largest over all grades over the smallest.  The result is
+    antisymmetric in (a, b).
     """
     x = h * EXTRACTION_DIRECTION
     sys = build_relations(AlgebraParams(d, r, x, modulus), zero_tol)
-    basis = relation_space(sys, rank_tol)
-    k = basis.shape[1]
-    as_mats = basis.reshape(d, d, k)
-    wedge = 0.5 * (as_mats - as_mats.transpose(1, 0, 2)).reshape(d * d, k)
-    cond = np.linalg.cond(wedge) if k else np.inf
-    if k and cond >= 1e6:
-        raise ExtractionError(
-            f"projection of the relation space to the wedge square is "
-            f"ill-conditioned (cond={cond:.2e}) at h={h:g}")
-    a, b = np.triu_indices(d, 1)
-    pair = np.arange(len(a))
-    targets = np.zeros((d * d, len(a)), dtype=complex)
-    targets[a * d + b, pair] = 0.5
-    targets[b * d + a, pair] = -0.5
-    coeff, *_ = np.linalg.lstsq(wedge, targets, rcond=None)
-    residual = np.abs(wedge @ coeff - targets).max(axis=0)
-    if residual.max(initial=0.0) > 1e-8:
-        worst = residual.argmax()
-        raise ExtractionError(
-            f"no relation-space element has antisymmetric part "
-            f"e_{a[worst]}^e_{b[worst]} (residual {residual[worst]:.2e}) "
-            f"at h={h:g}")
-    v = (basis @ coeff).T.reshape(-1, d, d)
+    vh, keep = _graded_space(sys, rank_tol)
+    rank = keep.sum(axis=1)
+    coord = np.arange(d)
+    sigma = (sys.params.r * coord[:, None] - coord) % d
+    # a is the smaller index of a target pair; fixed points of sigma
+    # (2a = rs, even d only) pair with nothing
+    smaller = coord < sigma
+    pairs = smaller.sum(axis=1)
     level = np.zeros((d, d, d, d), dtype=complex)
-    level[a, b] = -0.5 * (v + v.transpose(0, 2, 1)) / h
-    level[b, a] = -level[a, b]
-    return level
+    svals = np.full((d, d), np.nan)
+    residual = np.zeros((d, d))
+    for k, p in set(zip(rank.tolist(), pairs.tolist())):
+        grades = np.flatnonzero((rank == k) & (pairs == p))
+        rows = np.arange(len(grades))[:, None]
+        sig = sigma[grades]
+        basis = vh[grades, :k].transpose(0, 2, 1)
+        wedge = 0.5 * (basis - basis[rows, sig])
+        lo = np.nonzero(smaller[grades])[1].reshape(len(grades), p)
+        hi = sig[rows, lo]
+        targets = np.zeros((len(grades), d, p), dtype=complex)
+        targets[rows, lo, np.arange(p)] = 0.5
+        targets[rows, hi, np.arange(p)] = -0.5
+        u, sv, vw = np.linalg.svd(wedge, full_matrices=False)
+        svals[grades, :k] = sv
+        # a zero singular value fails the condition gate below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeff = vw.conj().swapaxes(1, 2) @ (
+                (u.conj().swapaxes(1, 2) @ targets) / sv[..., None])
+        residual[lo, hi] = np.abs(wedge @ coeff - targets).max(axis=1)
+        v = basis @ coeff
+        level[lo[:, None], hi[:, None], coord[:, None], sig[..., None]] = \
+            -0.5 * (v + v[rows, sig]) / h
+    if rank.any():
+        low = np.unravel_index(np.nanargmin(svals), svals.shape)
+        top, bottom = np.nanmax(svals), svals[low]
+        cond = top / bottom if bottom > 0.0 else np.inf
+        if cond >= 1e6:
+            raise ExtractionError(
+                f"wedge condition number {cond:.2e} >= 1e6 at h={h:g}: "
+                f"smallest singular value {bottom:.2e} in grade s={low[0]}")
+    worst = np.unravel_index(residual.argmax(), residual.shape)
+    if residual[worst] > 1e-8:
+        a, b = worst
+        raise ExtractionError(
+            f"residual {residual[worst]:.2e} > 1e-8 for e_{a}^e_{b}, grade "
+            f"s={(a + b) * pow(sys.params.r, -1, d) % d} at h={h:g}: no "
+            f"relation-space element has that antisymmetric part")
+    return level - level.swapaxes(0, 1)
 
 
 def extract_bracket(d: int, r: int, modulus: CurveModulus,
@@ -168,31 +204,39 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     The bracket extends to polynomials by the Leibniz rule, so with
     g = {t_b, t_c} the cyclic sum J_abc(p) = {t_a, g}(p) + ... needs only
     first derivatives of the quadratic forms.  Points are drawn with each
-    coordinate uniform in the unit disc, and |J| is normalized per point
-    by the largest cubic monomial (max_i |p_i|)^3.
+    coordinate uniform in the unit disc, all from one call, and |J| is
+    normalized per point by the largest cubic monomial (max_i |p_i|)^3.
+    The points are evaluated JACOBI_CHUNK at a time, which bounds the
+    memory of the batched products.  trials must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     d = tensor.d
-    mats = _unpack(tensor.pi)
+    forms = _unpack(tensor.pi).reshape(d ** 3, d)
     a, b, c = np.ogrid[:d, :d, :d]
     triples = (a < b) & (b < c)
-    rng = np.random.default_rng(seed)
+    # per trial, d radius draws then d angle draws: the doubles that
+    # rng.uniform(0, 1, d) and rng.uniform(0, 2 pi, d) would return
+    draws = np.random.default_rng(seed).random((trials, 2, d))
+    points = np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * np.pi * draws[:, 1]))
+    cubes = np.abs(points).max(axis=1) ** 3
+    points, cubes = points[cubes > 0.0], cubes[cubes > 0.0]
     worst = 0.0
-    for _ in range(trials):
-        radius = np.sqrt(rng.uniform(0.0, 1.0, d))
-        angle = rng.uniform(0.0, 2.0 * np.pi, d)
-        p = radius * np.exp(1j * angle)
-        cube = np.abs(p).max() ** 3
-        if cube == 0.0:
-            continue
-        values = np.einsum("c,abce,e->ab", p, mats, p)
-        gradients = np.einsum("abce,e->abc", mats, p)
-        # term[a, b, c] = gradients[b, c] . values[a]; J_abc sums its
-        # cyclic shifts
-        term = np.einsum("bcf,af->abc", gradients, values)
-        total = 2.0 * (term + term.transpose(2, 0, 1)
-                       + term.transpose(1, 2, 0))
-        worst = max(worst,
-                    float(np.abs(total[triples]).max(initial=0.0)) / cube)
+    for start in range(0, len(points), JACOBI_CHUNK):
+        p = points[start:start + JACOBI_CHUNK]
+        n = len(p)
+        # gradients[t, a, b] = M_ab p_t, half the gradient of
+        # {t_a, t_b}(p) = p^T M_ab p at point t (the 2 is applied below)
+        gradients = (p @ forms.T).reshape(n, d * d, d)
+        values = (gradients @ p[..., None]).reshape(n, d, d)
+        # term[t, a, b, c] = gradients[t, b, c] . values[t, a]; J_abc sums
+        # its cyclic shifts
+        term = (values @ gradients.swapaxes(1, 2)).reshape(n, d, d, d)
+        total = 2.0 * (term + term.transpose(0, 3, 1, 2)
+                       + term.transpose(0, 2, 3, 1))
+        scaled = (np.abs(total[:, triples]).max(axis=1, initial=0.0)
+                  / cubes[start:start + n])
+        worst = max(worst, float(scaled.max()))
     return worst
 
 

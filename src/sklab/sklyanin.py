@@ -171,8 +171,10 @@ def _theta_triple(params: AlgebraParams, zero_tol: float):
     Shifting x by p + q*omega multiplies every denominator by one common
     factor, which the row scaling removes up to its phase; the theta(0)
     values carry that phase, exp(i (2 pi d Re(omega) q^2 + 4 pi d q
-    Re(x_red))), so the scaled coefficients are those at x.  The triple
-    does not depend on r, so one serves every system at the same (d, x).
+    Re(x_red))), so the scaled coefficients are those at x; the theta(0)
+    values are shared per basis and read-only, so the phase multiplies a
+    copy.  The triple does not depend on r, so one serves every system at
+    the same (d, x).
     """
     d, omega = params.d, params.modulus.omega
     basis = ThetaBasis(d, params.modulus)
@@ -180,8 +182,8 @@ def _theta_triple(params: AlgebraParams, zero_tol: float):
     at_x, at_minus_x = _gate(basis, complex(x_red), zero_tol)
     at_zero = basis.values_at_zero()
     if q:
-        at_zero *= np.exp(2j * np.pi * d * q * (omega.real * q
-                                                + 2.0 * x_red.real))
+        at_zero = at_zero * np.exp(2j * np.pi * d * q * (omega.real * q
+                                                         + 2.0 * x_red.real))
     return at_zero, at_x, at_minus_x
 
 

@@ -196,11 +196,10 @@ class ThetaBasis:
         forces theta_0(0) = 0 identically.  Summing the series leaves rounding
         residue of order 1e-16 there instead, which matters to callers that
         divide by quantities vanishing at the same point, so this entry is
-        pinned to exact zero.
+        pinned to exact zero.  The series are summed once per basis (equal
+        bases share the result), which is returned read-only.
         """
-        vals = self.values_at(0.0)
-        vals[0] = 0.0
-        return vals
+        return _values_at_zero(self)
 
     def dlog(self, m: int, z) -> np.ndarray:
         """Logarithmic derivative theta_m'(z)/theta_m(z), vectorized in z."""
@@ -209,6 +208,15 @@ class ThetaBasis:
         total, deriv = self._series(m, z_red, want_deriv=True)
         vals = deriv[0] / total[0] - _TWO_PI_I * self.d * q
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
+
+
+@functools.lru_cache(maxsize=64)
+def _values_at_zero(basis: ThetaBasis) -> np.ndarray:
+    """ThetaBasis.values_at_zero, cached per basis, so read-only."""
+    vals = basis.values_at(0.0)
+    vals[0] = 0.0
+    vals.flags.writeable = False
+    return vals
 
 
 def theta_symmetry_constants(basis: ThetaBasis, x: complex,

@@ -147,6 +147,21 @@ def test_poisson_extract_rejects_nonpositive_h(capsys):
         assert "h must be positive" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_no_trials_is_usage_error(capsys, tmp_path, trials):
+    # no points checked is no evidence: refused, not reported as a pass
+    dump = tmp_path / "pi.json"
+    code, _, _ = run_cli(capsys, "poisson", "extract", "--d", "3",
+                         "--r", "1", "--dump", str(dump))
+    assert code == 0
+    for argv in (("poisson", "jacobi", "--in", str(dump)),
+                 ("theta", "check", "--d", "3")):
+        code, out, err = run_cli(capsys, *argv, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert f"error: trials must be at least 1, got {trials}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("sklyanin", "relations", "--d", "3", "--r", "1", "--x", "nan"),
     ("sklyanin", "relations", "--d", "3", "--r", "1", "--x", "inf,0"),

@@ -1,3 +1,6 @@
+import re
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from sklab import poisson
 from sklab.poisson import (ExtractionError, extract_bracket, jacobi_check,
                            scale_match_deviation, skew_check,
                            substituted_tensor)
-from sklab.sklyanin import AlgebraParams, build_relations, relation_space
+from sklab.sklyanin import (AlgebraParams, _graded_space, build_relations,
+                            relation_space)
 
 # Largest entry of the d=3, r=1 bracket, frozen from a converged
 # extraction; the h -> 0 noise floor sits near 1e-9 so the comparison
@@ -185,8 +189,11 @@ def test_scale_match_identical_tensors(modulus):
     assert dev == 0.0
 
 
-@pytest.mark.parametrize("d,r", [(5, 2), (8, 3)])
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 11)
+                                 for r in range(d) if gcd(r, d) == 1])
 def test_batched_extraction_matches_per_pair_lstsq(d, r, modulus):
+    # every unit r up to d = 10: odd and even d (unequal grade ranks and
+    # the fixed points 2a = rs), the degenerate r = d - 1, and d = 1, 2
     h = poisson.DEFAULT_H
     level = poisson._extract_level(d, r, modulus, h, 1e-9, 1e-9)
     want = loop_level(d, r, modulus, h)
@@ -222,3 +229,71 @@ def test_checks_match_loop_oracles(tensor_31, modulus):
                                        richardson_error=0.0)
         assert skew_check(tensor) == loop_skew(edited)
         assert skew_check(tensor) == pytest.approx(size)
+
+
+@pytest.mark.parametrize("d,r", [(4, 1), (5, 2), (6, 5), (10, 3)])
+def test_bracket_is_graded(d, r, modulus):
+    # {t_a, t_b} holds only monomials t_c t_e with c + e = a + b mod d;
+    # every other entry is an exact zero, not rounding noise
+    pi = extract_bracket(d, r, modulus).pi
+    a, b, c, e = np.indices(pi.shape)
+    assert not pi[(a + b - c - e) % d != 0].any()
+    if (d, r) == (5, 2):
+        # the count `poisson extract` reports as nonzero_entries
+        assert np.count_nonzero(pi) == 60
+
+
+def test_jacobi_chunks_match_loop_oracle(modulus):
+    # one chunk, exactly one full chunk, one entry past it, many chunks
+    tensor = extract_bracket(8, 3, modulus)
+    for trials in (1, poisson.JACOBI_CHUNK, poisson.JACOBI_CHUNK + 1, 100):
+        assert abs(jacobi_check(tensor, trials, seed=5)
+                   - loop_jacobi(tensor.pi, trials, 5)) <= 1e-13
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_jacobi_refuses_no_trials(tensor_31, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        jacobi_check(tensor_31, trials, seed=0)
+
+
+def _patch_grade(monkeypatch, edit):
+    """Run extraction on the relation space with one grade edited."""
+    def patched(sys, rank_tol):
+        vh, keep = _graded_space(sys, rank_tol)
+        vh, keep = vh.copy(), keep.copy()
+        edit(vh, keep)
+        return vh, keep
+    monkeypatch.setattr(poisson, "_graded_space", patched)
+
+
+def test_condition_gate_names_value_bound_h_and_grade(modulus, monkeypatch):
+    # two nearly parallel basis vectors in grade 2: a wedge block close to
+    # rank deficient
+    def edit(vh, keep):
+        vh[2, 1] = vh[2, 0] + 1e-8 * vh[2, 1]
+    _patch_grade(monkeypatch, edit)
+    with pytest.raises(ExtractionError,
+                       match=r"^wedge condition number \d\.\d\de\+\d\d >= 1e6 "
+                             r"at h=3e-05: smallest singular value "
+                             r"\d\.\d\de-\d\d in grade s=2$"):
+        extract_bracket(5, 2, modulus)
+
+
+def test_residual_gate_names_value_bound_pair_and_grade(modulus,
+                                                        monkeypatch):
+    # grade 3 loses a basis vector: one of its two targets is out of reach
+    def edit(vh, keep):
+        keep[3, 1] = False
+    _patch_grade(monkeypatch, edit)
+    with pytest.raises(ExtractionError) as info:
+        extract_bracket(5, 2, modulus)
+    message = str(info.value)
+    match = re.fullmatch(r"residual (\S+) > 1e-8 for e_(\d)\^e_(\d), grade "
+                         r"s=3 at h=3e-05: no relation-space element has "
+                         r"that antisymmetric part", message)
+    assert match, message
+    a, b = int(match[2]), int(match[3])
+    assert float(match[1]) > 1e-8
+    # the named pair is one of grade 3: a + b = r s mod d
+    assert a < b and (a + b) % 5 == (2 * 3) % 5

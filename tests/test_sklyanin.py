@@ -3,7 +3,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from sklab import sklyanin
+from sklab import sklyanin, theta
 from sklab.sklyanin import (AlgebraParams, AmbiguousRank, DenominatorNearZero,
                             RelationSystem, build_relations, relation_space,
                             relation_terms, sample_generic_x,
@@ -247,8 +247,14 @@ def test_substitution_distance_evaluates_one_theta_triple(modulus,
     values_at = ThetaBasis.values_at
     monkeypatch.setattr(ThetaBasis, "values_at",
                         lambda self, z: calls.append(z) or values_at(self, z))
+    # start from a cold cache of the values at 0
+    theta._values_at_zero.cache_clear()
     assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
     assert len(calls) == 3
+    # the values at 0 are summed once per (d, omega), so a second check
+    # evaluates theta only at x and -x
+    assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("d,r,q", [(5, 2, 1), (5, 2, -2), (9, 4, 2),

@@ -3,8 +3,9 @@ import pytest
 
 from sklab.sklyanin import AlgebraParams
 from sklab.theta import (CurveModulus, ThetaBasis, ThetaOverflowError,
-                         _unit_nodes, lattice_gap, reduce_to_cell,
-                         theta_symmetry_constants, theta_zero_count)
+                         _unit_nodes, _values_at_zero, lattice_gap,
+                         reduce_to_cell, theta_symmetry_constants,
+                         theta_zero_count)
 
 # Values computed independently with 45-digit summation of the defining
 # series, then rounded to double precision.
@@ -78,6 +79,22 @@ def test_first_basis_function_vanishes_at_origin(modulus):
         values = basis.values_at_zero()
         assert values[0] == 0.0
         assert all(abs(v) > 1e-3 for v in values[1:])
+
+
+def test_values_at_zero_are_summed_once_per_basis(modulus):
+    _values_at_zero.cache_clear()
+    basis = ThetaBasis(7, modulus)
+    first = basis.values_at_zero()
+    # an equal basis reads the same array, which nobody may write
+    assert ThetaBasis(7, modulus).values_at_zero() is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[1] = 0.0
+    # bit-identical to summing the series again
+    fresh = basis.values_at(0.0)
+    fresh[0] = 0.0
+    assert first.tobytes() == fresh.tobytes()
+    assert ThetaBasis(7, CurveModulus(3j)).values_at_zero() is not first
 
 
 @pytest.mark.parametrize("d", [3, 5])
