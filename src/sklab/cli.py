@@ -344,17 +344,21 @@ def cmd_poisson_extract(args, config: RunConfig) -> int:
 
 
 def load_poisson_json(path: str) -> poisson.PoissonTensor:
-    with open(path) as fh:
-        data = json.load(fh)
-    d = int(data["d"])
-    pi = np.zeros((d, d, d, d), dtype=complex)
-    for entry in data["entries"]:
-        pi[entry["a"], entry["b"], entry["c"], entry["e"]] = \
-            complex(entry["re"], entry["im"])
-    return poisson.PoissonTensor(
-        d=d, r=int(data["r"]), pi=pi,
-        richardson_error=float(data["richardson_error"]),
-        extraction_step=None)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        d = int(data["d"])
+        pi = np.zeros((d, d, d, d), dtype=complex)
+        for entry in data["entries"]:
+            index = tuple(entry[k] for k in "abce")
+            if not all(type(i) is int and 0 <= i < d for i in index):
+                raise ValueError(f"entry index {index} is not in 0..{d - 1}")
+            pi[index] = complex(entry["re"], entry["im"])
+        return poisson.PoissonTensor(
+            d=d, r=int(data["r"]), pi=pi,
+            richardson_error=float(data["richardson_error"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"cannot load bracket from {path!r}: {exc}")
 
 
 def cmd_poisson_jacobi(args, config: RunConfig) -> int:

@@ -37,7 +37,6 @@ __all__ = [
     "TransporterError",
     "act_letter",
     "act_word",
-    "hom_dims",
     "orbit_invariants",
     "signed_kvector",
     "sl2_to_word",
@@ -400,23 +399,3 @@ def solve_U_r(E: DerivedObject):
         raise ArithmeticError(
             f"companion class is {companion}, expected {(r_dprime, -d)}")
     return word, r_dprime
-
-
-def hom_dims(v: KVector, assume_trivial: bool = True):
-    """(h0, h1) for a stable object of primitive class v on the curve.
-
-    Degree decides everything away from d = 0: stable slopes give
-    vanishing on one side and the Euler characteristic h0 - h1 = d fills
-    in the other.  At d = 0 the class (1, 0) is ambiguous between O_X,
-    which has (1, 1), and a nontrivial degree-zero line bundle with
-    (0, 0); assume_trivial selects the O_X reading.
-    """
-    if not v.is_primitive():
-        raise ValueError(f"class {v.as_tuple()} is not primitive")
-    if v.r < 0:
-        raise ValueError("negative rank is not a sheaf class here")
-    if v.d > 0:
-        return (v.d, 0)
-    if v.d < 0:
-        return (0, -v.d)
-    return (1, 1) if assume_trivial else (0, 0)

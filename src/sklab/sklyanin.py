@@ -10,12 +10,13 @@ pair (i, j) of indices mod d, the quadratic relation
 with n running over Z/dZ.  Every term of R_ij is a monomial t_a t_b with
 a + b = r(i + j) mod d, so the d^2 relations split by the grade
 s = i + j mod d into d blocks of d rows, each touching only the d monomials
-t_a t_{rs-a} (the Z/d grading behind the Heisenberg symmetry of these
-algebras).  This module builds the blocks, measures the numerical rank of
-their span inside C^{d^2} (which equals d(d-1)/2 for generic x) from one
-batched SVD of the d blocks, and checks grade by grade that the index
-substitution t_i -> t_{r'i} with r*r' = 1 mod d carries the relation space
-of Q_{d,r}(x) onto that of Q_{d,r'}(x).
+t_a t_{rs-a}.  The Heisenberg shift t_c -> t_{c+r} rolls block s onto block
+s + 2, so the grades form gcd(2, d) orbits.  This module builds the
+relations, measures the numerical rank of their span inside C^{d^2} (which
+equals d(d-1)/2 for generic x) from one SVD of one block per orbit, and
+checks orbit by orbit that the index substitution t_i -> t_{r'i} with
+r*r' = 1 mod d carries the relation space of Q_{d,r}(x) onto that of
+Q_{d,r'}(x).
 """
 
 from __future__ import annotations
@@ -95,55 +96,68 @@ class AlgebraParams:
 
 @dataclass(frozen=True)
 class RelationSystem:
-    """Coefficient rows of the d^2 relations, stored as their d grade blocks.
+    """Coefficient rows of the d^2 relations, stored as their d x d table.
 
-    blocks[s, i, a] is the coefficient of t_a t_{rs-a} in relation
-    R_{i,s-i} (indices mod d): block s holds the d relations of grade
-    s = i + j and nothing else, because no relation of that grade touches
-    another monomial.  Each row is scaled to unit max entry; rows that
-    vanish identically (their theta numerators are exact zeros) are zero
-    rows.  coeffs is the same data in the dense (i, j, a, b) layout.
+    table[k, n] is the coefficient of term n, on t_{r(j-n)} t_{r(i+n)}, of
+    every relation R_ij with j - i = k mod d.  Each row is scaled to unit
+    max entry; rows that vanish identically (their theta numerators are
+    exact zeros) are zero rows.  blocks and coeffs are the same data in the
+    grade-block and the dense (i, j, a, b) layouts.
     """
 
     params: AlgebraParams
-    blocks: np.ndarray
+    table: np.ndarray
 
     @property
     def d(self) -> int:
         return self.params.d
+
+    def _blocks(self, grades=None) -> np.ndarray:
+        """blocks[s, i, a], the coefficient of t_a t_{rs-a} in R_{i,s-i}, is
+        term s - i - a/r; block s + 2 is block s rolled by 1 in i and by r
+        in a.  Built from the table on every access (of the given grades).
+        """
+        d, r = self.d, self.params.r
+        s = np.arange(d) if grades is None else np.asarray(grades)
+        s, (i, a) = s[:, None, None], np.ogrid[:d, :d]
+        return self.table[(s - 2 * i) % d, (s - i - pow(r, -1, d) * a) % d]
+
+    blocks = property(_blocks)
 
     @property
     def coeffs(self) -> np.ndarray:
         """coeffs[i, j, a, b], the coefficient of t_a t_b in R_ij.
 
         For fixed (i, j) the nonzero entries sit at (a, b) = (r(j-n),
-        r(i+n)), one per n.  Built from the blocks on every access.
+        r(i+n)), one per n.  Built from the table on every access.
         """
         d, r = self.d, self.params.r
-        s, i, a = np.ogrid[:d, :d, :d]
-        coeffs = np.zeros((d, d, d, d), dtype=self.blocks.dtype)
-        coeffs[i, (s - i) % d, a, (r * s - a) % d] = self.blocks
+        i, j, n = np.ogrid[:d, :d, :d]
+        coeffs = np.zeros((d, d, d, d), dtype=self.table.dtype)
+        coeffs[i, j, r * (j - n) % d, r * (i + n) % d] = \
+            self.table[(j - i) % d, n]
         return coeffs
 
     @functools.cached_property
     def _svd(self):
-        """Batched SVD of the grade blocks and the global sorted spectrum.
+        """One batched SVD of the orbit representatives s0 < gcd(2, d).
 
-        Computed on first use and kept, so relation_space, singular_values
-        and the substitution check share one decomposition per system.
-        Rows below ROW_DROP_CUTOFF of the largest row are zeroed first.
-        The spectrum of the stacked kept rows is the union of the block
-        spectra: a block with m kept rows has m singular values, and the
-        d - m trailing ones that its zeroed rows add are set to exact zeros
-        and left out.  Returns (vh, block_svals, spectrum), all read-only.
+        Every block of an orbit permutes the rows and columns of the others.
+        Rows below ROW_DROP_CUTOFF of the largest row are zeroed first; a
+        block with m kept rows has m singular values, its d - m trailing
+        ones are set to exact zeros and left out of the sorted spectrum.
+        Returns (vh of each representative, block_svals of every grade,
+        spectrum), all read-only and computed once per system.
         """
-        rowmax = np.abs(self.blocks).max(axis=2)
+        d, d0 = self.d, gcd(2, self.d)
+        reps = self._blocks(range(d0))
+        rowmax = np.abs(reps).max(axis=2)
         live = (rowmax > 0.0) & (rowmax >= ROW_DROP_CUTOFF * rowmax.max())
-        _, svals, vh = np.linalg.svd(np.where(live[..., None],
-                                              self.blocks, 0.0))
+        _, svals, vh = np.linalg.svd(np.where(live[..., None], reps, 0.0))
         kept = live.sum(axis=1)
-        svals[np.arange(self.d) >= kept[:, None]] = 0.0
-        spectrum = np.sort(svals, axis=None)[::-1][:int(kept.sum())]
+        svals[np.arange(d) >= kept[:, None]] = 0.0
+        svals = svals[np.arange(d) % d0]
+        spectrum = np.sort(svals, axis=None)[::-1][:kept.sum() * d // d0]
         for a in (vh, svals, spectrum):
             a.flags.writeable = False
         return vh, svals, spectrum
@@ -188,17 +202,13 @@ def _theta_triple(params: AlgebraParams, zero_tol: float):
 
 
 def _system(params: AlgebraParams, triple) -> RelationSystem:
-    """Grade blocks of Q_{d,r}(x) from the theta triple of (d, x).
+    """Coefficient table of Q_{d,r}(x) from the theta triple of (d, x).
 
-    Term n of every relation R_ij with j - i = k has the coefficient
-    table[k, n]: it depends on (i, j) only through k (the Heisenberg
-    shift), and the d terms of a row land on distinct monomials, so the
-    row maximum is a maximum over n and the per-row scale is one number
-    per k.  Terms whose numerator theta is an exact zero stay exact zeros;
-    at small x their denominators vanish to second order, and dividing
-    rounding-level numerator noise by them would pollute the row with
-    entries that blow up like 1/x^2.  Entry (s, i, a) of the blocks is
-    term n = s - i - a/r of R_{i,s-i}.
+    The d terms of a relation row land on distinct monomials, so its
+    maximum is that of its table row.  Terms whose numerator theta is an
+    exact zero stay exact zeros; at small x their denominators vanish to
+    second order, and dividing rounding-level numerator noise by them would
+    pollute the row with entries that blow up like 1/x^2.
     """
     d, r = params.d, params.r
     at_zero, at_x, at_minus_x = triple
@@ -212,14 +222,12 @@ def _system(params: AlgebraParams, triple) -> RelationSystem:
             "non-finite relation coefficient slipped through")
     top = np.abs(table).max(axis=1, keepdims=True)
     table /= np.where(top > 0.0, top, 1.0)
-    s, i, a = np.ogrid[:d, :d, :d]
-    n = (s - i - pow(r, -1, d) * a) % d
-    return RelationSystem(params, table[(s - 2 * i) % d, n])
+    return RelationSystem(params, table)
 
 
 def build_relations(params: AlgebraParams,
                     zero_tol: float = 1e-9) -> RelationSystem:
-    """Fill the grade blocks of the relation coefficients of Q_{d,r}(x).
+    """Build the relation coefficient table of Q_{d,r}(x).
 
     Every denominator theta is checked against zero_tol (relative to the
     largest theta value at the same point) before any division happens, so
@@ -233,13 +241,13 @@ def relation_terms(sys: RelationSystem):
 
     Each entry is (i, j, [(n, a, b, coeff), ...]), rows in (i, j) order and
     terms in n order, with exact-zero terms left out.  Term n of R_ij is
-    the block entry blocks[i + j, i, r(j - n)], so summing the terms of a
-    row at each (a, b) reproduces RelationSystem.coeffs.
+    the table entry table[j - i, n], so summing the terms of a row at each
+    (a, b) reproduces RelationSystem.coeffs.
     """
     d, r = sys.d, sys.params.r
     i, j, n = np.ogrid[:d, :d, :d]
     a, b = (r * (j - n)) % d, (r * (i + n)) % d
-    coeff = sys.blocks[(i + j) % d, i, a]
+    coeff = sys.table[(j - i) % d, n]
     keep = coeff != 0.0
     # every kept term in (i, j, n) order, then cut into one list per row
     terms = list(zip(*(np.broadcast_to(v, keep.shape)[keep].tolist()
@@ -254,25 +262,30 @@ def singular_values(sys: RelationSystem) -> np.ndarray:
     return sys._svd[2].copy()
 
 
-def _graded_space(sys: RelationSystem, rank_tol: float):
+def _graded_space(sys: RelationSystem, rank_tol: float, grades=None):
     """Per-grade orthonormal bases of the relation space.
 
     Returns (vh, keep): the first keep[s].sum() rows of vh[s] are a basis
-    of the grade-s part, in block coordinates a.  The rank cutoff and the
-    gap test act on the global spectrum, as for one dense SVD of all rows:
-    the dimension is the number of singular values above rank_tol times
-    the largest one, and without a clear gap there (consecutive ratio
-    < 10) AmbiguousRank is raised.
+    of the grade-s part, in block coordinates a (vh only of the given
+    grades, in order, if set).  Grade s = s0 + 2m has vh[s][:, a] =
+    vh[s0][:, a - mr].  The rank cutoff and the gap test are
+    relation_space's, on the global spectrum.
     """
-    vh, svals, s = sys._svd
-    if len(s) == 0:
-        return vh, np.zeros(svals.shape, dtype=bool)
-    keep = svals > rank_tol * s[0]
+    d = sys.d
+    rep_vh, svals, s = sys._svd
+    grades = np.arange(d) if grades is None else np.asarray(grades)
+    step = (grades + d * (grades % 2)) // 2  # grade = s0 + 2 step mod d
+    vh = rep_vh[(grades % len(rep_vh))[:, None, None], np.arange(d)[:, None],
+                (np.arange(d) - sys.params.r * step[:, None, None]) % d]
+    cutoff = rank_tol * s[0] if len(s) else np.inf
+    keep = svals > cutoff
     rank = int(keep.sum())
     if 0 < rank < len(s) and s[rank] > 0.0 and s[rank - 1] / s[rank] < 10.0:
         raise AmbiguousRank(
-            f"singular values straddle the cutoff without a gap: "
-            f"s[{rank - 1}]={s[rank - 1]:.3e}, s[{rank}]={s[rank]:.3e}")
+            f"no spectral gap at the rank cutoff {cutoff:.3e} (rank_tol="
+            f"{rank_tol:g} times s[0]={s[0]:.3e}): s[{rank - 1}]/s[{rank}] = "
+            f"{s[rank - 1]:.3e}/{s[rank]:.3e} = {s[rank - 1] / s[rank]:.3g}, "
+            f"below the required 10")
     return vh, keep
 
 
@@ -323,10 +336,10 @@ def substitution_matrix(d: int, mult: int) -> np.ndarray:
     return perm
 
 
-def _grade_bases(sys: RelationSystem, rank_tol: float):
-    """Relation-space basis of each grade s, as columns over coordinate a."""
-    vh, keep = _graded_space(sys, rank_tol)
-    return [v[:k].T for v, k in zip(vh, keep.sum(axis=1))]
+def _grade_bases(sys: RelationSystem, rank_tol: float, grades):
+    """Bases of the given grades (columns over a) and the total rank."""
+    vh, keep = _graded_space(sys, rank_tol, grades)
+    return [v[:k].T for v, k in zip(vh, keep[grades].sum(1))], keep.sum()
 
 
 def substitution_distance(d: int, r: int, r2: int, x: complex,
@@ -343,22 +356,25 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
     block coordinate a to r2*a.  Distinct grades span orthogonal
     coordinate subspaces, so the distance of the whole spaces is the
     largest distance between matching grades; no d^2 x d^2 matrix is
-    formed.  substitution_matrix is the same map in the dense layout.
+    formed.  The shift s -> s + 2 on one side and r steps of it on the
+    other both roll the coordinates by r*r2, so one grade per orbit is
+    compared.  substitution_matrix is the same map in the dense layout.
     One theta triple serves both systems.
     """
     params = AlgebraParams(d, r, x, modulus)
     triple = _theta_triple(params, zero_tol)
-    src = _grade_bases(_system(params, triple), rank_tol)
+    src = _system(params, triple)
     # a self-inverse r (r2 = r mod d) compares the system with itself
-    dst = src if (r2 - r) % d == 0 else _grade_bases(
-        _system(AlgebraParams(d, r2, x, modulus), triple), rank_tol)
-    rank, rank2 = (sum(b.shape[1] for b in bases) for bases in (src, dst))
+    dst = src if (r2 - r) % d == 0 else _system(
+        AlgebraParams(d, r2, x, modulus), triple)
+    reps = np.arange(gcd(2, d))
+    bases, rank = _grade_bases(src, rank_tol, reps)
+    bases2, rank2 = _grade_bases(dst, rank_tol, r * reps % d)
     if rank != rank2:
-        raise AmbiguousRank(
-            f"relation-space ranks differ: {rank} vs {rank2}")
+        raise AmbiguousRank(f"relation-space ranks differ: {rank} for "
+                            f"r={r}, {rank2} for r2={r2}")
     back = (pow(r2, -1, d) * np.arange(d)) % d
-    return max(subspace_distance(src[s][back], dst[(r * s) % d])
-               for s in range(d))
+    return max(subspace_distance(b[back], b2) for b, b2 in zip(bases, bases2))
 
 
 def check_substitution_isomorphism(d: int, r: int, r_prime: int, x: complex,

@@ -139,6 +139,33 @@ def test_poisson_extract_then_jacobi(capsys, tmp_path):
     assert all(row["pass"] for row in doc["residuals"])
 
 
+def _malformed_dump(path, edit):
+    payload = {"d": 3, "r": 1, "richardson_error": 0.0,
+               "entries": [{"a": 0, "b": 1, "c": 1, "e": 2,
+                            "re": 0.5, "im": 0.0}]}
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("name,edit,detail", [
+    ("index_out_of_range",
+     lambda p: p["entries"][0].update(a=5), "(5, 1, 1, 2) is not in 0..2"),
+    ("negative_index",
+     lambda p: p["entries"][0].update(e=-1), "(0, 1, 1, -1) is not in 0..2"),
+    ("missing_entries", lambda p: p.pop("entries"), "'entries'"),
+])
+def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
+                                               detail):
+    dump = _malformed_dump(tmp_path / f"{name}.json", edit)
+    code, out, err = run_cli(capsys, "poisson", "jacobi", "--in", str(dump))
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot load bracket from {str(dump)!r}: " in err
+    assert detail in err
+    assert "Traceback" not in err
+
+
 def test_poisson_extract_rejects_nonpositive_h(capsys):
     for flag in ("--h=0", "--h=-3e-5"):
         code, _, err = run_cli(capsys, "poisson", "extract", "--d", "3",

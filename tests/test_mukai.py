@@ -6,10 +6,9 @@ import pytest
 
 from sklab import mukai
 from sklab.mukai import (Bundle, GroupWord, KVector, Torsion,
-                         TransporterError, act_word, hom_dims,
-                         orbit_invariants, signed_kvector, sl2_to_word,
-                         solve_T_r, solve_U_r, solve_transporter,
-                         word_matrix, words_equal)
+                         TransporterError, act_word, orbit_invariants,
+                         signed_kvector, sl2_to_word, solve_T_r, solve_U_r,
+                         solve_transporter, word_matrix, words_equal)
 
 
 def random_object(rng):
@@ -172,17 +171,6 @@ def test_solve_U_r_companion_class():
     assert r_dp == 4
     companion = act_word(Bundle(1, 0, 0), word)
     assert signed_kvector(companion) == (4, -7)
-
-
-def test_hom_dims():
-    assert hom_dims(KVector(3, 5)) == (5, 0)
-    assert hom_dims(KVector(3, -5)) == (0, 5)
-    assert hom_dims(KVector(1, 0)) == (1, 1)
-    assert hom_dims(KVector(1, 0), assume_trivial=False) == (0, 0)
-    with pytest.raises(ValueError):
-        hom_dims(KVector(-2, 5))
-    with pytest.raises(ValueError):
-        hom_dims(KVector(2, 4))
 
 
 def test_sl2_to_word_cross_check_raises(monkeypatch):

@@ -70,6 +70,38 @@ def dense_substitution_distance(d, r, r2, x, modulus):
                              spaces[1])
 
 
+def all_grade_svd(system):
+    """The decomposition of every grade block, as RelationSystem._svd once
+    did: one batched SVD of all d blocks.  Returns (vh, block_svals,
+    spectrum) for every grade."""
+    blocks = system.blocks
+    rowmax = np.abs(blocks).max(axis=2)
+    live = (rowmax > 0.0) & (rowmax >= sklyanin.ROW_DROP_CUTOFF
+                             * rowmax.max())
+    _, svals, vh = np.linalg.svd(np.where(live[..., None], blocks, 0.0))
+    kept = live.sum(axis=1)
+    svals[np.arange(system.d) >= kept[:, None]] = 0.0
+    return vh, svals, np.sort(svals, axis=None)[::-1][:int(kept.sum())]
+
+
+def all_grade_bases(system, rank_tol=1e-9):
+    """Per-grade relation-space bases (columns over a) and the rank, from
+    all_grade_svd and the global cutoff."""
+    vh, svals, spectrum = all_grade_svd(system)
+    keep = svals > (rank_tol * spectrum[0] if len(spectrum) else np.inf)
+    return [v[:k].T for v, k in zip(vh, keep.sum(axis=1))], int(keep.sum())
+
+
+def all_grade_substitution_distance(d, r, r2, x, modulus):
+    """substitution_distance compared over all d grades."""
+    bases = [all_grade_bases(build_relations(AlgebraParams(d, q, x,
+                                                           modulus)))[0]
+             for q in (r, r2)]
+    back = (pow(r2, -1, d) * np.arange(d)) % d
+    return max(subspace_distance(bases[0][s][back], bases[1][(r * s) % d])
+               for s in range(d))
+
+
 def test_params_reject_non_coprime(modulus):
     with pytest.raises(ValueError):
         AlgebraParams(4, 2, X_GENERIC, modulus)
@@ -280,20 +312,109 @@ def test_off_cell_x_matches_the_cell(d, r, q, modulus):
 
 
 def test_ambiguous_rank_raises(modulus):
-    # the cutoff falls between 3e-9 (grade 0) and 5e-10 (grade 1), so the
-    # gap test must read the spectrum across blocks
-    params = AlgebraParams(3, 1, X_GENERIC, modulus)
+    # At even d the even and the odd grades are two orbits.  The cutoff
+    # 1e-9 falls between 3e-9 (even orbit) and 5e-10 (odd orbit); alone,
+    # neither orbit trips the gap test (the even one keeps every value, the
+    # odd one has a gap of 1.2e9), so the test must read the spectrum
+    # across orbits.  With every even table row equal to u, the
+    # even blocks are circulants of u up to a column permutation, with
+    # singular values |fft(u)|; likewise w for the odd ones.
+    d = 4
+    params = AlgebraParams(d, 3, X_GENERIC, modulus)
     rng = np.random.default_rng(7)
-    spectra = [[1.0, 3e-9, 1e-15], [1.0, 5e-10, 1e-15], [1.0, 1e-15, 1e-15]]
-    blocks = []
-    for svals in spectra:
-        u, _ = np.linalg.qr(rng.normal(size=(3, 3))
-                            + 1j * rng.normal(size=(3, 3)))
-        v, _ = np.linalg.qr(rng.normal(size=(3, 3))
-                            + 1j * rng.normal(size=(3, 3)))
-        blocks.append((u * svals) @ v)
-    with pytest.raises(AmbiguousRank):
-        relation_space(RelationSystem(params, np.array(blocks)))
+    spectra = np.array([[1.0, 0.7, 0.5, 3e-9], [1.0, 0.8, 0.6, 5e-10]])
+    u, w = np.fft.ifft(spectra * np.exp(2j * np.pi * rng.random((2, d))))
+    table = np.empty((d, d), dtype=complex)
+    table[0::2], table[1::2] = u, w
+    system = RelationSystem(params, table)
+    want = np.sort(np.repeat(spectra, d // 2))[::-1]
+    assert np.abs(singular_values(system) - want).max() <= 1e-15
+    with pytest.raises(AmbiguousRank,
+                       match=r"rank cutoff 1\.000e-09 \(rank_tol=1e-09 times "
+                             r"s\[0\]=1\.000e\+00\): s\[13\]/s\[14\] = "
+                             r"3\.000e-09/5\.000e-10 = 6, below the "
+                             r"required 10"):
+        relation_space(system)
+
+
+def test_rank_mismatch_names_both_systems(modulus, monkeypatch):
+    # keep one table row of Q_{5,3}: one relation per grade, rank 5 of 10
+    system = sklyanin._system
+
+    def one_row(params, triple):
+        built = system(params, triple)
+        if params.r != 3:
+            return built
+        table = built.table.copy()
+        table[1:] = 0.0
+        return RelationSystem(params, table)
+
+    monkeypatch.setattr(sklyanin, "_system", one_row)
+    with pytest.raises(AmbiguousRank, match=r"relation-space ranks differ: "
+                                            r"10 for r=2, 5 for r2=3$"):
+        substitution_distance(5, 2, 3, X_GENERIC, modulus)
+
+
+@pytest.mark.parametrize("d", range(1, 22))
+def test_orbit_svd_matches_all_grade_oracle(d, modulus):
+    units = [r for r in range(d) if gcd(r, d) == 1]
+    for r in units:
+        system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+        want_bases, want_rank = all_grade_bases(system)
+        bases, rank = sklyanin._grade_bases(system, 1e-9, np.arange(d))
+        assert rank == want_rank, r
+        want = all_grade_svd(system)[2]
+        svals = singular_values(system)
+        assert len(svals) == len(want)
+        assert np.abs(svals - want).max(initial=0.0) \
+            <= 1e-13 * want.max(initial=0.0)
+        for got, basis in zip(bases, want_bases):
+            assert subspace_distance(got, basis) <= 1e-13, r
+        r_inv = pow(r, -1, d)
+        dist = check_substitution_isomorphism(d, r, r_inv, X_GENERIC,
+                                              modulus)
+        want = all_grade_substitution_distance(d, r, r_inv, X_GENERIC,
+                                               modulus)
+        assert max(dist, want) <= 1e-13 and abs(dist - want) <= 3e-14, r
+        r2 = next((q for q in units if (r * q - 1) % d), None)
+        if r2 is not None:
+            dist = substitution_distance(d, r, r2, X_GENERIC, modulus)
+            want = all_grade_substitution_distance(d, r, r2, X_GENERIC,
+                                                   modulus)
+            assert abs(dist - want) <= 1e-12 * want, (r, r2)
+
+
+@pytest.mark.parametrize("d", range(1, 22))
+def test_blocks_heisenberg_shift(d, modulus):
+    for r in range(d):
+        if gcd(r, d) != 1:
+            continue
+        system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+        blocks = system.blocks
+        s, i, a = np.ogrid[:d, :d, :d]
+        assert np.array_equal(
+            blocks, system.coeffs[i, (s - i) % d, a, (r * s - a) % d])
+        for g in range(d):
+            assert np.array_equal(blocks[(g + 2) % d],
+                                  np.roll(blocks[g], (1, r), axis=(0, 1)))
+
+
+@pytest.mark.parametrize("d,r", [(9, 2), (10, 3)])
+def test_one_svd_of_one_block_per_orbit(d, r, modulus, monkeypatch):
+    shapes, compared = [], []
+    svd, distance = np.linalg.svd, sklyanin.subspace_distance
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: shapes.append(a.shape)
+                        or svd(a, *args, **kw))
+    monkeypatch.setattr(sklyanin, "subspace_distance",
+                        lambda *a: compared.append(a) or distance(*a))
+    assert check_substitution_isomorphism(d, r, pow(r, -1, d), X_GENERIC,
+                                          modulus) < 1e-8
+    # one SVD per system, over the gcd(2, d) orbit representatives; the
+    # rest are the subspace distances' own 2-d SVDs
+    assert shapes[:2] == [(gcd(2, d), d, d)] * 2
+    assert all(len(shape) == 2 for shape in shapes[2:])
+    assert len(compared) == gcd(2, d)
 
 
 def test_subspace_distance_identical_and_orthogonal():
@@ -314,12 +435,12 @@ def test_substitution_isomorphism_positive(modulus):
 def test_self_inverse_distance_matches_two_builds(d, r, r2, modulus,
                                                   monkeypatch):
     """For r2 = r mod d one build serves both sides, with the same float."""
+    reps = np.arange(gcd(2, d))
     bases = [sklyanin._grade_bases(
-        build_relations(AlgebraParams(d, q, X_GENERIC, modulus)), 1e-9)
-        for q in (r, r2)]
+        build_relations(AlgebraParams(d, q, X_GENERIC, modulus)), 1e-9,
+        grades)[0] for q, grades in ((r, reps), (r2, r * reps % d))]
     back = (pow(r2, -1, d) * np.arange(d)) % d
-    want = max(subspace_distance(bases[0][s][back], bases[1][(r * s) % d])
-               for s in range(d))
+    want = max(subspace_distance(b[back], b2) for b, b2 in zip(*bases))
     builds = []
     system = sklyanin._system
     monkeypatch.setattr(sklyanin, "_system",
