@@ -39,7 +39,6 @@ class UsageError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     omega: complex = DEFAULT_OMEGA
-    zero_tol: float = 1e-9
     rank_tol: float = 1e-9
     iso_tol: float = 1e-8
     bracket_tol: float = 1e-6
@@ -47,7 +46,7 @@ class RunConfig:
     output_format: str = "json"
 
     def validate(self) -> "RunConfig":
-        for name in ("zero_tol", "rank_tol", "iso_tol", "bracket_tol"):
+        for name in ("rank_tol", "iso_tol", "bracket_tol"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
         if self.omega.imag <= 0:
@@ -223,9 +222,8 @@ def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
         r1, r2 = _theta_residuals_at(basis, m, z)
         worst1, worst2 = max(worst1, r1), max(worst2, r2)
     count_dev = max(abs(theta_zero_count(basis, m) - d) for m in range(d))
-    x = sklyanin.sample_generic_x(d, config.modulus, rng,
-                                  zero_tol=config.zero_tol)
-    _, b, fit = theta_symmetry_constants(basis, x, zero_tol=config.zero_tol)
+    x = sklyanin.sample_generic_x(d, config.modulus, rng)
+    _, b, fit = theta_symmetry_constants(basis, x)
     return [
         residual_row("shift_by_1_over_d_max", worst1, FUNCTIONAL_EQ_TOL),
         residual_row("shift_by_omega_max", worst2, FUNCTIONAL_EQ_TOL),
@@ -244,7 +242,7 @@ def cmd_theta_check(args, config: RunConfig) -> int:
 
 def cmd_sklyanin_relations(args, config: RunConfig) -> int:
     params = sklyanin.AlgebraParams(args.d, args.r, args.x, config.modulus)
-    system = sklyanin.build_relations(params, zero_tol=config.zero_tol)
+    system = sklyanin.build_relations(params)
     space = sklyanin.relation_space(system, rank_tol=config.rank_tol)
     svals = sklyanin.singular_values(system)
     rank = space.shape[1]
@@ -279,8 +277,7 @@ def _iso_row(d: int, r: int, r_prime: int, x: complex,
             config: RunConfig) -> dict:
     """Row of `sklyanin check-iso`: the substitution subspace distance."""
     dist = sklyanin.check_substitution_isomorphism(
-        d, r, r_prime, x, config.modulus, zero_tol=config.zero_tol,
-        rank_tol=config.rank_tol)
+        d, r, r_prime, x, config.modulus, rank_tol=config.rank_tol)
     return residual_row("subspace_distance", dist, config.iso_tol)
 
 
@@ -307,8 +304,8 @@ def _extract_rows(d: int, r: int, h: float, config: RunConfig):
     if not h > 0:
         raise UsageError(f"h must be positive, got {h:g}")
     tensor = poisson.extract_bracket(
-        d, r, config.modulus, h=h, zero_tol=config.zero_tol,
-        rank_tol=config.rank_tol, bracket_tol=config.bracket_tol)
+        d, r, config.modulus, h=h, rank_tol=config.rank_tol,
+        bracket_tol=config.bracket_tol)
     return tensor, [residual_row("richardson_error", tensor.richardson_error,
                                  config.bracket_tol), _skew_row(tensor)]
 
@@ -348,12 +345,16 @@ def load_poisson_json(path: str) -> poisson.PoissonTensor:
         with open(path) as fh:
             data = json.load(fh)
         d = int(data["d"])
+        if d < 1:
+            raise ValueError(f"d = {d} is below 1")
         pi = np.zeros((d, d, d, d), dtype=complex)
         for entry in data["entries"]:
             index = tuple(entry[k] for k in "abce")
             if not all(type(i) is int and 0 <= i < d for i in index):
                 raise ValueError(f"entry index {index} is not in 0..{d - 1}")
             pi[index] = complex(entry["re"], entry["im"])
+            if not np.isfinite(pi[index]):
+                raise ValueError(f"entry {index} is not finite")
         return poisson.PoissonTensor(
             d=d, r=int(data["r"]), pi=pi,
             richardson_error=float(data["richardson_error"]))
@@ -546,18 +547,15 @@ def cmd_check_all(args, config: RunConfig) -> int:
         for r in range(1, d):
             if gcd(r, d) != 1:
                 continue
-            x = sklyanin.sample_generic_x(d, config.modulus, rng,
-                                          zero_tol=config.zero_tol)
+            x = sklyanin.sample_generic_x(d, config.modulus, rng)
             system = sklyanin.build_relations(
-                sklyanin.AlgebraParams(d, r, x, config.modulus),
-                zero_tol=config.zero_tol)
+                sklyanin.AlgebraParams(d, r, x, config.modulus))
             space = sklyanin.relation_space(system, rank_tol=config.rank_tol)
             rank_dev = max(rank_dev, abs(space.shape[1] - d * (d - 1) // 2))
     rows.append(residual_row("sklyanin_rank_dev", rank_dev, 0.5))
 
     if dmax >= 5:
-        x = sklyanin.sample_generic_x(5, config.modulus, rng,
-                                      zero_tol=config.zero_tol)
+        x = sklyanin.sample_generic_x(5, config.modulus, rng)
         rows.append(dict(_iso_row(5, 2, 3, x, config),
                          name="substitution_iso_5_2_3"))
 
@@ -647,7 +645,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, env_cfg: RunConfig):
     parser.add_argument("--format", dest="output_format",
                         choices=("json", "table"),
                         default=env_cfg.output_format, help="output format")
-    parser.add_argument("--zero-tol", type=float, default=env_cfg.zero_tol)
     parser.add_argument("--rank-tol", type=float, default=env_cfg.rank_tol)
     parser.add_argument("--iso-tol", type=float, default=env_cfg.iso_tol)
     parser.add_argument("--bracket-tol", type=float,

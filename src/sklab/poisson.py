@@ -92,7 +92,7 @@ def _pack(mats: np.ndarray) -> np.ndarray:
 
 
 def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
-                   zero_tol: float, rank_tol: float) -> np.ndarray:
+                   rank_tol: float) -> np.ndarray:
     """Bracket matrices -Sym(v)/h at x = h*u, as a (d, d, d, d) array.
 
     For every pair a < b, v is the relation-space element whose
@@ -107,7 +107,7 @@ def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
     antisymmetric in (a, b).
     """
     x = h * EXTRACTION_DIRECTION
-    sys = build_relations(AlgebraParams(d, r, x, modulus), zero_tol)
+    sys = build_relations(AlgebraParams(d, r, x, modulus))
     vh, keep = _graded_space(sys, rank_tol)
     rank = keep.sum(axis=1)
     coord = np.arange(d)
@@ -159,8 +159,7 @@ def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
 
 
 def extract_bracket(d: int, r: int, modulus: CurveModulus,
-                    h: float = DEFAULT_H, zero_tol: float = 1e-9,
-                    rank_tol: float = 1e-9,
+                    h: float = DEFAULT_H, rank_tol: float = 1e-9,
                     bracket_tol: float = 1e-6) -> PoissonTensor:
     """Extract the bracket of the x -> 0 degeneration of Q_{d,r}(x).
 
@@ -170,8 +169,7 @@ def extract_bracket(d: int, r: int, modulus: CurveModulus,
     and must come in under bracket_tol, otherwise the extraction is
     rejected rather than silently inaccurate.
     """
-    coarse, mid, fine = (_extract_level(d, r, modulus, step, zero_tol,
-                                        rank_tol)
+    coarse, mid, fine = (_extract_level(d, r, modulus, step, rank_tol)
                          for step in (h, h / 2, h / 4))
     first = 2.0 * mid - coarse
     second = 2.0 * fine - mid

@@ -27,8 +27,8 @@ from math import gcd
 
 import numpy as np
 
-from .theta import (ConvergenceError, CurveModulus, ThetaBasis, lattice_gap,
-                    reduce_to_cell)
+from .theta import (ConvergenceError, CurveModulus, DenominatorNearZero,
+                    ThetaBasis, reduce_to_cell, torsion_gate)
 
 __all__ = [
     "AlgebraParams",
@@ -48,17 +48,8 @@ __all__ = [
 
 ROW_DROP_CUTOFF = 1e-10
 
-
-class DenominatorNearZero(ValueError):
-    """x sits too close to a zero of a denominator theta; move x."""
-
-    def __init__(self, index: int, which: str, ratio: float, zero_tol: float):
-        self.index = index
-        self.which = which
-        self.ratio = ratio
-        super().__init__(
-            f"|theta_{index}({which})| is {ratio:.2e} of the largest basis "
-            f"value, below zero_tol={zero_tol:g}")
+# Draws sample_generic_x makes before it gives up.
+GENERIC_X_DRAWS = 51
 
 
 class AmbiguousRank(RuntimeError):
@@ -69,10 +60,10 @@ class AmbiguousRank(RuntimeError):
 class AlgebraParams:
     """Parameters (d, r, x) of Q_{d,r}(x) on the curve C/(Z + omega Z).
 
-    r is stored reduced mod d and must be a unit mod d; x must not be a
-    lattice point (x = 0 is the symmetric-algebra degeneration, reached
-    only as a limit by the poisson module).  x may lie in any cell; it
-    must be finite.
+    r is stored reduced mod d and must be a unit mod d.  x may lie in any
+    cell; it must be finite.  x near a d-torsion point, x = 0 included
+    (the symmetric-algebra degeneration, reached only as a limit by the
+    poisson module), is refused when the relations are built.
     """
 
     d: int
@@ -89,9 +80,6 @@ class AlgebraParams:
         object.__setattr__(self, "x", complex(self.x))
         if not np.isfinite(self.x):
             raise ValueError("x must be finite")
-        dist, bound = lattice_gap(self.x, self.modulus.omega)
-        if dist < bound:
-            raise ValueError("x is congruent to 0 mod the lattice")
 
 
 @dataclass(frozen=True)
@@ -163,24 +151,10 @@ class RelationSystem:
         return vh, svals, spectrum
 
 
-def _gate(basis: ThetaBasis, x: complex, zero_tol: float) -> np.ndarray:
-    """theta values at x and -x (rows 0 and 1): the denominator gate.
+def _theta_triple(params: AlgebraParams):
+    """Theta values at 0, x_red and -x_red, x_red = x in the cell.
 
-    Refuses x when the smallest |theta_m| at x or at -x is below zero_tol
-    times the largest at the same point, naming the worse of the two.
-    """
-    vals = np.stack([basis.values_at(x), basis.values_at(-x)])
-    mags = np.abs(vals)
-    ratios = mags.min(axis=1) / mags.max(axis=1)
-    w = int(ratios.argmin())
-    if ratios[w] < zero_tol:
-        raise DenominatorNearZero(int(mags[w].argmin()), ("x", "-x")[w],
-                                  float(ratios[w]), zero_tol)
-    return vals
-
-
-def _theta_triple(params: AlgebraParams, zero_tol: float):
-    """Gated theta values at 0, x_red and -x_red, x_red = x in the cell.
+    torsion_gate refuses x first, so no denominator among them vanishes.
 
     Shifting x by p + q*omega multiplies every denominator by one common
     factor, which the row scaling removes up to its phase; the theta(0)
@@ -191,9 +165,10 @@ def _theta_triple(params: AlgebraParams, zero_tol: float):
     the same (d, x).
     """
     d, omega = params.d, params.modulus.omega
+    torsion_gate(d, params.x, omega)
     basis = ThetaBasis(d, params.modulus)
     x_red, _, q = reduce_to_cell(params.x, omega)
-    at_x, at_minus_x = _gate(basis, complex(x_red), zero_tol)
+    at_x, at_minus_x = basis.values_at(x_red), basis.values_at(-x_red)
     at_zero = basis.values_at_zero()
     if q:
         at_zero = at_zero * np.exp(2j * np.pi * d * q * (omega.real * q
@@ -225,15 +200,13 @@ def _system(params: AlgebraParams, triple) -> RelationSystem:
     return RelationSystem(params, table)
 
 
-def build_relations(params: AlgebraParams,
-                    zero_tol: float = 1e-9) -> RelationSystem:
+def build_relations(params: AlgebraParams) -> RelationSystem:
     """Build the relation coefficient table of Q_{d,r}(x).
 
-    Every denominator theta is checked against zero_tol (relative to the
-    largest theta value at the same point) before any division happens, so
-    a row can never silently contain an underflowed entry.
+    x is refused (DenominatorNearZero) near a d-torsion point, the only
+    place a denominator theta vanishes, before any division happens.
     """
-    return _system(params, _theta_triple(params, zero_tol))
+    return _system(params, _theta_triple(params))
 
 
 def relation_terms(sys: RelationSystem):
@@ -343,7 +316,7 @@ def _grade_bases(sys: RelationSystem, rank_tol: float, grades):
 
 
 def substitution_distance(d: int, r: int, r2: int, x: complex,
-                          modulus: CurveModulus, zero_tol: float = 1e-9,
+                          modulus: CurveModulus,
                           rank_tol: float = 1e-9) -> float:
     """Distance between the transported Q_{d,r}(x) space and Q_{d,r2}(x).
 
@@ -362,7 +335,7 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
     One theta triple serves both systems.
     """
     params = AlgebraParams(d, r, x, modulus)
-    triple = _theta_triple(params, zero_tol)
+    triple = _theta_triple(params)
     src = _system(params, triple)
     # a self-inverse r (r2 = r mod d) compares the system with itself
     dst = src if (r2 - r) % d == 0 else _system(
@@ -379,7 +352,6 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
 
 def check_substitution_isomorphism(d: int, r: int, r_prime: int, x: complex,
                                    modulus: CurveModulus,
-                                   zero_tol: float = 1e-9,
                                    rank_tol: float = 1e-9) -> float:
     """Subspace distance realizing the isomorphism Q_{d,r}(x) = Q_{d,r'}(x).
 
@@ -391,29 +363,26 @@ def check_substitution_isomorphism(d: int, r: int, r_prime: int, x: complex,
         raise ValueError(
             f"r*r' = {r}*{r_prime} is not 1 mod {d}; "
             "the substitution is only an isomorphism for inverse pairs")
-    return substitution_distance(d, r, r_prime, x, modulus, zero_tol, rank_tol)
+    return substitution_distance(d, r, r_prime, x, modulus, rank_tol)
 
 
-def sample_generic_x(d: int, modulus: CurveModulus, rng,
-                     zero_tol: float = 1e-9, max_rejects: int = 50) -> complex:
-    """Draw x uniformly in the fundamental cell, away from denominator zeros.
+def sample_generic_x(d: int, modulus: CurveModulus, rng) -> complex:
+    """Draw x uniformly in the fundamental cell, away from the d-torsion points.
 
-    Rejects x by the denominator gate build_relations applies (some
-    |theta_m| at x or -x below zero_tol relative to the largest there);
-    the zeros form a measure zero set, so more than a handful of
-    rejections means something is wrong: when all max_rejects + 1 draws
-    fail, ConvergenceError is raised, naming the best ratio seen.
+    Refuses x by torsion_gate, the test build_relations applies; no theta
+    value is computed.  The refused discs are a tiny share of the cell, so
+    when all GENERIC_X_DRAWS draws are refused something is wrong:
+    ConvergenceError is raised, naming the largest distance seen.
     """
-    basis = ThetaBasis(d, modulus)
     best = 0.0
-    for _ in range(max_rejects + 1):
+    for _ in range(GENERIC_X_DRAWS):
         x = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * modulus.omega
         try:
-            _gate(basis, x, zero_tol)
+            torsion_gate(d, x, modulus.omega)
             return complex(x)
         except DenominatorNearZero as exc:
-            best = max(best, exc.ratio)
+            best = max(best, exc.distance)
     raise ConvergenceError(
-        f"no generic x found in {max_rejects + 1} draws: the best "
-        f"min/max |theta| ratio at x and -x was {best:.2e}, below "
-        f"zero_tol={zero_tol:g}")
+        f"no generic x found in {GENERIC_X_DRAWS} draws: the largest "
+        f"distance d*|x - p| to a {d}-torsion point p was {best:.2e}, "
+        f"within the torsion bound")

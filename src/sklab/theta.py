@@ -29,16 +29,34 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "CurveModulus",
+    "DenominatorNearZero",
     "ThetaBasis",
     "ThetaOverflowError",
-    "lattice_gap",
     "reduce_to_cell",
     "theta_symmetry_constants",
     "theta_zero_count",
+    "torsion_gate",
 ]
 
 _TWO_PI_I = 2j * np.pi
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+# Relative truncation tolerance of the defining series.
+TAIL_EPS = 1e-14
+
+# Bounds on d |x - p|, p the nearest d-torsion point, below which
+# torsion_gate refuses x.  Near p = 0 the relations tend to the commutators
+# (the classical limit samples x = h u there), so the bound is smaller.
+TORSION_BOUND_AT_ZERO = 2e-7
+TORSION_BOUND = 3e-5
+
+# Fit tolerance of theta_symmetry_constants.
+FIT_TOL = 1e-8
+
+# Gauss-Legendre nodes per contour edge, and contour placements tried, of
+# theta_zero_count.
+ZERO_COUNT_NODES = 160
+ZERO_COUNT_TRIES = 8
 
 
 def reduce_to_cell(z, omega: complex):
@@ -54,14 +72,38 @@ def reduce_to_cell(z, omega: complex):
     return z_red, p.astype(np.int64), q.astype(np.int64)
 
 
-def lattice_gap(z: complex, omega: complex):
-    """Distance from z to the lattice Z + Z omega, and the lattice bound.
+class DenominatorNearZero(ValueError):
+    """x is too close to a d-torsion point, where a denominator theta
+    vanishes; move x."""
 
-    z counts as a lattice point when the distance is below the bound,
-    1e-12 (1 + |omega|).  Returns (distance, bound).
+    def __init__(self, d: int, point, distance: float, bound: float):
+        self.distance = distance
+        super().__init__(
+            f"x is near the {d}-torsion point p = ({point[0]} + {point[1]} "
+            f"omega)/{d} mod the lattice: d*|x - p| = {distance:.2e}, the "
+            f"distance of d*x from the lattice, is below the bound {bound:g}")
+
+
+def torsion_gate(d: int, x: complex, omega: complex) -> None:
+    """Refuse x near a d-torsion point p, by the distance d |x - p|.
+
+    theta_m vanishes exactly at z = k/d - m omega/d (mod the lattice), so
+    every theta_m(+-x) is nonzero unless x is a d-torsion point
+    p = (P + Q omega)/d.  Reducing d x to the cell gives d x - P - Q omega,
+    whose modulus is d |x - p| for the nearest p.  DenominatorNearZero is
+    raised when that is below TORSION_BOUND_AT_ZERO for p = 0 mod the
+    lattice (d divides P and Q), or below TORSION_BOUND for any other p;
+    ValueError when x is not finite.  No theta value is computed.
     """
-    z_red, _, _ = reduce_to_cell(z, omega)
-    return abs(complex(z_red)), 1e-12 * (1.0 + abs(omega))
+    x = complex(x)
+    if not np.isfinite(x):
+        raise ValueError("x must be finite")
+    y, p, q = reduce_to_cell(d * x, omega)
+    dist = abs(complex(y))
+    point = (int(p) % d, int(q) % d)
+    bound = TORSION_BOUND_AT_ZERO if point == (0, 0) else TORSION_BOUND
+    if dist < bound:
+        raise DenominatorNearZero(d, point, dist, bound)
 
 
 class ConvergenceError(RuntimeError):
@@ -97,8 +139,6 @@ class ThetaBasis:
         Level; also the number of basis functions and of zeros per cell.
     modulus : CurveModulus
         The curve.
-    tail_eps : float, optional
-        Relative truncation tolerance for the defining series.
 
     Notes
     -----
@@ -109,13 +149,10 @@ class ThetaBasis:
 
     d: int
     modulus: CurveModulus
-    tail_eps: float = 1e-14
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("level d must be >= 1")
-        if not (0.0 < self.tail_eps < 1.0):
-            raise ValueError("tail_eps must be in (0, 1)")
 
     @property
     def omega(self) -> complex:
@@ -161,7 +198,7 @@ class ThetaBasis:
                            + _TWO_PI_I * (lin[:, None] * c[:, None, :]))
             total = terms.sum(axis=2)
             edge = np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1]))
-            if np.all(edge < self.tail_eps * np.abs(total)):
+            if np.all(edge < TAIL_EPS * np.abs(total)):
                 break
             half_width *= 1.5
             if half_width > cap:
@@ -219,9 +256,7 @@ def _values_at_zero(basis: ThetaBasis) -> np.ndarray:
     return vals
 
 
-def theta_symmetry_constants(basis: ThetaBasis, x: complex,
-                             zero_tol: float = 1e-9,
-                             fit_tol: float = 1e-8):
+def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     """Fit the constants of the reflection identity of the family.
 
     The basis satisfies theta_{-i}(-x) = a * b^i * theta_i(x) for constants
@@ -238,27 +273,18 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex,
     Raises
     ------
     ValueError
-        If x is not finite, if d*x lies within 1e-12 (1 + |omega|) of the
-        lattice Z + Z omega (x is a d-torsion point, where some theta_i(x)
-        vanishes exactly), or if some |theta_i(x)| is below zero_tol
-        relative to the largest, i.e. x sits too close to a zero divisor of
-        the identity.
+        If x is not finite, or DenominatorNearZero if torsion_gate refuses
+        x (near a d-torsion point some theta_i(x) vanishes): the same test
+        the relation builder applies.
     ConvergenceError
-        If the fitted constants violate the identity or |b^d - 1| >= fit_tol.
+        If the fitted constants violate the identity or |b^d - 1| >= FIT_TOL.
     """
     d = basis.d
-    if not np.isfinite(complex(x)):
-        raise ValueError("x must be finite")
-    dist, bound = lattice_gap(d * complex(x), basis.omega)
-    if dist < bound:
-        raise ValueError(f"d*x is {dist:.3e} from the lattice Z + Z omega, "
-                         f"below {bound:.3e}")
+    torsion_gate(d, x, basis.omega)
     idx = np.arange(d)
     plus = basis.values_at(x)
     minus = basis.values_at(-x)[(-idx) % d]
     scale = np.abs(plus).max()
-    if scale == 0.0 or np.abs(plus).min() < zero_tol * scale:
-        raise ValueError("x is too close to a theta zero for the fit")
     rho = minus / plus
     if d == 1:
         b = 1.0 + 0.0j
@@ -267,12 +293,12 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex,
         b = complex(np.mean(rho[1:] / rho[:-1]))
         a = complex(np.mean(rho * b ** (-idx.astype(float))))
     residual = float(np.abs(minus - a * b ** idx * plus).max() / scale)
-    if residual >= fit_tol:
+    if not residual < FIT_TOL:
         raise ConvergenceError(
-            f"symmetry fit residual {residual:.3e} exceeds {fit_tol:g}")
-    if abs(b ** d - 1.0) >= fit_tol:
+            f"symmetry fit residual {residual:.3e} exceeds {FIT_TOL:g}")
+    if abs(b ** d - 1.0) >= FIT_TOL:
         raise ConvergenceError(
-            f"|b^d - 1| = {abs(b ** d - 1.0):.3e} exceeds {fit_tol:g}")
+            f"|b^d - 1| = {abs(b ** d - 1.0):.3e} exceeds {FIT_TOL:g}")
     return a, b, residual
 
 
@@ -298,8 +324,7 @@ def _winding(basis, m, base, n):
     return weights @ (fb - ft + w * (fr - fl)) / _TWO_PI_I
 
 
-def theta_zero_count(basis: ThetaBasis, m: int, nodes: int = 160,
-                     max_retries: int = 8) -> int:
+def theta_zero_count(basis: ThetaBasis, m: int) -> int:
     """Count zeros of theta_m in a fundamental cell by contour integration.
 
     Integrates theta'/theta around a fundamental parallelogram with
@@ -313,13 +338,14 @@ def theta_zero_count(basis: ThetaBasis, m: int, nodes: int = 160,
     d = basis.d
     height = ((-m) % d) / d
     base = 1.0 / (2.0 * d) + (height - 0.5) * basis.omega
-    for attempt in range(max_retries):
-        w1 = _winding(basis, m, base, nodes)
-        w2 = _winding(basis, m, base, 2 * nodes)
+    for attempt in range(ZERO_COUNT_TRIES):
+        w1 = _winding(basis, m, base, ZERO_COUNT_NODES)
+        w2 = _winding(basis, m, base, 2 * ZERO_COUNT_NODES)
         if w1 is not None and w2 is not None and abs(w2 - w1) < 1e-3:
             count = int(np.rint(w2.real))
             if abs(w2 - count) < 0.01:
                 return count
         base += 0.37 / d
     raise ConvergenceError(
-        f"no clean contour found for zero count after {max_retries} attempts")
+        f"no clean contour found for zero count after {ZERO_COUNT_TRIES} "
+        "attempts")

@@ -1,14 +1,12 @@
 import ast
 import json
 import shlex
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import SRC
-from sklab import mukai, residues
+from conftest import OMEGA, SRC
+from sklab import mukai, residues, theta
 from sklab.cli import run
 from sklab.theta import ThetaBasis
 
@@ -144,7 +142,8 @@ def _malformed_dump(path, edit):
                "entries": [{"a": 0, "b": 1, "c": 1, "e": 2,
                             "re": 0.5, "im": 0.0}]}
     edit(payload)
-    path.write_text(json.dumps(payload))
+    # an infinite entry is written as a literal that overflows on reading
+    path.write_text(json.dumps(payload).replace("Infinity", "1e400"))
     return path
 
 
@@ -154,6 +153,9 @@ def _malformed_dump(path, edit):
     ("negative_index",
      lambda p: p["entries"][0].update(e=-1), "(0, 1, 1, -1) is not in 0..2"),
     ("missing_entries", lambda p: p.pop("entries"), "'entries'"),
+    ("zero_d", lambda p: p.update(d=0), "d = 0 is below 1"),
+    ("non_finite_entry", lambda p: p["entries"][0].update(re=float("inf")),
+     "entry (0, 1, 1, 2) is not finite"),
 ])
 def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
                                                detail):
@@ -161,9 +163,10 @@ def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
     code, out, err = run_cli(capsys, "poisson", "jacobi", "--in", str(dump))
     assert code == 2
     assert out == ""
-    assert f"error: cannot load bracket from {str(dump)!r}: " in err
+    assert err.startswith(f"error: cannot load bracket from {str(dump)!r}: ")
     assert detail in err
-    assert "Traceback" not in err
+    # one line: no traceback, no numpy warning
+    assert err.count("\n") == 1
 
 
 def test_poisson_extract_rejects_nonpositive_h(capsys):
@@ -203,15 +206,56 @@ def test_non_finite_x_is_usage_error(capsys, argv):
     assert "error: x must be finite" in err
 
 
-def test_no_generic_x_is_exit_one_without_traceback(src_env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "sklab.cli", "theta", "check", "--d", "3",
-         "--zero-tol", "0.9"],
-        capture_output=True, text=True, env=src_env, timeout=120)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert "verification failed: no generic x found" in proc.stderr
-    assert "zero_tol=0.9" in proc.stderr
+def test_no_generic_x_is_exit_one_without_traceback(capsys, monkeypatch):
+    # torsion bounds wider than the cell refuse every draw
+    for name in ("TORSION_BOUND", "TORSION_BOUND_AT_ZERO"):
+        monkeypatch.setattr(theta, name, 10.0)
+    code, out, err = run_cli(capsys, "theta", "check", "--d", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: no generic x found in 51 "
+                          "draws: the largest distance d*|x - p| to a "
+                          "3-torsion point p was ")
+    assert err.count("\n") == 1
+
+
+def test_zero_tol_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "theta", "check", "--d", "3",
+                             "--zero-tol", "1")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --zero-tol 1" in err
+
+
+def test_near_torsion_x_is_usage_error(capsys):
+    # 1e-7 from d x = 1 + omega at d = 3: refused, not reported as rank 6
+    x = (1 + OMEGA) / 3 + (1e-7 / 3) * (0.6 + 0.8j)
+    code, out, err = run_cli(capsys, "sklyanin", "relations", "--d", "3",
+                             "--r", "1", "--x", f"{x.real!r},{x.imag!r}")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: x is near the 3-torsion point p = (1 + 1 omega)/3 "
+                   "mod the lattice: d*|x - p| = 1.00e-07, the distance of "
+                   "d*x from the lattice, is below the bound 3e-05\n")
+
+
+@pytest.mark.parametrize("d,r", [(3, 1), (5, 2), (9, 2)])
+def test_poisson_extract_at_small_h(capsys, d, r):
+    # the finest level sits at d |x| = d h/4, above the bound at p = 0
+    code, out, err = run_cli(capsys, "poisson", "extract", "--d", str(d),
+                             "--r", str(r), "--h", "1e-6")
+    assert code == 0, err
+    assert all(row["pass"] for row in json.loads(out)["residuals"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("sklyanin", "relations", "--d", "23", "--r", "2", "--x", "0.11,0.17"),
+    ("theta", "check", "--d", "25"),
+])
+def test_past_d_21(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert all(row["pass"] for row in json.loads(out)["residuals"])
 
 
 def test_mukai_act_and_invariants(capsys):

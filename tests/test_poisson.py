@@ -195,7 +195,7 @@ def test_batched_extraction_matches_per_pair_lstsq(d, r, modulus):
     # every unit r up to d = 10: odd and even d (unequal grade ranks and
     # the fixed points 2a = rs), the degenerate r = d - 1, and d = 1, 2
     h = poisson.DEFAULT_H
-    level = poisson._extract_level(d, r, modulus, h, 1e-9, 1e-9)
+    level = poisson._extract_level(d, r, modulus, h, 1e-9)
     want = loop_level(d, r, modulus, h)
     assert len(want) == d * (d - 1) // 2
     for (a, b), mat in want.items():
@@ -297,3 +297,25 @@ def test_residual_gate_names_value_bound_pair_and_grade(modulus,
     assert float(match[1]) > 1e-8
     # the named pair is one of grade 3: a + b = r s mod d
     assert a < b and (a + b) % 5 == (2 * 3) % 5
+
+
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(2, 11)
+                                 for r in range(1, d) if gcd(r, d) == 1])
+def test_symplectic_rank_of_the_bracket(d, r, modulus):
+    # Generic symplectic leaves of q_{d,r} have dimension d - gcd(d, r + 1)
+    # (Feigin-Odesskii; Polishchuk 1997): at a generic point p the matrix
+    # P(p)_ab = {t_a, t_b}(p) has that rank.  An oracle independent of the
+    # extractor, which builds the relations at x = h u through the torsion
+    # gate.
+    pi = extract_bracket(d, r, modulus).pi
+    rank = d - gcd(d, r + 1)
+    if rank == 0:
+        # r = -1 mod d: Q_{d,d-1} is commutative
+        assert np.abs(pi).max() <= 1e-8
+        return
+    rng = np.random.default_rng(100 * d + r)
+    for _ in range(5):
+        p = rng.normal(size=d) + 1j * rng.normal(size=d)
+        s = np.linalg.svd(np.einsum("abce,c,e->ab", pi, p, p),
+                          compute_uv=False)
+        assert s[rank - 1] / s[rank] >= 1e6, (s[rank - 1], s[rank])

@@ -10,7 +10,7 @@ from sklab.sklyanin import (AlgebraParams, AmbiguousRank, DenominatorNearZero,
                             singular_values, subspace_distance,
                             substitution_distance, substitution_matrix,
                             check_substitution_isomorphism)
-from sklab.theta import ThetaBasis, reduce_to_cell
+from sklab.theta import ConvergenceError, ThetaBasis, reduce_to_cell
 
 X_GENERIC = 0.11 + 0.17j
 
@@ -123,6 +123,33 @@ def test_denominator_near_zero_raises(modulus):
     # x close to (but not on) the lattice makes theta_0(+-x) nearly vanish
     with pytest.raises(DenominatorNearZero):
         build_relations(AlgebraParams(3, 1, 1e-11 + 1e-11j, modulus))
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_every_torsion_point_is_refused(d, modulus):
+    w = modulus.omega
+    for k in range(d):
+        for j in range(d):
+            bound = theta.TORSION_BOUND if (k, j) != (0, 0) \
+                else theta.TORSION_BOUND_AT_ZERO
+            with pytest.raises(DenominatorNearZero,
+                               match=f"point p = \\({k} \\+ {j} omega\\)"
+                                     f"/{d} .* below the bound {bound:g}"):
+                build_relations(AlgebraParams(d, 1, (k + j * w) / d,
+                                              modulus))
+
+
+@pytest.mark.parametrize("d,omega", [(25, 0.2 + 1.3j), (41, 0.2 + 1.3j),
+                                     (25, 3j)])
+def test_rank_gap_and_isomorphism_past_d_21(d, omega):
+    modulus = theta.CurveModulus(omega)
+    system = build_relations(AlgebraParams(d, 2, X_GENERIC, modulus))
+    expected = d * (d - 1) // 2
+    assert relation_space(system).shape == (d * d, expected)
+    svals = singular_values(system)
+    assert svals[expected - 1] / svals[expected] >= 1e12
+    assert check_substitution_isomorphism(d, 2, pow(2, -1, d), X_GENERIC,
+                                          modulus) <= 1e-12
 
 
 @pytest.mark.parametrize("d,r", [(3, 1), (4, 3), (5, 2), (7, 3)])
@@ -461,25 +488,83 @@ def test_substitution_negative_control(modulus):
     assert dist > 0.1
 
 
-def loop_sample_generic_x(d, modulus, rng, zero_tol=1e-9, max_rejects=50):
-    """Reference sampler with its own min/max ratio loop, as the module
-    once had; returns the accepted x, or None after max_rejects + 1 draws."""
-    basis = ThetaBasis(d, modulus)
-    for _ in range(max_rejects + 1):
+def torsion_distance(d, x, omega):
+    """Brute force: d |x - p| over every (k + j omega)/d with k, j in
+    -d..2d-1, which covers the cell of x and its neighbours, and the bound
+    of the nearest p (the smaller one when d divides k and j)."""
+    k, j = np.meshgrid(np.arange(-d, 2 * d), np.arange(-d, 2 * d))
+    dist = d * np.abs(x - (k + j * omega) / d)
+    at = np.unravel_index(dist.argmin(), dist.shape)
+    at_zero = k[at] % d == 0 and j[at] % d == 0
+    return dist[at], (theta.TORSION_BOUND_AT_ZERO if at_zero
+                      else theta.TORSION_BOUND)
+
+
+def loop_sample_generic_x(d, modulus, rng, draws=51):
+    """Reference sampler: the first of `draws` draws that the brute-force
+    torsion distance accepts, or None."""
+    for _ in range(draws):
         x = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * modulus.omega
-        mags = [np.abs(basis.values_at(z)) for z in (x, -x)]
-        if min(m.min() / m.max() for m in mags) >= zero_tol:
+        dist, bound = torsion_distance(d, x, modulus.omega)
+        if dist >= bound:
             return complex(x)
     return None
 
 
+class ScriptedRng:
+    """Stands in for a generator: uniform() returns the scripted values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self, low, high):
+        return self.values.pop(0)
+
+
 def test_sample_generic_x_matches_reference_loop(modulus):
-    for d in range(3, 22):
-        for seed in range(50):
+    for d in range(3, 42):
+        for seed in range(20):
             got = sample_generic_x(d, modulus, np.random.default_rng(seed))
             want = loop_sample_generic_x(d, modulus,
                                          np.random.default_rng(seed))
             assert got == want and type(got) is complex, (d, seed)
+    # a draw just inside its bound is skipped, one just outside is taken:
+    # near 0 and near (1 + omega)/d, each followed by a generic draw
+    w = modulus.omega
+    for d in (3, 7, 25):
+        for scale in (0.9, 1.1):
+            for near in ((scale * theta.TORSION_BOUND_AT_ZERO / d, 0.0),
+                         (1 / d + scale * theta.TORSION_BOUND / d, 1 / d)):
+                script = [*near, 0.41, 0.29]
+                got = sample_generic_x(d, modulus, ScriptedRng(script))
+                want = loop_sample_generic_x(d, modulus, ScriptedRng(script))
+                taken = near if scale > 1 else script[2:]
+                assert got == want == taken[0] + taken[1] * w, (d, near)
+
+
+def test_sample_generic_x_computes_no_theta(modulus, monkeypatch):
+    calls = []
+    values_at = ThetaBasis.values_at
+    monkeypatch.setattr(ThetaBasis, "values_at",
+                        lambda self, z: calls.append(z) or values_at(self, z))
+    rng = np.random.default_rng(5)
+    xs = [sample_generic_x(d, modulus, rng) for d in (3, 9, 25, 41)]
+    assert calls == []
+    # the counter sees the build: theta at x, -x and 0
+    theta._values_at_zero.cache_clear()
+    build_relations(AlgebraParams(9, 2, xs[1], modulus))
+    assert len(calls) == 3
+
+
+def test_sample_generic_x_gives_up_after_the_draw_limit(modulus,
+                                                         monkeypatch):
+    for name in ("TORSION_BOUND", "TORSION_BOUND_AT_ZERO"):
+        monkeypatch.setattr(theta, name, 10.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConvergenceError,
+                       match=f"no generic x found in "
+                             f"{sklyanin.GENERIC_X_DRAWS} draws"):
+        sample_generic_x(5, modulus, rng)
 
 
 def test_sample_generic_x_avoids_denominator_zeros(modulus, rng):

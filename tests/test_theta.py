@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sklab.sklyanin import AlgebraParams
-from sklab.theta import (CurveModulus, ThetaBasis, ThetaOverflowError,
-                         _unit_nodes, _values_at_zero, lattice_gap,
+from sklab import theta
+from sklab.sklyanin import AlgebraParams, build_relations
+from sklab.theta import (CurveModulus, DenominatorNearZero, ThetaBasis,
+                         ThetaOverflowError, _unit_nodes, _values_at_zero,
                          reduce_to_cell, theta_symmetry_constants,
                          theta_zero_count)
 
@@ -234,8 +235,7 @@ def test_symmetry_constants_match_scalar_eval_fit(modulus, rng):
 
 def test_symmetry_constants_refuse_torsion_points(modulus):
     w = modulus.omega
-    # d = 1: min and max |theta| are one number, so only the lattice
-    # test on d*x can refuse x = 0
+    # d = 1: the only 1-torsion point is 0 mod the lattice
     for x in (0.0, 1e-13, 1.0 + w):
         with pytest.raises(ValueError, match="from the lattice"):
             theta_symmetry_constants(ThetaBasis(1, modulus), x)
@@ -246,24 +246,31 @@ def test_symmetry_constants_refuse_torsion_points(modulus):
     theta_symmetry_constants(ThetaBasis(3, modulus), (1 + w) / 3 + 0.05)
 
 
-def test_one_lattice_bound_for_params_and_symmetry_fit(modulus):
+def test_symmetry_fit_and_relation_gate_refuse_the_same_x(modulus):
+    # just inside and just outside each bound, near 0 and near
+    # (1 + omega)/d, in the cell and one lattice step away
     w = modulus.omega
-    dist, bound = lattice_gap(2 - 3 * w + 1e-3, w)
-    assert bound == 1e-12 * (1 + abs(w))
-    assert dist == pytest.approx(1e-3, rel=1e-9)
-    # x = 0 refused by AlgebraParams is the same test as d*x = 0 at d = 1
-    for scale, refused in ((0.5, True), (2.0, False)):
-        x = 1 + w + scale * bound
-        assert (lattice_gap(x, w)[0] < bound) == refused
-        if refused:
-            with pytest.raises(ValueError, match="congruent to 0"):
-                AlgebraParams(3, 1, x, modulus)
-            with pytest.raises(ValueError, match="from the lattice"):
-                theta_symmetry_constants(ThetaBasis(1, modulus), x)
-        else:
-            # past the bound both accept; at d = 1 there is no ratio test
-            AlgebraParams(3, 1, x, modulus)
-            theta_symmetry_constants(ThetaBasis(1, modulus), x)
+    for d in (1, 3, 5):
+        basis = ThetaBasis(d, modulus)
+        for p, bound in ((0.0, theta.TORSION_BOUND_AT_ZERO),
+                         ((1 + w) / d, theta.TORSION_BOUND)):
+            if d == 1 and p:
+                continue
+            for scale, refused in ((0.5, True), (2.0, False)):
+                for shift in (0.0, 1.0 - w):
+                    x = p + shift + scale * bound / d * (0.6 + 0.8j)
+                    if not refused:
+                        theta_symmetry_constants(basis, x)
+                        build_relations(AlgebraParams(d, 1, x, modulus))
+                        continue
+                    with pytest.raises(DenominatorNearZero) as fit:
+                        theta_symmetry_constants(basis, x)
+                    with pytest.raises(DenominatorNearZero) as gate:
+                        build_relations(AlgebraParams(d, 1, x, modulus))
+                    assert str(fit.value) == str(gate.value)
+                    assert f"below the bound {bound:g}" in str(fit.value)
+                    assert fit.value.distance == pytest.approx(
+                        scale * bound, rel=1e-6)
 
 
 @pytest.mark.parametrize("x", [complex("nan"), complex("inf"),
@@ -271,3 +278,33 @@ def test_one_lattice_bound_for_params_and_symmetry_fit(modulus):
 def test_symmetry_constants_refuse_non_finite_x(modulus, x):
     with pytest.raises(ValueError, match="x must be finite"):
         theta_symmetry_constants(ThetaBasis(3, modulus), x)
+
+
+def mp_theta(d, m, omega, z, mpmath):
+    """theta_m(z) from the defining series, summed with mpmath."""
+    w, z = mpmath.mpc(omega), mpmath.mpc(z)
+    total = mpmath.mpc(0)
+    for k in range(-12, 13):
+        c = k + mpmath.mpf(m) / d + mpmath.mpf(1) / 2
+        total += mpmath.exp(mpmath.pi * 1j * d * w * c * c
+                            + 2 * mpmath.pi * 1j * c * (d * z + 0.5))
+    return complex(total)
+
+
+@pytest.mark.parametrize("d", [25, 41])
+def test_values_at_large_d_against_mpmath_series(d, modulus):
+    mpmath = pytest.importorskip("mpmath")
+    basis = ThetaBasis(d, modulus)
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        z = complex(rng.uniform(-0.5, 0.5)
+                    + rng.uniform(-0.5, 0.5) * modulus.omega)
+        got = basis.values_at(z)
+        with mpmath.workdps(30):
+            want = np.array([mp_theta(d, m, modulus.omega, z, mpmath)
+                             for m in range(d)])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # each value to its own relative accuracy too, although at d = 41
+        # they span 18 orders of magnitude: a small denominator is not an
+        # inaccurate one
+        assert (np.abs(got - want) / np.abs(want)).max() <= 1e-12
