@@ -47,8 +47,10 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for name in ("rank_tol", "iso_tol", "bracket_tol"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise UsageError(f"--{name.replace('_', '-')} must be "
+                                 f"positive and finite, got {value!r}")
         if self.omega.imag <= 0:
             raise UsageError("omega must have positive imaginary part")
         if self.output_format not in ("json", "table"):
@@ -321,12 +323,10 @@ def _jacobi_row(tensor: poisson.PoissonTensor, trials: int,
 def cmd_poisson_extract(args, config: RunConfig) -> int:
     tensor, rows = _extract_rows(args.d, args.r, args.h, config)
     if args.dump:
-        entries = []
         pi = tensor.pi
-        for a, b, c, e in zip(*np.nonzero(pi)):
-            val = pi[a, b, c, e]
-            entries.append({"a": int(a), "b": int(b), "c": int(c),
-                            "e": int(e), "re": val.real, "im": val.imag})
+        entries = [{"a": int(a), "b": int(b), "c": int(c), "e": int(e),
+                    "re": val.real, "im": val.imag}
+                   for (a, b, c, e), val in zip(np.argwhere(pi), pi[pi != 0])]
         payload = {"d": tensor.d, "r": tensor.r, "entries": entries,
                    "richardson_error": tensor.richardson_error}
         with open(args.dump, "w") as fh:
@@ -568,14 +568,10 @@ def cmd_check_all(args, config: RunConfig) -> int:
                                  mukai.GroupWord.parse("S S"))
     rows.append(residual_row("mukai_braid_relation", 0.0 if braid_ok else 1.0,
                              0.5))
-    shift_bad = 0
     s4 = mukai.GroupWord.parse("S S S S")
-    for _ in range(20):
-        obj = _random_object(rng)
-        moved = mukai.act_word(obj, s4)
-        if moved != mukai.DerivedObject(obj.kind, obj.rank, obj.degree,
-                                        obj.shift - 2):
-            shift_bad += 1
+    objs = [_random_object(rng) for _ in range(20)]
+    shift_bad = sum(mukai.act_word(o, s4) != mukai.DerivedObject(
+        o.kind, o.rank, o.degree, o.shift - 2) for o in objs)
     rows.append(residual_row("mukai_s4_shift", shift_bad, 0.5))
     solver_bad = 0
     for d in range(2, 13):
@@ -594,11 +590,8 @@ def cmd_check_all(args, config: RunConfig) -> int:
 
     triple = walls.TripleInvariants(2, 1, 3, 0)
     wall_list = walls.candidate_walls(triple, 0, 3)
-    wall_bad = 0
-    for w in wall_list:
-        for wit in w.witnesses:
-            if walls.stability_verdict(triple, wit, w.tau) != "equal":
-                wall_bad += 1
+    wall_bad = sum(walls.stability_verdict(triple, wit, w.tau) != "equal"
+                   for w in wall_list for wit in w.witnesses)
     shifted = walls.candidate_walls(
         walls.TripleInvariants(2, 1, 3 + 2 * 4, 0 + 1 * 4), 4, 7)
     if [w.tau - 4 for w in shifted] != [w.tau for w in wall_list]:

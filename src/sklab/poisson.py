@@ -14,9 +14,10 @@ Two Richardson stages on the ladder h, h/2, h/4 kill the linear error
 and estimate what is left.
 
 The bracket inherits the Z/d grading of the relations: {t_a, t_b} holds
-only monomials t_c t_e with c + e = a + b mod d.  The extraction works
-grade by grade, one small wedge solve per grade of the relation space, so
-pi is exactly zero off the grading.
+only monomials t_c t_e with c + e = a + b mod d, so pi is exactly zero off
+the grading.  The Heisenberg shift t_c -> t_{c+r} carries grade s onto
+s + 2, so one small wedge solve per orbit (grade 0, and grade 1 at even d)
+fixes the bracket; the other grades are its shifted copies.
 
 The Jacobi identity is not built in; jacobi_check verifies it pointwise,
 which is the real evidence that the extracted tensor is Poisson.
@@ -25,6 +26,7 @@ which is the real evidence that the extracted tensor is Poisson.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -99,62 +101,56 @@ def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
     antisymmetric part is e_a ^ e_b, a target of the one grade s with
     a + b = rs.  With B_s the grade-s basis in block coordinates (a for
     t_a t_{rs-a}) and sigma(a) = rs - a, one SVD of the wedge block
-    W_s = (B_s - B_s[sigma])/2 solves every target of grade s (batched
-    over grades of equal shape), and only (v[c] + v[sigma(c)])/2 is
-    written, at (a, b, c, sigma(c)).  The blocks' singular values are
-    those of the dense d^2 x k wedge matrix, so the condition number is
-    the largest over all grades over the smallest.  The result is
-    antisymmetric in (a, b).
+    W_s = (B_s - B_s[sigma])/2 solves every target of grade s, and only
+    (v[c] + v[sigma(c)])/2 is written, at (a, b, c, sigma(c)).  The shift
+    t_c -> t_{c+r} maps grade s onto s + 2 and moves all four indices by
+    r, so only the representatives s0 < gcd(2, d) are solved, each written
+    at every shift m*r, and the condition number over them is that over
+    all grades.  The result is antisymmetric in (a, b).
     """
     x = h * EXTRACTION_DIRECTION
     sys = build_relations(AlgebraParams(d, r, x, modulus))
-    vh, keep = _graded_space(sys, rank_tol)
-    rank = keep.sum(axis=1)
+    r, reps = sys.params.r, range(gcd(2, d))
+    vh, keep = _graded_space(sys, rank_tol, reps)
     coord = np.arange(d)
-    sigma = (sys.params.r * coord[:, None] - coord) % d
-    # a is the smaller index of a target pair; fixed points of sigma
-    # (2a = rs, even d only) pair with nothing
-    smaller = coord < sigma
-    pairs = smaller.sum(axis=1)
+    # moved[m, c] = c + m r, over the shifts of one orbit
+    moved = (coord + r * np.arange(d // len(reps))[:, None]) % d
     level = np.zeros((d, d, d, d), dtype=complex)
-    svals = np.full((d, d), np.nan)
-    residual = np.zeros((d, d))
-    for k, p in set(zip(rank.tolist(), pairs.tolist())):
-        grades = np.flatnonzero((rank == k) & (pairs == p))
-        rows = np.arange(len(grades))[:, None]
-        sig = sigma[grades]
-        basis = vh[grades, :k].transpose(0, 2, 1)
-        wedge = 0.5 * (basis - basis[rows, sig])
-        lo = np.nonzero(smaller[grades])[1].reshape(len(grades), p)
-        hi = sig[rows, lo]
-        targets = np.zeros((len(grades), d, p), dtype=complex)
-        targets[rows, lo, np.arange(p)] = 0.5
-        targets[rows, hi, np.arange(p)] = -0.5
+    top, bottom, worst = 0.0, (np.inf, 0), (0.0, 0, 0, 0)
+    for s0 in reps:
+        sigma = (r * s0 - coord) % d
+        # a is the smaller index of a target pair; fixed points of sigma
+        # (2a = r s0, even d only) pair with nothing
+        lo = np.flatnonzero(coord < sigma)
+        hi = sigma[lo]
+        basis = vh[s0, :keep[s0].sum()].T
+        wedge = 0.5 * (basis - basis[sigma])
+        targets = 0.5 * (coord[:, None] == lo) - 0.5 * (coord[:, None] == hi)
         u, sv, vw = np.linalg.svd(wedge, full_matrices=False)
-        svals[grades, :k] = sv
         # a zero singular value fails the condition gate below
         with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = vw.conj().swapaxes(1, 2) @ (
-                (u.conj().swapaxes(1, 2) @ targets) / sv[..., None])
-        residual[lo, hi] = np.abs(wedge @ coeff - targets).max(axis=1)
+            coeff = vw.conj().T @ ((u.conj().T @ targets) / sv[:, None])
+        if len(sv):
+            top, bottom = max(top, sv[0]), min(bottom, (sv[-1], s0))
+        if len(lo):
+            residual = np.abs(wedge @ coeff - targets).max(axis=0)
+            j = residual.argmax()
+            worst = max(worst, (residual[j], s0, lo[j], hi[j]))
         v = basis @ coeff
-        level[lo[:, None], hi[:, None], coord[:, None], sig[..., None]] = \
-            -0.5 * (v + v[rows, sig]) / h
-    if rank.any():
-        low = np.unravel_index(np.nanargmin(svals), svals.shape)
-        top, bottom = np.nanmax(svals), svals[low]
-        cond = top / bottom if bottom > 0.0 else np.inf
-        if cond >= 1e6:
-            raise ExtractionError(
-                f"wedge condition number {cond:.2e} >= 1e6 at h={h:g}: "
-                f"smallest singular value {bottom:.2e} in grade s={low[0]}")
-    worst = np.unravel_index(residual.argmax(), residual.shape)
-    if residual[worst] > 1e-8:
-        a, b = worst
+        level[moved[:, lo, None], moved[:, hi, None], moved[:, None],
+              moved[:, None, sigma]] = -0.5 * (v + v[sigma]).T / h
+    smallest, low = bottom
+    cond = top / smallest if smallest > 0.0 else np.inf
+    if cond >= 1e6:
         raise ExtractionError(
-            f"residual {residual[worst]:.2e} > 1e-8 for e_{a}^e_{b}, grade "
-            f"s={(a + b) * pow(sys.params.r, -1, d) % d} at h={h:g}: no "
-            f"relation-space element has that antisymmetric part")
+            f"wedge condition number {cond:.2e} >= 1e6 at h={h:g}: "
+            f"smallest singular value {smallest:.2e} in grade s={low}")
+    size, s0, a, b = worst
+    if size > 1e-8:
+        raise ExtractionError(
+            f"residual {size:.2e} > 1e-8 for e_{a}^e_{b}, grade s={s0} at "
+            f"h={h:g}: no relation-space element has that antisymmetric "
+            f"part")
     return level - level.swapaxes(0, 1)
 
 

@@ -41,8 +41,10 @@ __all__ = [
 _TWO_PI_I = 2j * np.pi
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
-# Relative truncation tolerance of the defining series.
+# Relative truncation tolerance of the defining series, and the most terms
+# of k one series window may hold (the window widens as d Im(omega) -> 0).
 TAIL_EPS = 1e-14
+SERIES_WINDOW_MAX = 512
 
 # Bounds on d |x - p|, p the nearest d-torsion point, below which
 # torsion_gate refuses x.  Near p = 0 the relations tend to the commutators
@@ -63,11 +65,17 @@ def reduce_to_cell(z, omega: complex):
     """Write z = z_red + p + q*omega with z_red in the centered unit cell.
 
     Works elementwise on arrays; p and q come back as int64 arrays.
+    ValueError is raised when |p| or |q| reaches 2^53, where a float has
+    no fractional part left to reduce.
     """
     z = np.asarray(z, dtype=complex)
     beta = z.imag / omega.imag
     q = np.rint(beta)
     p = np.rint(z.real - beta * omega.real)
+    far = np.fmax(np.abs(p), np.abs(q))
+    if far.max(initial=0.0) >= 2.0 ** 53:
+        raise ValueError(f"cannot reduce z = {complex(z.flat[far.argmax()])} "
+                         f"to the cell: it lies 2^53 or more cells out")
     z_red = z - p - q * omega
     return z_red, p.astype(np.int64), q.astype(np.int64)
 
@@ -188,11 +196,16 @@ class ThetaBasis:
         mu = (np.atleast_1d(ms)[:, None] % d) / d + 0.5
         lin = d * z_red + 0.5
         half_width = 3.0 + 6.0 / np.sqrt(np.pi * d * w.imag)
-        cap = 16.0 * half_width + 64.0
         while True:
             # one window of k covering [-half_width, half_width] for every mu
-            k = np.arange(np.ceil(-half_width - mu.max()),
-                          np.floor(half_width - mu.min()) + 1)
+            lo = np.ceil(-half_width - mu.max())
+            size = int(np.floor(half_width - mu.min()) + 1 - lo)
+            if size > SERIES_WINDOW_MAX:
+                raise ConvergenceError(
+                    f"theta series at d={d}, Im omega={w.imag:g} needs a "
+                    f"window of {size} terms, above the bound "
+                    f"SERIES_WINDOW_MAX={SERIES_WINDOW_MAX}")
+            k = lo + np.arange(size)
             c = k + mu
             terms = np.exp(((1j * np.pi * d * w) * c * c)[:, None, :]
                            + _TWO_PI_I * (lin[:, None] * c[:, None, :]))
@@ -201,10 +214,6 @@ class ThetaBasis:
             if np.all(edge < TAIL_EPS * np.abs(total)):
                 break
             half_width *= 1.5
-            if half_width > cap:
-                raise ConvergenceError(
-                    f"series truncation did not converge (d={d}, "
-                    f"Im omega={w.imag:g})")
         if not want_deriv:
             return total
         return total, (terms * (_TWO_PI_I * d * c)[:, None, :]).sum(axis=2)

@@ -1,6 +1,10 @@
 import ast
 import json
+import re
+import resource
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +97,25 @@ def test_check_iso_failing_tolerance_is_exit_one(capsys):
                            "--iso-tol", "1e-20")
     assert code == 1
     assert not json.loads(out)["residuals"][0]["pass"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
+@pytest.mark.parametrize("flag,argv", [
+    ("--rank-tol", ("sklyanin", "relations", "--d", "5", "--r", "2",
+                    "--x", "0.11,0.17")),
+    ("--iso-tol", ("sklyanin", "check-iso", "--d", "5", "--r", "2",
+                   "--rprime", "3", "--x", "0.11,0.17")),
+    ("--bracket-tol", ("poisson", "extract", "--d", "3", "--r", "1")),
+])
+def test_tolerance_flags_must_be_positive_and_finite(capsys, flag, argv,
+                                                     value):
+    # nan compares false with every bound and inf cannot be written as
+    # JSON: both are refused before any work, like zero and negatives
+    code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {flag} must be positive and finite, "
+                   f"got {float(value)!r}\n")
 
 
 def test_sklyanin_relations_dump_roundtrip(capsys, tmp_path):
@@ -411,6 +434,38 @@ def test_non_finite_coefficient_is_exit_one_without_traceback(capsys,
     assert out == ""
     assert "verification failed: non-finite relation coefficient" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sklyanin", "relations", "--d", "5", "--r", "2", "--x", "1e300,0"),
+    ("theta", "eval", "--d", "5", "--m", "2", "--z", "1e300,0"),
+])
+def test_argument_past_2_53_cells_is_usage_error(capsys, argv):
+    # 1e300 has no fractional part left: its cell indices do not fit an
+    # int64, and the cast would warn and leave garbage
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot reduce z = (")
+    assert err.endswith("to the cell: it lies 2^53 or more cells out\n")
+
+
+def test_small_im_omega_is_refused_before_allocating(src_env):
+    # Im omega = 1e-9 asks for a series window of ~1.2e5 terms, over a GiB
+    # per zero-count contour; the address-space cap turns a regression into
+    # a quick MemoryError in the child instead of exhausting the host
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sklab.cli", "theta", "check", "--d", "3",
+         "--trials", "2", "--omega", "0.2,1e-9"], capture_output=True,
+        text=True, env=dict(src_env, OPENBLAS_NUM_THREADS="1"), timeout=120,
+        preexec_fn=cap)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert re.fullmatch(r"verification failed: theta series at d=3, Im "
+                        r"omega=1e-09 needs a window of \d{6} terms, above "
+                        r"the bound SERIES_WINDOW_MAX=512\n", proc.stderr)
 
 
 def test_theta_overflow_is_exit_one_without_traceback(capsys):

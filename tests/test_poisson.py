@@ -204,6 +204,36 @@ def test_batched_extraction_matches_per_pair_lstsq(d, r, modulus):
     assert not level[np.arange(d), np.arange(d)].any()
 
 
+@pytest.mark.parametrize("d,r", [(9, 2), (10, 3)])
+def test_one_wedge_svd_per_orbit(d, r, modulus, monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: shapes.append(a.shape)
+                        or svd(a, *args, **kw))
+    poisson._extract_level(d, r, modulus, poisson.DEFAULT_H, 1e-9)
+    # one batched relation SVD over the gcd(2, d) orbit representatives,
+    # then one 2-d wedge SVD per representative
+    assert shapes[0] == (gcd(2, d), d, d)
+    assert len(shapes) == 1 + gcd(2, d)
+    assert all(len(shape) == 2 for shape in shapes[1:])
+
+
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(3, 11)
+                                 for r in range(1, d - 1) if gcd(r, d) == 1])
+def test_bracket_is_shift_equivariant(d, r, modulus):
+    # t_c -> t_{c+1} moves all four indices of {t_a, t_b} = sum t_c t_e:
+    # exact at odd d, where every grade is a copy of grade 0; at even d
+    # the shift by d/2 maps a grade onto itself, so its two halves agree
+    # to rounding only
+    mats = poisson._unpack(extract_bracket(d, r, modulus).pi)
+    moved = np.roll(mats, 1, axis=(0, 1, 2, 3))
+    if d % 2:
+        assert np.array_equal(moved, mats)
+    else:
+        assert np.abs(moved - mats).max() <= 1e-9 * np.abs(mats).max()
+
+
 def test_checks_match_loop_oracles(tensor_31, modulus):
     for tensor in (tensor_31, extract_bracket(5, 2, modulus)):
         pi, d = tensor.pi, tensor.d
@@ -259,8 +289,8 @@ def test_jacobi_refuses_no_trials(tensor_31, trials):
 
 def _patch_grade(monkeypatch, edit):
     """Run extraction on the relation space with one grade edited."""
-    def patched(sys, rank_tol):
-        vh, keep = _graded_space(sys, rank_tol)
+    def patched(sys, rank_tol, grades):
+        vh, keep = _graded_space(sys, rank_tol, grades)
         vh, keep = vh.copy(), keep.copy()
         edit(vh, keep)
         return vh, keep
@@ -268,35 +298,36 @@ def _patch_grade(monkeypatch, edit):
 
 
 def test_condition_gate_names_value_bound_h_and_grade(modulus, monkeypatch):
-    # two nearly parallel basis vectors in grade 2: a wedge block close to
-    # rank deficient
+    # two nearly parallel basis vectors in grade 0, the one grade solved
+    # at odd d: a wedge block close to rank deficient
     def edit(vh, keep):
-        vh[2, 1] = vh[2, 0] + 1e-8 * vh[2, 1]
+        vh[0, 1] = vh[0, 0] + 1e-8 * vh[0, 1]
     _patch_grade(monkeypatch, edit)
     with pytest.raises(ExtractionError,
                        match=r"^wedge condition number \d\.\d\de\+\d\d >= 1e6 "
                              r"at h=3e-05: smallest singular value "
-                             r"\d\.\d\de-\d\d in grade s=2$"):
+                             r"\d\.\d\de-\d\d in grade s=0$"):
         extract_bracket(5, 2, modulus)
 
 
 def test_residual_gate_names_value_bound_pair_and_grade(modulus,
                                                         monkeypatch):
-    # grade 3 loses a basis vector: one of its two targets is out of reach
+    # grade 0, the one grade solved at odd d, loses a basis vector: one of
+    # its two targets is out of reach
     def edit(vh, keep):
-        keep[3, 1] = False
+        keep[0, 1] = False
     _patch_grade(monkeypatch, edit)
     with pytest.raises(ExtractionError) as info:
         extract_bracket(5, 2, modulus)
     message = str(info.value)
     match = re.fullmatch(r"residual (\S+) > 1e-8 for e_(\d)\^e_(\d), grade "
-                         r"s=3 at h=3e-05: no relation-space element has "
+                         r"s=0 at h=3e-05: no relation-space element has "
                          r"that antisymmetric part", message)
     assert match, message
     a, b = int(match[2]), int(match[3])
     assert float(match[1]) > 1e-8
-    # the named pair is one of grade 3: a + b = r s mod d
-    assert a < b and (a + b) % 5 == (2 * 3) % 5
+    # the named pair is one of grade 0: a + b = r s mod d
+    assert a < b and (a + b) % 5 == 0
 
 
 @pytest.mark.parametrize("d,r", [(d, r) for d in range(2, 11)
