@@ -24,33 +24,27 @@ from math import gcd
 import numpy as np
 
 from . import invtensor, mukai, poisson, residues, sklyanin, walls
-from .theta import (ConvergenceError, CurveModulus, ThetaBasis,
+from .theta import (FIT_TOL, ConvergenceError, CurveModulus, ThetaBasis,
                     theta_symmetry_constants, theta_zero_count)
 
 DEFAULT_OMEGA = 0.2 + 1.3j
 FUNCTIONAL_EQ_TOL = 1e-10
-SYMMETRY_TOL = 1e-8
+# Bound on the substitution subspace distance of `sklyanin check-iso`.
+ISO_TOL = 1e-8
 
 
-class UsageError(ValueError):
-    """Bad arguments or violated preconditions; exits with code 2."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Bad arguments or violated preconditions; exits with code 2.  argparse
+    prints its message when a flag's type function raises it."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
     omega: complex = DEFAULT_OMEGA
-    rank_tol: float = 1e-9
-    iso_tol: float = 1e-8
-    bracket_tol: float = 1e-6
     seed: int = 0
     output_format: str = "json"
 
     def validate(self) -> "RunConfig":
-        for name in ("rank_tol", "iso_tol", "bracket_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise UsageError(f"--{name.replace('_', '-')} must be "
-                                 f"positive and finite, got {value!r}")
         if self.omega.imag <= 0:
             raise UsageError("omega must have positive imaginary part")
         if self.output_format not in ("json", "table"):
@@ -230,8 +224,8 @@ def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
         residual_row("shift_by_1_over_d_max", worst1, FUNCTIONAL_EQ_TOL),
         residual_row("shift_by_omega_max", worst2, FUNCTIONAL_EQ_TOL),
         residual_row("zero_count_deviation", count_dev, 0.5),
-        residual_row("symmetry_fit", fit, SYMMETRY_TOL),
-        residual_row("symmetry_ratio_unity", abs(b ** d - 1.0), SYMMETRY_TOL),
+        residual_row("symmetry_fit", fit, FIT_TOL),
+        residual_row("symmetry_ratio_unity", abs(b ** d - 1.0), FIT_TOL),
     ]
 
 
@@ -245,7 +239,7 @@ def cmd_theta_check(args, config: RunConfig) -> int:
 def cmd_sklyanin_relations(args, config: RunConfig) -> int:
     params = sklyanin.AlgebraParams(args.d, args.r, args.x, config.modulus)
     system = sklyanin.build_relations(params)
-    space = sklyanin.relation_space(system, rank_tol=config.rank_tol)
+    space = sklyanin.relation_space(system)
     svals = sklyanin.singular_values(system)
     rank = space.shape[1]
     expected = args.d * (args.d - 1) // 2
@@ -278,9 +272,9 @@ def cmd_sklyanin_relations(args, config: RunConfig) -> int:
 def _iso_row(d: int, r: int, r_prime: int, x: complex,
             config: RunConfig) -> dict:
     """Row of `sklyanin check-iso`: the substitution subspace distance."""
-    dist = sklyanin.check_substitution_isomorphism(
-        d, r, r_prime, x, config.modulus, rank_tol=config.rank_tol)
-    return residual_row("subspace_distance", dist, config.iso_tol)
+    dist = sklyanin.check_substitution_isomorphism(d, r, r_prime, x,
+                                                   config.modulus)
+    return residual_row("subspace_distance", dist, ISO_TOL)
 
 
 def cmd_sklyanin_check_iso(args, config: RunConfig) -> int:
@@ -305,11 +299,9 @@ def _extract_rows(d: int, r: int, h: float, config: RunConfig):
     """
     if not h > 0:
         raise UsageError(f"h must be positive, got {h:g}")
-    tensor = poisson.extract_bracket(
-        d, r, config.modulus, h=h, rank_tol=config.rank_tol,
-        bracket_tol=config.bracket_tol)
+    tensor = poisson.extract_bracket(d, r, config.modulus, h=h)
     return tensor, [residual_row("richardson_error", tensor.richardson_error,
-                                 config.bracket_tol), _skew_row(tensor)]
+                                 poisson.BRACKET_TOL), _skew_row(tensor)]
 
 
 def _jacobi_row(tensor: poisson.PoissonTensor, trials: int,
@@ -317,7 +309,7 @@ def _jacobi_row(tensor: poisson.PoissonTensor, trials: int,
     """Row of `poisson jacobi`: worst residual at points from config.seed."""
     return residual_row("jacobi_residual",
                         poisson.jacobi_check(tensor, trials, config.seed),
-                        config.bracket_tol)
+                        poisson.BRACKET_TOL)
 
 
 def cmd_poisson_extract(args, config: RunConfig) -> int:
@@ -550,7 +542,7 @@ def cmd_check_all(args, config: RunConfig) -> int:
             x = sklyanin.sample_generic_x(d, config.modulus, rng)
             system = sklyanin.build_relations(
                 sklyanin.AlgebraParams(d, r, x, config.modulus))
-            space = sklyanin.relation_space(system, rank_tol=config.rank_tol)
+            space = sklyanin.relation_space(system)
             rank_dev = max(rank_dev, abs(space.shape[1] - d * (d - 1) // 2))
     rows.append(residual_row("sklyanin_rank_dev", rank_dev, 0.5))
 
@@ -638,10 +630,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, env_cfg: RunConfig):
     parser.add_argument("--format", dest="output_format",
                         choices=("json", "table"),
                         default=env_cfg.output_format, help="output format")
-    parser.add_argument("--rank-tol", type=float, default=env_cfg.rank_tol)
-    parser.add_argument("--iso-tol", type=float, default=env_cfg.iso_tol)
-    parser.add_argument("--bracket-tol", type=float,
-                        default=env_cfg.bracket_tol)
 
 
 def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:

@@ -60,7 +60,7 @@ class LieRepData:
         return (all(_is_exact(c) for pl in self.bracket for row in pl for c in row)
                 and all(_is_exact(a) for mat in self.action for row in mat for a in row))
 
-    def validate(self, tol: float = FLOAT_TOL) -> None:
+    def validate(self) -> None:
         m, n = self.dim_g, self.dim_V
         c = self.bracket
         acts = self.action
@@ -70,7 +70,7 @@ class LieRepData:
         if len(acts) != m or any(len(mat) != n or any(len(row) != n for row in mat)
                                  for mat in acts):
             raise ValueError("action is not dim_g matrices of size dim_V")
-        cut = 0 if self.is_exact() else tol
+        cut = 0 if self.is_exact() else FLOAT_TOL
         nz = [[[(s, c[i][j][s]) for s in range(m) if c[i][j][s] != 0]
                for j in range(m)] for i in range(m)]
         for i in range(m):

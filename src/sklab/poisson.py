@@ -49,6 +49,9 @@ EXTRACTION_DIRECTION = (0.31 + 0.17j) / abs(0.31 + 0.17j)
 
 DEFAULT_H = 3e-5
 
+# Bound on the Richardson spread of extract_bracket.
+BRACKET_TOL = 1e-6
+
 # Points per batch of jacobi_check
 JACOBI_CHUNK = 8
 
@@ -93,8 +96,8 @@ def _pack(mats: np.ndarray) -> np.ndarray:
     return np.triu(mats) + np.triu(mats, 1)
 
 
-def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
-                   rank_tol: float) -> np.ndarray:
+def _extract_level(d: int, r: int, modulus: CurveModulus,
+                   h: float) -> np.ndarray:
     """Bracket matrices -Sym(v)/h at x = h*u, as a (d, d, d, d) array.
 
     For every pair a < b, v is the relation-space element whose
@@ -111,7 +114,7 @@ def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
     x = h * EXTRACTION_DIRECTION
     sys = build_relations(AlgebraParams(d, r, x, modulus))
     r, reps = sys.params.r, range(gcd(2, d))
-    vh, keep = _graded_space(sys, rank_tol, reps)
+    vh, keep = _graded_space(sys, reps)
     coord = np.arange(d)
     # moved[m, c] = c + m r, over the shifts of one orbit
     moved = (coord + r * np.arange(d // len(reps))[:, None]) % d
@@ -155,25 +158,24 @@ def _extract_level(d: int, r: int, modulus: CurveModulus, h: float,
 
 
 def extract_bracket(d: int, r: int, modulus: CurveModulus,
-                    h: float = DEFAULT_H, rank_tol: float = 1e-9,
-                    bracket_tol: float = 1e-6) -> PoissonTensor:
+                    h: float = DEFAULT_H) -> PoissonTensor:
     """Extract the bracket of the x -> 0 degeneration of Q_{d,r}(x).
 
     Runs the level extraction at h, h/2 and h/4 and forms the two
     Richardson stages E1 = 2 pi(h/2) - pi(h), E2 = 2 pi(h/4) - pi(h/2).
     E2 is returned; the spread max|E2 - E1| is stored as richardson_error
-    and must come in under bracket_tol, otherwise the extraction is
+    and must come in under BRACKET_TOL, otherwise the extraction is
     rejected rather than silently inaccurate.
     """
-    coarse, mid, fine = (_extract_level(d, r, modulus, step, rank_tol)
+    coarse, mid, fine = (_extract_level(d, r, modulus, step)
                          for step in (h, h / 2, h / 4))
     first = 2.0 * mid - coarse
     second = 2.0 * fine - mid
     spread = float(np.abs(second - first).max())
-    if spread >= bracket_tol:
+    if spread >= BRACKET_TOL:
         raise ExtractionError(
             f"richardson stages disagree by {spread:.2e} "
-            f">= bracket_tol={bracket_tol:g}; shrink h")
+            f">= BRACKET_TOL={BRACKET_TOL:g}; shrink h")
     return PoissonTensor(d=d, r=r % d, pi=_pack(second),
                          richardson_error=spread, extraction_step=h)
 

@@ -48,6 +48,9 @@ __all__ = [
 
 ROW_DROP_CUTOFF = 1e-10
 
+# Rank cutoff, relative to the largest singular value.
+RANK_TOL = 1e-9
+
 # Draws sample_generic_x makes before it gives up.
 GENERIC_X_DRAWS = 51
 
@@ -235,14 +238,14 @@ def singular_values(sys: RelationSystem) -> np.ndarray:
     return sys._svd[2].copy()
 
 
-def _graded_space(sys: RelationSystem, rank_tol: float, grades=None):
+def _graded_space(sys: RelationSystem, grades=None):
     """Per-grade orthonormal bases of the relation space.
 
     Returns (vh, keep): the first keep[s].sum() rows of vh[s] are a basis
     of the grade-s part, in block coordinates a (vh only of the given
     grades, in order, if set).  Grade s = s0 + 2m has vh[s][:, a] =
-    vh[s0][:, a - mr].  The rank cutoff and the gap test are
-    relation_space's, on the global spectrum.
+    vh[s0][:, a - mr].  The rank cutoff RANK_TOL * s[0] and the gap test
+    are relation_space's, on the global spectrum.
     """
     d = sys.d
     rep_vh, svals, s = sys._svd
@@ -250,29 +253,29 @@ def _graded_space(sys: RelationSystem, rank_tol: float, grades=None):
     step = (grades + d * (grades % 2)) // 2  # grade = s0 + 2 step mod d
     vh = rep_vh[(grades % len(rep_vh))[:, None, None], np.arange(d)[:, None],
                 (np.arange(d) - sys.params.r * step[:, None, None]) % d]
-    cutoff = rank_tol * s[0] if len(s) else np.inf
+    cutoff = RANK_TOL * s[0] if len(s) else np.inf
     keep = svals > cutoff
     rank = int(keep.sum())
     if 0 < rank < len(s) and s[rank] > 0.0 and s[rank - 1] / s[rank] < 10.0:
         raise AmbiguousRank(
-            f"no spectral gap at the rank cutoff {cutoff:.3e} (rank_tol="
-            f"{rank_tol:g} times s[0]={s[0]:.3e}): s[{rank - 1}]/s[{rank}] = "
+            f"no spectral gap at the rank cutoff {cutoff:.3e} (RANK_TOL="
+            f"{RANK_TOL:g} times s[0]={s[0]:.3e}): s[{rank - 1}]/s[{rank}] = "
             f"{s[rank - 1]:.3e}/{s[rank]:.3e} = {s[rank - 1] / s[rank]:.3g}, "
             f"below the required 10")
     return vh, keep
 
 
-def relation_space(sys: RelationSystem, rank_tol: float = 1e-9) -> np.ndarray:
+def relation_space(sys: RelationSystem) -> np.ndarray:
     """Orthonormal basis (as columns) of the span of the relation rows.
 
-    The dimension is the number of singular values above rank_tol times
+    The dimension is the number of singular values above RANK_TOL times
     the largest one.  If the spectrum has no clear gap there (consecutive
     ratio < 10), the rank is not trustworthy and AmbiguousRank is raised.
     Columns come grade by grade (s = 0, 1, ...), each grade's in
     descending singular value order; they are not sorted globally.
     """
     d, r = sys.d, sys.params.r
-    vh, keep = _graded_space(sys, rank_tol)
+    vh, keep = _graded_space(sys)
     grade, col = np.nonzero(keep)
     a = np.arange(d)
     basis = np.zeros((d * d, len(grade)), dtype=complex)
@@ -309,15 +312,14 @@ def substitution_matrix(d: int, mult: int) -> np.ndarray:
     return perm
 
 
-def _grade_bases(sys: RelationSystem, rank_tol: float, grades):
+def _grade_bases(sys: RelationSystem, grades):
     """Bases of the given grades (columns over a) and the total rank."""
-    vh, keep = _graded_space(sys, rank_tol, grades)
+    vh, keep = _graded_space(sys, grades)
     return [v[:k].T for v, k in zip(vh, keep[grades].sum(1))], keep.sum()
 
 
 def substitution_distance(d: int, r: int, r2: int, x: complex,
-                          modulus: CurveModulus,
-                          rank_tol: float = 1e-9) -> float:
+                          modulus: CurveModulus) -> float:
     """Distance between the transported Q_{d,r}(x) space and Q_{d,r2}(x).
 
     Transports the relation space of Q_{d,r}(x) through e_a (x) e_b ->
@@ -341,8 +343,8 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
     dst = src if (r2 - r) % d == 0 else _system(
         AlgebraParams(d, r2, x, modulus), triple)
     reps = np.arange(gcd(2, d))
-    bases, rank = _grade_bases(src, rank_tol, reps)
-    bases2, rank2 = _grade_bases(dst, rank_tol, r * reps % d)
+    bases, rank = _grade_bases(src, reps)
+    bases2, rank2 = _grade_bases(dst, r * reps % d)
     if rank != rank2:
         raise AmbiguousRank(f"relation-space ranks differ: {rank} for "
                             f"r={r}, {rank2} for r2={r2}")
@@ -351,19 +353,18 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
 
 
 def check_substitution_isomorphism(d: int, r: int, r_prime: int, x: complex,
-                                   modulus: CurveModulus,
-                                   rank_tol: float = 1e-9) -> float:
+                                   modulus: CurveModulus) -> float:
     """Subspace distance realizing the isomorphism Q_{d,r}(x) = Q_{d,r'}(x).
 
-    Requires r*r' = 1 mod d; the returned distance should be below iso_tol
-    (1e-8 by default elsewhere) when the isomorphism holds.  The caller
-    judges; this function only refuses non-inverse pairs.
+    Requires r*r' = 1 mod d; the returned distance should be below
+    cli.ISO_TOL when the isomorphism holds.  The caller judges; this
+    function only refuses non-inverse pairs.
     """
     if (r * r_prime) % d != 1 % d:
         raise ValueError(
             f"r*r' = {r}*{r_prime} is not 1 mod {d}; "
             "the substitution is only an isomorphism for inverse pairs")
-    return substitution_distance(d, r, r_prime, x, modulus, rank_tol)
+    return substitution_distance(d, r, r_prime, x, modulus)
 
 
 def sample_generic_x(d: int, modulus: CurveModulus, rng) -> complex:

@@ -101,12 +101,17 @@ def torsion_gate(d: int, x: complex, omega: complex) -> None:
     whose modulus is d |x - p| for the nearest p.  DenominatorNearZero is
     raised when that is below TORSION_BOUND_AT_ZERO for p = 0 mod the
     lattice (d divides P and Q), or below TORSION_BOUND for any other p;
-    ValueError when x is not finite.  No theta value is computed.
+    ValueError, naming x and d, when x is not finite or d x lies 2^53 or
+    more cells out.  No theta value is computed.
     """
     x = complex(x)
     if not np.isfinite(x):
         raise ValueError("x must be finite")
-    y, p, q = reduce_to_cell(d * x, omega)
+    try:
+        y, p, q = reduce_to_cell(d * x, omega)
+    except ValueError:
+        raise ValueError(f"cannot reduce z = {x} times d = {d} to the cell: "
+                         f"it lies 2^53 or more cells out") from None
     dist = abs(complex(y))
     point = (int(p) % d, int(q) % d)
     bound = TORSION_BOUND_AT_ZERO if point == (0, 0) else TORSION_BOUND

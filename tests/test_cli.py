@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import re
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA, SRC
-from sklab import mukai, residues, theta
-from sklab.cli import run
+from sklab import cli, mukai, residues, theta
+from sklab.cli import RunConfig, build_parser, run
 from sklab.theta import ThetaBasis
 
 
@@ -91,31 +92,12 @@ def test_check_iso_pass_and_usage_error(capsys):
     assert "not 1 mod" in err
 
 
-def test_check_iso_failing_tolerance_is_exit_one(capsys):
+def test_check_iso_failing_tolerance_is_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ISO_TOL", 1e-20)
     code, out, _ = run_cli(capsys, "sklyanin", "check-iso", "--d", "5",
-                           "--r", "2", "--rprime", "3", "--x", "0.11,0.17",
-                           "--iso-tol", "1e-20")
+                           "--r", "2", "--rprime", "3", "--x", "0.11,0.17")
     assert code == 1
     assert not json.loads(out)["residuals"][0]["pass"]
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
-@pytest.mark.parametrize("flag,argv", [
-    ("--rank-tol", ("sklyanin", "relations", "--d", "5", "--r", "2",
-                    "--x", "0.11,0.17")),
-    ("--iso-tol", ("sklyanin", "check-iso", "--d", "5", "--r", "2",
-                   "--rprime", "3", "--x", "0.11,0.17")),
-    ("--bracket-tol", ("poisson", "extract", "--d", "3", "--r", "1")),
-])
-def test_tolerance_flags_must_be_positive_and_finite(capsys, flag, argv,
-                                                     value):
-    # nan compares false with every bound and inf cannot be written as
-    # JSON: both are refused before any work, like zero and negatives
-    code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
-    assert code == 2
-    assert out == ""
-    assert err == (f"error: {flag} must be positive and finite, "
-                   f"got {float(value)!r}\n")
 
 
 def test_sklyanin_relations_dump_roundtrip(capsys, tmp_path):
@@ -450,6 +432,34 @@ def test_argument_past_2_53_cells_is_usage_error(capsys, argv):
     assert err.endswith("to the cell: it lies 2^53 or more cells out\n")
 
 
+@pytest.mark.parametrize("x,shown", [("4e15,0", "(4000000000000000+0j)"),
+                                      ("1e300,0", "(1e+300+0j)")])
+def test_huge_x_is_refused_under_its_own_name(capsys, x, shown):
+    # d*x, not x, is what lies 2^53 or more cells out: 4e15 alone reduces
+    code, out, err = run_cli(capsys, "sklyanin", "relations", "--d", "5",
+                             "--r", "2", "--x", x)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot reduce z = {shown} times d = 5 to the "
+                   f"cell: it lies 2^53 or more cells out\n")
+
+
+@pytest.mark.parametrize("argv,flag,message", [
+    (("sklyanin", "relations", "--d", "5", "--r", "2", "--x", "abc"), "--x",
+     "cannot parse complex number from 'abc' (expected RE or RE,IM)"),
+    (("walls", "--r1", "2", "--r2", "1", "--d1", "3", "--d2", "0",
+      "--lo", "1/0", "--hi", "3"), "--lo",
+     "cannot parse rational from '1/0' (expected P/Q)"),
+    (("mukai", "invariants", "--v1", "1", "--v2", "1,2"), "--v1",
+     "expected two comma-separated integers, got '1'"),
+])
+def test_flag_type_error_keeps_its_message(capsys, argv, flag, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f": error: argument {flag}: {message}\n")
+
+
 def test_small_im_omega_is_refused_before_allocating(src_env):
     # Im omega = 1e-9 asks for a series window of ~1.2e5 terms, over a GiB
     # per zero-count contour; the address-space cap turns a regression into
@@ -535,6 +545,30 @@ def test_tail_eps_flag_is_gone(capsys):
     assert code == 2
     assert out == ""
     assert "--tail-eps" in err
+
+
+def all_parsers(parser=None):
+    """build_parser's parser and every subparser below it, depth first."""
+    parser = parser or build_parser(RunConfig())
+    subs = [action.choices.values() for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    return [parser] + [p for group in subs for child in group
+                       for p in all_parsers(child)]
+
+
+def test_no_tolerance_flag_on_any_leaf():
+    leaves = [p for p in all_parsers() if "func" in p._defaults]
+    assert len(leaves) == 17
+    for p in leaves:
+        assert "-tol" not in p.format_help(), p.prog
+
+
+def test_readme_names_no_dead_flags():
+    flags = {option for p in all_parsers() for action in p._actions
+             for option in action.option_strings}
+    text = (SRC.parent / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert named - {"--no-build-isolation"} <= flags
 
 
 def readme_commands():

@@ -169,9 +169,11 @@ def test_top_degree_r_gives_vanishing_bracket(modulus):
     assert jacobi_check(tensor, 10, seed=0) < 1e-8
 
 
-def test_rejects_unachievable_tolerance(modulus):
-    with pytest.raises(ExtractionError):
-        extract_bracket(3, 1, modulus, bracket_tol=1e-12)
+def test_rejects_unachievable_tolerance(modulus, monkeypatch):
+    monkeypatch.setattr(poisson, "BRACKET_TOL", 1e-12)
+    with pytest.raises(ExtractionError,
+                       match=r">= BRACKET_TOL=1e-12; shrink h$"):
+        extract_bracket(3, 1, modulus)
 
 
 def test_first_order_equivariance(modulus):
@@ -195,7 +197,7 @@ def test_batched_extraction_matches_per_pair_lstsq(d, r, modulus):
     # every unit r up to d = 10: odd and even d (unequal grade ranks and
     # the fixed points 2a = rs), the degenerate r = d - 1, and d = 1, 2
     h = poisson.DEFAULT_H
-    level = poisson._extract_level(d, r, modulus, h, 1e-9)
+    level = poisson._extract_level(d, r, modulus, h)
     want = loop_level(d, r, modulus, h)
     assert len(want) == d * (d - 1) // 2
     for (a, b), mat in want.items():
@@ -211,7 +213,7 @@ def test_one_wedge_svd_per_orbit(d, r, modulus, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *args, **kw: shapes.append(a.shape)
                         or svd(a, *args, **kw))
-    poisson._extract_level(d, r, modulus, poisson.DEFAULT_H, 1e-9)
+    poisson._extract_level(d, r, modulus, poisson.DEFAULT_H)
     # one batched relation SVD over the gcd(2, d) orbit representatives,
     # then one 2-d wedge SVD per representative
     assert shapes[0] == (gcd(2, d), d, d)
@@ -289,8 +291,8 @@ def test_jacobi_refuses_no_trials(tensor_31, trials):
 
 def _patch_grade(monkeypatch, edit):
     """Run extraction on the relation space with one grade edited."""
-    def patched(sys, rank_tol, grades):
-        vh, keep = _graded_space(sys, rank_tol, grades)
+    def patched(sys, grades):
+        vh, keep = _graded_space(sys, grades)
         vh, keep = vh.copy(), keep.copy()
         edit(vh, keep)
         return vh, keep

@@ -357,7 +357,7 @@ def test_ambiguous_rank_raises(modulus):
     want = np.sort(np.repeat(spectra, d // 2))[::-1]
     assert np.abs(singular_values(system) - want).max() <= 1e-15
     with pytest.raises(AmbiguousRank,
-                       match=r"rank cutoff 1\.000e-09 \(rank_tol=1e-09 times "
+                       match=r"rank cutoff 1\.000e-09 \(RANK_TOL=1e-09 times "
                              r"s\[0\]=1\.000e\+00\): s\[13\]/s\[14\] = "
                              r"3\.000e-09/5\.000e-10 = 6, below the "
                              r"required 10"):
@@ -388,7 +388,7 @@ def test_orbit_svd_matches_all_grade_oracle(d, modulus):
     for r in units:
         system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
         want_bases, want_rank = all_grade_bases(system)
-        bases, rank = sklyanin._grade_bases(system, 1e-9, np.arange(d))
+        bases, rank = sklyanin._grade_bases(system, np.arange(d))
         assert rank == want_rank, r
         want = all_grade_svd(system)[2]
         svals = singular_values(system)
@@ -464,7 +464,7 @@ def test_self_inverse_distance_matches_two_builds(d, r, r2, modulus,
     """For r2 = r mod d one build serves both sides, with the same float."""
     reps = np.arange(gcd(2, d))
     bases = [sklyanin._grade_bases(
-        build_relations(AlgebraParams(d, q, X_GENERIC, modulus)), 1e-9,
+        build_relations(AlgebraParams(d, q, X_GENERIC, modulus)),
         grades)[0] for q, grades in ((r, reps), (r2, r * reps % d))]
     back = (pow(r2, -1, d) * np.arange(d)) % d
     want = max(subspace_distance(b[back], b2) for b, b2 in zip(*bases))
