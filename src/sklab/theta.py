@@ -55,8 +55,8 @@ TORSION_BOUND = 3e-5
 # Fit tolerance of theta_symmetry_constants.
 FIT_TOL = 1e-8
 
-# Gauss-Legendre nodes per contour edge, and contour placements tried, of
-# theta_zero_count.
+# Gauss-Legendre nodes per contour edge (per half edge for the doubled
+# estimate), and contour placements tried, of theta_zero_count.
 ZERO_COUNT_NODES = 160
 ZERO_COUNT_TRIES = 8
 
@@ -326,15 +326,27 @@ def _unit_nodes(n):
     return nodes
 
 
-def _winding(basis, m, base, n):
+@functools.lru_cache(maxsize=2)
+def _panel_nodes(panels):
+    """The ZERO_COUNT_NODES rule on each of `panels` equal pieces of [0, 1];
+    cached, so read-only."""
+    t, weights = _unit_nodes(ZERO_COUNT_NODES)
+    nodes = (((np.arange(panels)[:, None] + t) / panels).ravel(),
+             np.tile(weights / panels, panels))
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def _winding(basis, m, base, panels):
     w = basis.omega
-    t, weights = _unit_nodes(n)
+    t, weights = _panel_nodes(panels)
     pts = np.concatenate([base + t, base + 1.0 + t * w,
                           base + w + t, base + t * w])
     f = basis.dlog(m, pts)
     if not np.all(np.isfinite(f)):
         return None
-    fb, fr, ft, fl = f.reshape(4, n)
+    fb, fr, ft, fl = f.reshape(4, -1)
     return weights @ (fb - ft + w * (fr - fl)) / _TWO_PI_I
 
 
@@ -346,15 +358,16 @@ def theta_zero_count(basis: ThetaBasis, m: int) -> int:
     single horizontal line per cell (d of them, spaced 1/d apart), so the
     contour is based half a lattice period below that line and 1/(2d) to
     the side of the nearest zero.  The winding number is accepted only if
-    it is stable under doubling the node count and within 0.01 of an
-    integer; otherwise the base is nudged sideways and the count retried.
+    it is stable under splitting each edge into two panels (the same rule
+    on each half) and within 0.01 of an integer; otherwise the base is
+    nudged sideways and the count retried.
     """
     d = basis.d
     height = ((-m) % d) / d
     base = 1.0 / (2.0 * d) + (height - 0.5) * basis.omega
     for attempt in range(ZERO_COUNT_TRIES):
-        w1 = _winding(basis, m, base, ZERO_COUNT_NODES)
-        w2 = _winding(basis, m, base, 2 * ZERO_COUNT_NODES)
+        w1 = _winding(basis, m, base, 1)
+        w2 = _winding(basis, m, base, 2)
         if w1 is not None and w2 is not None and abs(w2 - w1) < 1e-3:
             count = int(np.rint(w2.real))
             if abs(w2 - count) < 0.01:

@@ -174,6 +174,19 @@ def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
     assert err.count("\n") == 1
 
 
+def test_poisson_extract_h_default(capsys):
+    # the parser holds no default; poisson.DEFAULT_H is the one source
+    from sklab import poisson
+    code, out, _ = run_cli(capsys, "poisson", "extract", "--d", "3",
+                           "--r", "1")
+    assert code == 0
+    assert json.loads(out)["h"] == poisson.DEFAULT_H
+    code, out, _ = run_cli(capsys, "poisson", "extract", "--help")
+    assert code == 0
+    assert f"extraction step, positive (default {poisson.DEFAULT_H})" in \
+        " ".join(out.split())
+
+
 def test_poisson_extract_rejects_nonpositive_h(capsys):
     for flag in ("--h=0", "--h=-3e-5"):
         code, _, err = run_cli(capsys, "poisson", "extract", "--d", "3",
@@ -273,6 +286,18 @@ def test_mukai_act_and_invariants(capsys):
                            "--v1", "1,0", "--v2", "2,7")
     assert code == 0
     assert json.loads(out) == {"det": 7, "alpha": 4}
+
+
+@pytest.mark.parametrize("obj, fault", [
+    ("bundle:2,7,0,5", "expected R,D or R,D,K, got 4 integers"),
+    ("bundle:2", "expected R,D or R,D,K, got 1 integers"),
+])
+def test_mukai_act_names_the_object_fault(capsys, obj, fault):
+    code, out, err = run_cli(capsys, "mukai", "act", "--object", obj,
+                             "--word", "S")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot parse object {obj!r}: {fault}\n"
 
 
 def test_mukai_solvers(capsys):
@@ -589,3 +614,84 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
     assert {p.name for p in tmp_path.iterdir()} == {"coeffs.json", "pi.json"}
+
+
+# Run one command in a fresh interpreter after SETUP; the last stdout line
+# is the exit code and the sorted module names the run left loaded.
+IMPORT_PROBE = """
+import json, sys
+from sklab import cli
+{setup}
+code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+NUMERIC = {"numpy", "sklab.theta", "sklab.sklyanin", "sklab.poisson"}
+EXACT = {"sklab.mukai", "sklab.residues", "sklab.walls", "sklab.invtensor"}
+EXACT_LEAVES = [
+    ("mukai", "act", "--object", "bundle:2,7", "--word", "R S"),
+    ("mukai", "invariants", "--v1", "1,0", "--v2", "2,7"),
+    ("mukai", "solve-tr", "--r", "2", "--d", "7"),
+    ("mukai", "solve-ur", "--r", "2", "--d", "7"),
+    ("s3", "orbits", "--d", "13"),
+    ("s3", "fixed", "--d", "7"),
+    ("s3", "check", "--dmax", "20"),
+    ("walls", "--r1", "2", "--r2", "1", "--d1", "3", "--d2", "0",
+     "--lo", "0", "--hi", "3"),
+    ("tensor", "check", "--case", "gl:2,1"),
+    ("tensor", "solve", "--case", "gsp:4"),
+]
+
+
+def probe_imports(src_env, argv, setup=""):
+    """Exit code of `sklab ARGV` in a fresh interpreter, and its modules."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(setup=setup), *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(src_env, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_exact_leaves_are_every_exact_leaf():
+    leaves = {p.prog for p in all_parsers() if "func" in p._defaults}
+    exact = {p for p in leaves if p.split()[1] in ("mukai", "s3", "walls",
+                                                   "tensor")}
+    shown = {" ".join(["sklab", *(a for a in argv[:2] if a[0] != "-")])
+             for argv in EXACT_LEAVES}
+    assert shown == exact
+
+
+@pytest.mark.parametrize("argv, want", [
+    *((argv, 0) for argv in EXACT_LEAVES),
+    (("--help",), 0),
+    (("s3", "orbits"), 2),
+    (("mukai", "act", "--object", "bundle:2,7,0,5", "--word", "S"), 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_exact_commands_load_no_numpy(src_env, argv, want):
+    code, modules = probe_imports(src_env, argv)
+    assert code == want
+    assert not modules & NUMERIC
+
+
+def test_exact_exit_one_loads_no_numpy(src_env):
+    setup = ("from sklab import mukai\n"
+             "def refuse(bundle):\n"
+             "    raise mukai.TransporterError('refused')\n"
+             "mukai.solve_T_r = refuse")
+    code, modules = probe_imports(
+        src_env, ("mukai", "solve-tr", "--r", "2", "--d", "7"), setup)
+    assert code == 1
+    assert not modules & NUMERIC
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("theta", "check", "--d", "3", "--trials", "2"),
+     EXACT | {"sklab.poisson"}),
+    (("poisson", "extract", "--d", "3", "--r", "1"), EXACT),
+], ids=["theta-check", "poisson-extract"])
+def test_numeric_commands_load_only_their_modules(src_env, argv, absent):
+    code, modules = probe_imports(src_env, argv)
+    assert code == 0
+    assert "numpy" in modules
+    assert not modules & absent

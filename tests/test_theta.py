@@ -4,7 +4,8 @@ import pytest
 from sklab import theta
 from sklab.sklyanin import AlgebraParams, build_relations
 from sklab.theta import (CurveModulus, DenominatorNearZero, ThetaBasis,
-                         ThetaOverflowError, _unit_nodes, _values_at_zero,
+                         ThetaOverflowError, _panel_nodes, _unit_nodes,
+                         _values_at_zero,
                          reduce_to_cell, theta_symmetry_constants,
                          theta_zero_count)
 
@@ -183,11 +184,19 @@ def test_overflow_error_names_d_q_exponent_and_bound():
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j])
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.3j])
 def test_zero_count_is_d_for_every_index(omega):
-    for d in range(1, 13):
+    for d in (*range(1, 14), 21, 25, 41):
         basis = ThetaBasis(d, CurveModulus(omega))
         assert [theta_zero_count(basis, m) for m in range(d)] == [d] * d
+
+
+def test_zero_count_builds_one_rule():
+    # the doubled estimate is the same rule on two half edges
+    _unit_nodes.cache_clear()
+    _panel_nodes.cache_clear()
+    theta_zero_count(ThetaBasis(5, CurveModulus(0.2 + 1.3j)), 2)
+    assert _unit_nodes.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("n", [1, 7, 160, 320])
