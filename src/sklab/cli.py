@@ -302,17 +302,15 @@ def _skew_row(tensor: poisson.PoissonTensor) -> dict:
     return residual_row("skew_violation", poisson.skew_check(tensor), 1e-12)
 
 
-def _extract_rows(d: int, r: int, h: float, config: RunConfig):
+def _extract_rows(d: int, r: int, config: RunConfig):
     """The (d, r) bracket and its `poisson extract` rows.
 
-    The rows are the Richardson spread and the skew violation.
+    The rows are the tangent residual and the skew violation.
     """
     from . import poisson
-    if not h > 0:
-        raise UsageError(f"h must be positive, got {h:g}")
-    tensor = poisson.extract_bracket(d, r, config.modulus, h=h)
-    return tensor, [residual_row("richardson_error", tensor.richardson_error,
-                                 poisson.BRACKET_TOL), _skew_row(tensor)]
+    tensor = poisson.extract_bracket(d, r, config.modulus)
+    return tensor, [residual_row("tangent_residual", tensor.richardson_error,
+                                 poisson.TANGENT_TOL), _skew_row(tensor)]
 
 
 def _jacobi_row(tensor: poisson.PoissonTensor, trials: int,
@@ -326,9 +324,7 @@ def _jacobi_row(tensor: poisson.PoissonTensor, trials: int,
 
 def cmd_poisson_extract(args, config: RunConfig) -> int:
     import numpy as np
-    from . import poisson
-    h = poisson.DEFAULT_H if args.h is None else args.h
-    tensor, rows = _extract_rows(args.d, args.r, h, config)
+    tensor, rows = _extract_rows(args.d, args.r, config)
     if args.dump:
         pi = tensor.pi
         entries = [{"a": int(a), "b": int(b), "c": int(c), "e": int(e),
@@ -339,7 +335,7 @@ def cmd_poisson_extract(args, config: RunConfig) -> int:
         with open(args.dump, "w") as fh:
             fh.write(_dumps(payload) + "\n")
     result = {
-        "d": args.d, "r": args.r, "h": h,
+        "d": args.d, "r": args.r,
         "richardson_error": tensor.richardson_error,
         "nonzero_entries": int(np.count_nonzero(tensor.pi)),
         "residuals": rows,
@@ -584,8 +580,8 @@ def cmd_check_all(args, config: RunConfig) -> int:
         rows.append(dict(_iso_row(5, 2, 3, x, config),
                          name="substitution_iso_5_2_3"))
 
-    tensor, (richardson, skew) = _extract_rows(3, 1, poisson.DEFAULT_H, config)
-    rows += [dict(richardson, name="poisson_richardson_d3"),
+    tensor, (tangent, skew) = _extract_rows(3, 1, config)
+    rows += [dict(tangent, name="poisson_tangent_d3"),
              dict(_jacobi_row(tensor, 50, config), name="poisson_jacobi_d3"),
              dict(skew, name="poisson_skew_d3")]
 
@@ -666,17 +662,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, env_cfg: RunConfig):
                         default=env_cfg.output_format, help="output format")
 
 
-class _ExtractHelp(argparse.HelpFormatter):
-    """Help of `poisson extract`: names the --h default, read from poisson
-    only when the help is shown, so building the parser loads no numpy."""
-
-    def _get_help_string(self, action):
-        if action.dest != "h":
-            return action.help
-        from .poisson import DEFAULT_H
-        return f"{action.help} (default {DEFAULT_H})"
-
-
 def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sklab",
@@ -685,7 +670,9 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def leaf(subparsers, name, func, **kwargs):
-        p = subparsers.add_parser(name, **kwargs)
+        # no prefix matching: a flag that no longer exists must be refused,
+        # not read as the prefix of another (--help above all)
+        p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
         _add_config_flags(p, env_cfg)
         p.set_defaults(func=func)
         return p
@@ -715,11 +702,9 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
 
     po_p = sub.add_parser("poisson", help="classical-limit bracket extraction")
     po_sub = po_p.add_subparsers(dest="subcommand", required=True)
-    p = leaf(po_sub, "extract", cmd_poisson_extract,
-             formatter_class=_ExtractHelp)
+    p = leaf(po_sub, "extract", cmd_poisson_extract)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--h", type=float, help="extraction step, positive")
     p.add_argument("--dump", metavar="pi.json")
     p = leaf(po_sub, "jacobi", cmd_poisson_jacobi)
     p.add_argument("--in", dest="infile", required=True, metavar="pi.json")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA, SRC
-from sklab import cli, mukai, residues, theta
+from sklab import cli, mukai, poisson, residues, theta
 from sklab.cli import RunConfig, build_parser, run
 from sklab.theta import ThetaBasis
 
@@ -132,7 +132,12 @@ def test_poisson_extract_then_jacobi(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "poisson", "extract", "--d", "3",
                            "--r", "1", "--dump", str(dump))
     assert code == 0
-    assert json.loads(out)["richardson_error"] < 1e-6
+    doc = json.loads(out)
+    assert doc["richardson_error"] < 1e-6
+    assert "h" not in doc
+    assert [row["name"] for row in doc["residuals"]] == [
+        "tangent_residual", "skew_violation"]
+    assert doc["residuals"][0]["tolerance"] == poisson.TANGENT_TOL
 
     code, out, _ = run_cli(capsys, "poisson", "jacobi", "--in", str(dump),
                            "--trials", "40", "--seed", "3")
@@ -174,25 +179,12 @@ def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
     assert err.count("\n") == 1
 
 
-def test_poisson_extract_h_default(capsys):
-    # the parser holds no default; poisson.DEFAULT_H is the one source
-    from sklab import poisson
-    code, out, _ = run_cli(capsys, "poisson", "extract", "--d", "3",
-                           "--r", "1")
-    assert code == 0
-    assert json.loads(out)["h"] == poisson.DEFAULT_H
-    code, out, _ = run_cli(capsys, "poisson", "extract", "--help")
-    assert code == 0
-    assert f"extraction step, positive (default {poisson.DEFAULT_H})" in \
-        " ".join(out.split())
-
-
-def test_poisson_extract_rejects_nonpositive_h(capsys):
-    for flag in ("--h=0", "--h=-3e-5"):
-        code, _, err = run_cli(capsys, "poisson", "extract", "--d", "3",
-                               "--r", "1", flag)
-        assert code == 2
-        assert "h must be positive" in err
+def test_h_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "poisson", "extract", "--d", "3",
+                             "--r", "1", "--h", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --h 1e-6" in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -215,7 +207,7 @@ def test_no_trials_is_usage_error(capsys, tmp_path, trials):
     ("sklyanin", "relations", "--d", "3", "--r", "1", "--x", "inf,0"),
     ("sklyanin", "check-iso", "--d", "5", "--r", "2", "--rprime", "3",
      "--x", "0.11,-inf"),
-    ("poisson", "extract", "--d", "3", "--r", "1", "--h", "inf"),
+    ("sklyanin", "relations", "--d", "3", "--r", "1", "--x", "0.11,nan"),
 ])
 def test_non_finite_x_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -257,11 +249,15 @@ def test_near_torsion_x_is_usage_error(capsys):
                    "d*x from the lattice, is below the bound 3e-05\n")
 
 
-@pytest.mark.parametrize("d,r", [(3, 1), (5, 2), (9, 2)])
-def test_poisson_extract_at_small_h(capsys, d, r):
-    # the finest level sits at d |x| = d h/4, above the bound at p = 0
+@pytest.mark.parametrize("d,r", [(11, 1), (13, 2), (15, 2), (21, 4)])
+def test_poisson_past_d_10(capsys, tmp_path, d, r):
+    dump = tmp_path / "pi.json"
     code, out, err = run_cli(capsys, "poisson", "extract", "--d", str(d),
-                             "--r", str(r), "--h", "1e-6")
+                             "--r", str(r), "--dump", str(dump))
+    assert code == 0, err
+    assert all(row["pass"] for row in json.loads(out)["residuals"])
+    code, out, err = run_cli(capsys, "poisson", "jacobi", "--in", str(dump),
+                             "--trials", "20")
     assert code == 0, err
     assert all(row["pass"] for row in json.loads(out)["residuals"])
 
