@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from sklab.sklyanin import (AlgebraParams, build_relations, relation_space,
-                            sample_generic_x, singular_values)
+from sklab.sklyanin import (AlgebraParams, build_relations, relation_rank,
+                            sample_generic_x)
 from sklab.theta import CurveModulus
 
 OMEGA = 0.2 + 1.3j
@@ -29,11 +29,9 @@ def main():
             x = sample_generic_x(d, modulus, rng)
             params = AlgebraParams(d, r, x, modulus)
             system = build_relations(params)
-            rank = relation_space(system).shape[1]
+            rank, gap = relation_rank(system)
             expected = d * (d - 1) // 2
-            svals = singular_values(system)
-            gap = svals[rank - 1] / svals[rank] if 0 < rank < len(svals) \
-                else np.inf
+            gap = np.inf if gap is None else gap
             mark = "" if rank == expected else "  <-- MISMATCH"
             print(f"{d:>3} {r:>3} {rank:>5} {expected:>9} {gap:>10.2e}{mark}")
 

@@ -247,13 +247,8 @@ def cmd_sklyanin_relations(args, config: RunConfig) -> int:
     from . import sklyanin
     params = sklyanin.AlgebraParams(args.d, args.r, args.x, config.modulus)
     system = sklyanin.build_relations(params)
-    space = sklyanin.relation_space(system)
-    svals = sklyanin.singular_values(system)
-    rank = space.shape[1]
+    rank, gap = sklyanin.relation_rank(system)
     expected = args.d * (args.d - 1) // 2
-    # no gap exists at rank 0 or full rank; JSON has no infinity
-    gap = float(svals[rank - 1] / svals[rank]) if 0 < rank < len(svals) \
-        else None
     if args.dump:
         rows = [{"i": i, "j": j,
                  "terms": [{"n": n, "a": a, "b": b,
@@ -571,8 +566,8 @@ def cmd_check_all(args, config: RunConfig) -> int:
             x = sklyanin.sample_generic_x(d, config.modulus, rng)
             system = sklyanin.build_relations(
                 sklyanin.AlgebraParams(d, r, x, config.modulus))
-            space = sklyanin.relation_space(system)
-            rank_dev = max(rank_dev, abs(space.shape[1] - d * (d - 1) // 2))
+            rank = sklyanin.relation_rank(system)[0]
+            rank_dev = max(rank_dev, abs(rank - d * (d - 1) // 2))
     rows.append(residual_row("sklyanin_rank_dev", rank_dev, 0.5))
 
     if dmax >= 5:

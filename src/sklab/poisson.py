@@ -26,7 +26,7 @@ from math import gcd
 
 import numpy as np
 
-from .sklyanin import AlgebraParams, _graded_space, build_relations
+from .sklyanin import AlgebraParams, _grade_bases, build_relations
 from .theta import CurveModulus, ThetaBasis
 
 __all__ = [
@@ -129,18 +129,16 @@ def _tangent_residual(pi: np.ndarray, params: AlgebraParams) -> float:
     """
     d, r, h = params.d, params.r, TANGENT_H
     sys = build_relations(params)
-    reps = range(gcd(2, d))
-    vh, keep = _graded_space(sys, reps)
+    reps = np.arange(gcd(2, d))
     coord = np.arange(d)
     worst = (0.0, 0, 0, 0)
-    for s0 in reps:
+    for s0, basis in zip(reps, _grade_bases(sys, reps)[0]):
         sigma = (r * s0 - coord) % d
         # fixed points of sigma (2a = r s0, even d only) pair with nothing
         lo = np.flatnonzero(coord < sigma)
         hi = sigma[lo]
         w = (0.5 * (coord[:, None] == lo) - 0.5 * (coord[:, None] == hi)
              - h * _unpack(pi[lo, hi])[:, coord, sigma].T)
-        basis = vh[s0, :keep[s0].sum()].T
         gone = w - basis @ (basis.conj().T @ w)
         residual = np.linalg.norm(gone, axis=0) / np.linalg.norm(w, axis=0)
         if len(lo):

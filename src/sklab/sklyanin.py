@@ -37,6 +37,7 @@ __all__ = [
     "RelationSystem",
     "build_relations",
     "check_substitution_isomorphism",
+    "relation_rank",
     "relation_space",
     "relation_terms",
     "sample_generic_x",
@@ -238,49 +239,44 @@ def singular_values(sys: RelationSystem) -> np.ndarray:
     return sys._svd[2].copy()
 
 
-def _graded_space(sys: RelationSystem, grades=None):
-    """Per-grade orthonormal bases of the relation space.
+def relation_rank(sys: RelationSystem):
+    """Rank of the relation space and the gap s[rank-1]/s[rank] above it.
 
-    Returns (vh, keep): the first keep[s].sum() rows of vh[s] are a basis
-    of the grade-s part, in block coordinates a (vh only of the given
-    grades, in order, if set).  Grade s = s0 + 2m has vh[s][:, a] =
-    vh[s0][:, a - mr].  The rank cutoff RANK_TOL * s[0] and the gap test
-    are relation_space's, on the global spectrum.
+    The one rank decision, read off the sorted spectrum alone: the rank
+    counts the singular values above RANK_TOL * s[0]; a gap below 10
+    raises AmbiguousRank.  The gap is None at rank 0 or full rank.
     """
-    d = sys.d
-    rep_vh, svals, s = sys._svd
-    grades = np.arange(d) if grades is None else np.asarray(grades)
-    step = (grades + d * (grades % 2)) // 2  # grade = s0 + 2 step mod d
-    vh = rep_vh[(grades % len(rep_vh))[:, None, None], np.arange(d)[:, None],
-                (np.arange(d) - sys.params.r * step[:, None, None]) % d]
+    s = sys._svd[2]
     cutoff = RANK_TOL * s[0] if len(s) else np.inf
-    keep = svals > cutoff
-    rank = int(keep.sum())
-    if 0 < rank < len(s) and s[rank] > 0.0 and s[rank - 1] / s[rank] < 10.0:
+    rank = int((s > cutoff).sum())
+    if not 0 < rank < len(s):
+        return rank, None
+    gap = float(s[rank - 1] / s[rank]) if s[rank] > 0.0 else np.inf
+    if gap < 10.0:
         raise AmbiguousRank(
             f"no spectral gap at the rank cutoff {cutoff:.3e} (RANK_TOL="
             f"{RANK_TOL:g} times s[0]={s[0]:.3e}): s[{rank - 1}]/s[{rank}] = "
-            f"{s[rank - 1]:.3e}/{s[rank]:.3e} = {s[rank - 1] / s[rank]:.3g}, "
+            f"{s[rank - 1]:.3e}/{s[rank]:.3e} = {gap:.3g}, "
             f"below the required 10")
-    return vh, keep
+    return rank, gap
 
 
 def relation_space(sys: RelationSystem) -> np.ndarray:
-    """Orthonormal basis (as columns) of the span of the relation rows.
+    """Dense orthonormal basis (as columns) of the span of the relation rows.
 
-    The dimension is the number of singular values above RANK_TOL times
-    the largest one.  If the spectrum has no clear gap there (consecutive
-    ratio < 10), the rank is not trustworthy and AmbiguousRank is raised.
-    Columns come grade by grade (s = 0, 1, ...), each grade's in
-    descending singular value order; they are not sorted globally.
+    A d^2 x rank array, built only on request: the rank alone is
+    relation_rank's, which also raises AmbiguousRank for both.  Columns
+    come grade by grade (s = 0, 1, ...), each grade's in descending
+    singular value order; they are not sorted globally.
     """
     d, r = sys.d, sys.params.r
-    vh, keep = _graded_space(sys)
-    grade, col = np.nonzero(keep)
+    bases, rank = _grade_bases(sys, np.arange(d))
+    rows = [b.T for b in bases]
+    grade = np.repeat(np.arange(d), [len(v) for v in rows])[:, None]
     a = np.arange(d)
-    basis = np.zeros((d * d, len(grade)), dtype=complex)
-    basis[a * d + (r * grade[:, None] - a) % d,
-          np.arange(len(grade))[:, None]] = vh[grade, col]
+    basis = np.zeros((d * d, rank), dtype=complex)
+    basis[a * d + (r * grade - a) % d, np.arange(rank)[:, None]] = \
+        np.concatenate(rows)
     return basis
 
 
@@ -313,9 +309,20 @@ def substitution_matrix(d: int, mult: int) -> np.ndarray:
 
 
 def _grade_bases(sys: RelationSystem, grades):
-    """Bases of the given grades (columns over a) and the total rank."""
-    vh, keep = _graded_space(sys, grades)
-    return [v[:k].T for v, k in zip(vh, keep[grades].sum(1))], keep.sum()
+    """Per-grade bases (columns over a) of an array of grades, and the rank.
+
+    Grade s = s0 + 2m rolls the vh of its orbit representative s0 by m*r
+    columns and keeps the rows whose singular values are among the top
+    rank of relation_rank, which also makes the gap test.
+    """
+    d = sys.d
+    rep_vh, svals, s = sys._svd
+    rank = relation_rank(sys)[0]
+    step = (grades + d * (grades % 2)) // 2  # grade = s0 + 2 step mod d
+    vh = rep_vh[(grades % len(rep_vh))[:, None, None], np.arange(d)[:, None],
+                (np.arange(d) - sys.params.r * step[:, None, None]) % d]
+    kept = (svals[grades] >= (s[rank - 1] if rank else np.inf)).sum(axis=1)
+    return [v[:k].T for v, k in zip(vh, kept)], rank
 
 
 def substitution_distance(d: int, r: int, r2: int, x: complex,

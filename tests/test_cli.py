@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA, SRC
-from sklab import cli, mukai, poisson, residues, theta
+from sklab import cli, mukai, poisson, residues, sklyanin, theta
 from sklab.cli import RunConfig, build_parser, run
 from sklab.theta import ThetaBasis
 
@@ -264,12 +264,29 @@ def test_poisson_past_d_10(capsys, tmp_path, d, r):
 
 @pytest.mark.parametrize("argv", [
     ("sklyanin", "relations", "--d", "23", "--r", "2", "--x", "0.11,0.17"),
+    ("sklyanin", "relations", "--d", "101", "--r", "2", "--x", "0.11,0.17"),
     ("theta", "check", "--d", "25"),
 ])
 def test_past_d_21(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert all(row["pass"] for row in json.loads(out)["residuals"])
+
+
+def test_rank_needs_no_dense_basis(capsys, monkeypatch, tmp_path):
+    def refuse(system):
+        raise AssertionError("the dense relation basis was built")
+
+    argvs = [("sklyanin", "relations", "--d", "9", "--r", "2", "--x",
+              "0.11,0.17", "--dump", str(tmp_path / "coeffs.json")),
+             ("check", "--all")]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+    dump = (tmp_path / "coeffs.json").read_text()
+    monkeypatch.setattr(sklyanin, "relation_space", refuse)
+    for argv, (code, out, _) in zip(argvs, want):
+        assert code == 0
+        assert run_cli(capsys, *argv)[:2] == (0, out)
+    assert (tmp_path / "coeffs.json").read_text() == dump
 
 
 def test_mukai_act_and_invariants(capsys):

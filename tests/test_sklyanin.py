@@ -5,9 +5,10 @@ import pytest
 
 from sklab import sklyanin, theta
 from sklab.sklyanin import (AlgebraParams, AmbiguousRank, DenominatorNearZero,
-                            RelationSystem, build_relations, relation_space,
-                            relation_terms, sample_generic_x,
-                            singular_values, subspace_distance,
+                            RelationSystem, build_relations, relation_rank,
+                            relation_space, relation_terms,
+                            sample_generic_x, singular_values,
+                            subspace_distance,
                             substitution_distance, substitution_matrix,
                             check_substitution_isomorphism)
 from sklab.theta import ConvergenceError, ThetaBasis, reduce_to_cell
@@ -356,12 +357,12 @@ def test_ambiguous_rank_raises(modulus):
     system = RelationSystem(params, table)
     want = np.sort(np.repeat(spectra, d // 2))[::-1]
     assert np.abs(singular_values(system) - want).max() <= 1e-15
-    with pytest.raises(AmbiguousRank,
-                       match=r"rank cutoff 1\.000e-09 \(RANK_TOL=1e-09 times "
-                             r"s\[0\]=1\.000e\+00\): s\[13\]/s\[14\] = "
-                             r"3\.000e-09/5\.000e-10 = 6, below the "
-                             r"required 10"):
-        relation_space(system)
+    message = (r"rank cutoff 1\.000e-09 \(RANK_TOL=1e-09 times "
+               r"s\[0\]=1\.000e\+00\): s\[13\]/s\[14\] = "
+               r"3\.000e-09/5\.000e-10 = 6, below the required 10")
+    for decide in (relation_space, relation_rank):
+        with pytest.raises(AmbiguousRank, match=message):
+            decide(system)
 
 
 def test_rank_mismatch_names_both_systems(modulus, monkeypatch):
@@ -395,6 +396,9 @@ def test_orbit_svd_matches_all_grade_oracle(d, modulus):
         assert len(svals) == len(want)
         assert np.abs(svals - want).max(initial=0.0) \
             <= 1e-13 * want.max(initial=0.0)
+        k = relation_space(system).shape[1]
+        gap = svals[k - 1] / svals[k] if 0 < k < len(svals) else None
+        assert relation_rank(system) == (k, gap), r
         for got, basis in zip(bases, want_bases):
             assert subspace_distance(got, basis) <= 1e-13, r
         r_inv = pow(r, -1, d)
