@@ -647,9 +647,16 @@ def _random_object(rng) -> mukai.DerivedObject:
 # -------------------------------------------------------------------- parser
 
 
+def _negative_form(flag: str, example: str) -> str:
+    # argparse reads a value that starts with '-' and holds ',' or '/' as
+    # a flag, not as a negative number; the '=' form attaches it
+    return f"write a negative value as {flag}={example}"
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, env_cfg: RunConfig):
     parser.add_argument("--omega", type=parse_complex, default=env_cfg.omega,
-                        help="curve modulus as RE,IM (default %(default)s)")
+                        help="curve modulus as RE,IM (default %(default)s); "
+                             + _negative_form("--omega", "-0.2,1.3"))
     parser.add_argument("--seed", type=int, default=env_cfg.seed,
                         help="random seed")
     parser.add_argument("--format", dest="output_format",
@@ -677,7 +684,8 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     p = leaf(theta_sub, "eval", cmd_theta_eval)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--z", type=parse_complex, required=True)
+    p.add_argument("--z", type=parse_complex, required=True,
+                   help=_negative_form("--z", "-0.3,0.4"))
     p = leaf(theta_sub, "check", cmd_theta_check)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
@@ -687,13 +695,15 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     p = leaf(sk_sub, "relations", cmd_sklyanin_relations)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--x", type=parse_complex, required=True)
+    p.add_argument("--x", type=parse_complex, required=True,
+                   help=_negative_form("--x", "-0.3,0.4"))
     p.add_argument("--dump", metavar="coeffs.json")
     p = leaf(sk_sub, "check-iso", cmd_sklyanin_check_iso)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--rprime", type=int, required=True)
-    p.add_argument("--x", type=parse_complex, required=True)
+    p.add_argument("--x", type=parse_complex, required=True,
+                   help=_negative_form("--x", "-0.3,0.4"))
 
     po_p = sub.add_parser("poisson", help="classical-limit bracket extraction")
     po_sub = po_p.add_subparsers(dest="subcommand", required=True)
@@ -713,8 +723,10 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     p.add_argument("--word", required=True,
                    help='space-separated letters, e.g. "S R R S-"')
     p = leaf(mk_sub, "invariants", cmd_mukai_invariants)
-    p.add_argument("--v1", type=parse_int_pair, required=True, metavar="R,D")
-    p.add_argument("--v2", type=parse_int_pair, required=True, metavar="R,D")
+    p.add_argument("--v1", type=parse_int_pair, required=True, metavar="R,D",
+                   help=_negative_form("--v1", "-2,1"))
+    p.add_argument("--v2", type=parse_int_pair, required=True, metavar="R,D",
+                   help=_negative_form("--v2", "-2,1"))
     p = leaf(mk_sub, "solve-tr", cmd_mukai_solve_tr)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -737,8 +749,10 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
     p.add_argument("--r2", type=int, required=True)
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
-    p.add_argument("--lo", type=parse_rational, required=True, metavar="P/Q")
-    p.add_argument("--hi", type=parse_rational, required=True, metavar="P/Q")
+    p.add_argument("--lo", type=parse_rational, required=True, metavar="P/Q",
+                   help=_negative_form("--lo", "-1/2"))
+    p.add_argument("--hi", type=parse_rational, required=True, metavar="P/Q",
+                   help=_negative_form("--hi", "-1/2"))
 
     tn_p = sub.add_parser("tensor", help="invariant tensors and t_*")
     tn_sub = tn_p.add_subparsers(dest="subcommand", required=True)

@@ -24,7 +24,6 @@ makes the signed K-vector (-1)^k (r, d) strictly equivariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 __all__ = [
@@ -160,38 +159,39 @@ _CROSSING_SHIFT = {"S": -1, "S-": 1}
 
 
 def act_letter(obj: DerivedObject, letter: str) -> DerivedObject:
-    """One generator applied to an object.
-
-    The letter matrix acts on (rank, degree).  If the image leaves the
-    orientation half-plane (r > 0, or r = 0 with d > 0), it is negated and
-    the shift moves by -1 for S and +1 for S^{-1}; R and R^{-1} never
-    leave it.  So S sends (r, d) to (d, -r) when d > 0 and to (-d, r) one
-    shift down otherwise, S^{-1}(o at k) = S(o at k+1), and S^2 is the
-    shift by -1.  The image is the skyscraper exactly when its rank is 0.
-    """
-    if letter not in LETTER_MATRIX:
-        raise ValueError(f"unknown letter {letter!r}")
-    (a, b), (c, e) = LETTER_MATRIX[letter]
-    r, d = a * obj.rank + b * obj.degree, c * obj.rank + e * obj.degree
-    shift = obj.shift
-    if r < 0 or (r == 0 and d < 0):
-        r, d, shift = -r, -d, shift + _CROSSING_SHIFT[letter]
-    return DerivedObject("bundle" if r else "torsion", r, d, shift)
+    """One generator applied to an object: act_word on the one-letter word."""
+    return act_word(obj, GroupWord((letter,)))
 
 
 def act_word(obj: DerivedObject, word: GroupWord) -> DerivedObject:
-    """Apply a word, rightmost letter first (function composition order)."""
+    """Apply a word, rightmost letter first (function composition order).
+
+    (rank, degree, shift) are folded as ints through the letters and one
+    object is built, and validated, at the end.  Each letter matrix acts
+    on (rank, degree); an image that leaves the orientation half-plane
+    (r > 0, or r = 0 with d > 0) is negated, and the shift moves by -1 for
+    S and +1 for S^{-1} (R and R^{-1} never leave it).  So S sends (r, d)
+    to (d, -r) when d > 0 and to (-d, r) one shift down otherwise,
+    S^{-1}(o at k) = S(o at k+1), S^2 is the shift by -1, and the image
+    is the skyscraper exactly when its rank is 0.
+    """
+    r, d, shift = obj.rank, obj.degree, obj.shift
     for letter in reversed(word.letters):
-        obj = act_letter(obj, letter)
-    return obj
+        (a, b), (c, e) = LETTER_MATRIX[letter]
+        r, d = a * r + b * d, c * r + e * d
+        if r < 0 or (r == 0 and d < 0):
+            r, d, shift = -r, -d, shift + _CROSSING_SHIFT[letter]
+    return DerivedObject("bundle" if r else "torsion", r, d, shift)
 
 
 def word_matrix(word: GroupWord):
-    """Image in SL2(Z): letter matrices multiplied in written order."""
-    out = IDENTITY
+    """Image in SL2(Z): letter matrices folded as ints in written order."""
+    (a, b), (c, e) = IDENTITY
     for letter in word.letters:
-        out = _mat_mul(out, LETTER_MATRIX[letter])
-    return out
+        (p, q), (s, t) = LETTER_MATRIX[letter]
+        a, b = a * p + b * s, a * q + b * t
+        c, e = c * p + e * s, c * q + e * t
+    return ((a, b), (c, e))
 
 
 CANONICAL_PAIR = (Bundle(1, 0, 0), Torsion(0))
@@ -264,32 +264,41 @@ def sl2_to_word(matrix, max_len: int | None = None) -> GroupWord:
     which shrinks the lower entry by at least half per round, and S swaps
     the rows up to sign.  Whatever upper-triangular part remains is a
     power of L = [[1,1],[0,1]], which is S R^{-1} S^{-1}.  The applied
-    letters are inverted and replayed to give the word.  The result is
-    verified exactly before returning.
+    letters, kept as runs (letter, count), are inverted and replayed to
+    give the word.  Free reduction removes at most the "S S^{-1}" before
+    the shear, so more than max_len + 2 letters are refused before any is
+    written.  The word is verified exactly before returning.
     """
     (a, b), (c, e) = matrix
     if a * e - b * c != 1:
         raise ValueError("matrix is not in SL2(Z)")
-    applied = []
+    runs = []
     while c != 0:
         if a != 0 and abs(c) >= abs(a):
-            quot = round(Fraction(c, a))
-            applied += ["R-" if quot > 0 else "R"] * abs(quot)
+            quot, rem = divmod(c, a)  # round(c / a), ties to even
+            if abs(2 * rem) > abs(a) or (2 * rem == a and quot % 2):
+                quot += 1
+            runs.append(("R-" if quot > 0 else "R", abs(quot)))
             c, e = c - quot * a, e - quot * b
             if c == 0:
                 break
-        applied.append("S")
+        runs.append(("S", 1))
         a, b, c, e = c, e, -a, -b
     if a == -1:
-        applied += ["S", "S"]
+        runs.append(("S", 2))
         a, b, c, e = -a, -b, -c, -e
     if (a, c, e) != (1, 0, 1):
         raise ArithmeticError(f"Euclidean reduction left {((a, b), (c, e))}, "
                               f"not unipotent upper triangular")
     if b != 0:
         # L^{-b} = S R^b S^{-1}, applied right to left, clears the shear
-        applied += ["S-"] + ["R" if b > 0 else "R-"] * abs(b) + ["S"]
-    word = GroupWord(tuple(LETTER_INVERSE[l] for l in applied))
+        runs += [("S-", 1), ("R" if b > 0 else "R-", abs(b)), ("S", 1)]
+    count = sum(n for _, n in runs)
+    if max_len is not None and count > max_len + 2:
+        raise TransporterError(
+            f"word of at least {count - 2} letters exceeds max_len={max_len}")
+    word = GroupWord(tuple(LETTER_INVERSE[letter] for letter, n in runs
+                           for _ in range(n)))
     product = word_matrix(word)
     if product != matrix:
         raise ArithmeticError(

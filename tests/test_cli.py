@@ -354,6 +354,42 @@ def test_walls_bad_rational_is_usage_error(capsys):
     assert code == 2
 
 
+WALLS = ("walls", "--r1", "2", "--r2", "1", "--d1", "3", "--d2", "0")
+
+
+# argparse takes a value that starts with '-' and holds ',' or '/' for a
+# flag, so such a value is attached with '='.  Each '=' form is paired with
+# an input that needs no '=': the same value as a plain negative number,
+# both vectors negated (the invariants are even in the pair), or, on an
+# exact command that never reads omega, the omega with the sign flipped.
+@pytest.mark.parametrize("with_equals, without", [
+    (("theta", "eval", "--d", "3", "--m", "1", "--z=-0.3,0"),
+     ("theta", "eval", "--d", "3", "--m", "1", "--z", "-0.3")),
+    (("sklyanin", "relations", "--d", "3", "--r", "1", "--x=-0.11,0"),
+     ("sklyanin", "relations", "--d", "3", "--r", "1", "--x", "-0.11")),
+    (("mukai", "invariants", "--v1=-2,1", "--v2=-1,-3"),
+     ("mukai", "invariants", "--v1", "2,-1", "--v2", "1,3")),
+    (WALLS + ("--lo=-1/2", "--hi", "3"), WALLS + ("--lo", "-0.5", "--hi", "3")),
+    (WALLS + ("--lo", "-2", "--hi=-1/2"),
+     WALLS + ("--lo", "-2", "--hi", "-0.5")),
+    (("mukai", "solve-tr", "--r", "2", "--d", "7", "--omega=-0.2,1.3"),
+     ("mukai", "solve-tr", "--r", "2", "--d", "7", "--omega", "0.2,1.3")),
+])
+def test_negative_values_take_the_equals_form(capsys, with_equals, without):
+    code, out, err = run_cli(capsys, *with_equals)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *without)
+    first_flag = next(i for i, a in enumerate(with_equals)
+                      if a.startswith("--"))
+    code, out, _ = run_cli(capsys, *with_equals[:first_flag], "--help")
+    assert code == 0
+    help_text = " ".join(out.split())
+    for arg in with_equals:
+        if "=-" in arg:
+            flag = arg.split("=")[0]
+            assert f"write a negative value as {flag}=-" in help_text
+
+
 def test_tensor_check_and_solve(capsys):
     code, out, _ = run_cli(capsys, "tensor", "check", "--case", "gl:2,1")
     assert code == 0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -328,3 +329,99 @@ def test_solve_U_r_degree_one_companion():
         word, r_dp = solve_U_r(Bundle(r, 1, 0))
         assert r_dp == 0
         assert signed_kvector(act_word(Bundle(1, 0, 0), word)) == (0, -1)
+
+
+# ------------------------------------------- oracles: the integer folds
+# act_word, word_matrix and sl2_to_word fold plain ints; the per-letter
+# paths above (one object or one matrix product per letter, Fraction
+# rounding) are their oracles.
+
+
+def test_act_word_matches_per_letter_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(5000):
+        obj, word = random_object(rng), random_word(rng, max_len=40)
+        assert act_word(obj, word) == ref_act_word(obj, word)
+
+
+def test_word_matrix_matches_per_letter_fold():
+    rng = np.random.default_rng(6)
+    words = [GroupWord(())] + [random_word(rng, max_len=40)
+                               for _ in range(2000)]
+    for word in words:
+        want = mukai.IDENTITY
+        for letter in word.letters:
+            want = mukai._mat_mul(want, mukai.LETTER_MATRIX[letter])
+        assert word_matrix(word) == want
+
+
+def test_sl2_to_word_rounds_ties_to_even():
+    # |a| = 2 with c odd: the first quotient c / a is a half-integer
+    for a in (2, -2):
+        for c in range(-41, 42, 2):
+            m = ((a, 1), (c, (1 + c) // a))
+            assert str(sl2_to_word(m)) == str(ref_sl2_to_word(m))
+
+
+def test_sl2_to_word_matches_oracle_past_2_53():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        letters = ()
+        for k, sign in zip(rng.integers(3, 6, size=50),
+                           rng.integers(0, 2, size=50)):
+            letters += ("R" if sign else "R-",) * int(k) + ("S",)
+        word = GroupWord(letters)
+        m = word_matrix(word)
+        assert len(word) > 100
+        assert max(abs(entry) for row in m for entry in row) > 2 ** 53
+        assert str(sl2_to_word(m)) == str(ref_sl2_to_word(m))
+
+
+@pytest.mark.parametrize("matrix", [((1, 0), (10 ** 7, 1)),
+                                    ((1, 10 ** 7), (0, 1)),
+                                    ((-1, 10 ** 7), (0, -1))])
+def test_huge_shear_is_refused_before_the_word_is_built(matrix):
+    start = time.perf_counter()
+    with pytest.raises(TransporterError, match="exceeds max_len=400"):
+        sl2_to_word(matrix, max_len=400)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_huge_transporter_is_refused_quickly():
+    start = time.perf_counter()
+    with pytest.raises(TransporterError, match="exceeds max_len=400"):
+        solve_transporter((KVector(1, 0), KVector(0, 1)),
+                          (KVector(1, 0), KVector(10 ** 7, 1)), max_len=400)
+    assert time.perf_counter() - start < 0.05
+
+
+# Free reduction takes "S S-" out of the words of these matrices (a = -1,
+# or a = 0, before a shear); the budget allows for those two letters
+CANCELLING = ([((-1, b), (0, -1)) for b in (-7, -1, 1, 7)]
+              + [((0, -1), (1, e)) for e in (-7, -1, 1, 7)]
+              + [((0, 1), (-1, e)) for e in (-7, -1, 1, 7)])
+NOT_CANCELLING = [((1, b), (0, 1)) for b in (-7, -1, 1, 7)]
+
+
+def test_budget_boundary_matches_the_built_word_length():
+    rng = np.random.default_rng(13)
+    matrices = CANCELLING + NOT_CANCELLING + [
+        word_matrix(random_word(rng, max_len=24)) for _ in range(2000)]
+    for m in matrices:
+        want = ref_sl2_to_word(m)
+        n = len(want)
+        for max_len in (n - 1, n, n + 1):
+            if max_len < n:
+                with pytest.raises(TransporterError,
+                                   match=f"exceeds max_len={max_len}"):
+                    sl2_to_word(m, max_len=max_len)
+            else:
+                assert sl2_to_word(m, max_len=max_len) == want
+    # one letter short, the cancelling words are refused from their runs,
+    # the others only once built
+    for matrices, refusal in ((CANCELLING, "at least"),
+                              (NOT_CANCELLING, "of length")):
+        for m in matrices:
+            n = len(ref_sl2_to_word(m))
+            with pytest.raises(TransporterError, match=f"{refusal} {n} "):
+                sl2_to_word(m, max_len=n - 1)
