@@ -3,7 +3,8 @@
 One executable, one subcommand per capability, uniform output: results
 go to stdout as JSON (default) or an aligned table, residual checks are
 reported as {name, value, tolerance, pass} rows, and the exit code tells
-scripts what happened: 0 success, 1 a verification failed, 2 usage.
+scripts what happened: 0 success, 1 a verification failed (a row or an
+ArithmeticError), 2 usage (a ValueError or OSError).
 `check --all` is assembled from the row builders of the subcommands.
 
 Each command imports what it calls, so the exact subcommands, `--help` and
@@ -26,6 +27,8 @@ from math import gcd
 
 DEFAULT_OMEGA = 0.2 + 1.3j
 FUNCTIONAL_EQ_TOL = 1e-10
+# Points per batch of the functional-equation check of `theta check`.
+THETA_CHUNK = 256
 # Bound on the substitution subspace distance of `sklyanin check-iso`.
 ISO_TOL = 1e-8
 
@@ -173,25 +176,12 @@ def report(result: dict, config: RunConfig) -> int:
 # ------------------------------------------------------------------ commands
 
 
-def _theta_residuals_at(basis, m, z):
-    import numpy as np
-    d, omega = basis.d, basis.modulus.omega
-    v = basis.eval(m, z)
-    lhs1 = basis.eval(m, z + 1.0 / d)
-    rhs1 = -np.exp(2j * np.pi * m / d) * v
-    den1 = max(abs(lhs1), abs(rhs1), 1e-300)
-    lhs2 = basis.eval(m, z + omega)
-    rhs2 = -np.exp(-1j * np.pi * d * omega - 2j * np.pi * d * z) * v
-    den2 = max(abs(lhs2), abs(rhs2), 1e-300)
-    return abs(lhs1 - rhs1) / den1, abs(lhs2 - rhs2) / den2
-
-
 def cmd_theta_eval(args, config: RunConfig) -> int:
-    from .theta import ThetaBasis
+    from .theta import ThetaBasis, theta_functional_residuals
     basis = ThetaBasis(args.d, config.modulus)
     z = args.z
     value = basis.eval(args.m, z)
-    res1, res2 = _theta_residuals_at(basis, args.m, z)
+    (res1,), (res2,) = theta_functional_residuals(basis, [args.m], [z])
     result = {
         "d": args.d, "m": args.m,
         "z_re": z.real, "z_im": z.imag,
@@ -209,20 +199,22 @@ def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
 
     Functional equations at `trials` random points, zero counts of every
     basis function, and the symmetry fit at a generic x, drawn from rng
-    in that order.  trials must be at least 1.
+    in that order.  The points are drawn and checked THETA_CHUNK at a
+    time, each as m, then Re, then Im.  trials must be at least 1.
     """
     from . import sklyanin
-    from .theta import (FIT_TOL, ThetaBasis, theta_symmetry_constants,
-                        theta_zero_count)
+    from .theta import (FIT_TOL, ThetaBasis, theta_functional_residuals,
+                        theta_symmetry_constants, theta_zero_count)
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")
     basis = ThetaBasis(d, config.modulus)
     worst1 = worst2 = 0.0
-    for _ in range(trials):
-        m = int(rng.integers(0, d))
-        z = complex(rng.uniform(-1, 1) + rng.uniform(-1, 1) * config.omega)
-        r1, r2 = _theta_residuals_at(basis, m, z)
-        worst1, worst2 = max(worst1, r1), max(worst2, r2)
+    for start in range(0, trials, THETA_CHUNK):
+        points = [(int(rng.integers(0, d)), complex(
+            rng.uniform(-1, 1) + rng.uniform(-1, 1) * config.omega))
+            for _ in range(min(THETA_CHUNK, trials - start))]
+        r1, r2 = theta_functional_residuals(basis, *zip(*points))
+        worst1, worst2 = max(worst1, r1.max()), max(worst2, r2.max())
     count_dev = max(abs(theta_zero_count(basis, m) - d) for m in range(d))
     x = sklyanin.sample_generic_x(d, config.modulus, rng)
     _, b, fit = theta_symmetry_constants(basis, x)
@@ -338,32 +330,40 @@ def cmd_poisson_extract(args, config: RunConfig) -> int:
     return report(result, config)
 
 
+def _load(what: str, path: str, loader):
+    """loader(path), refusing an unreadable or malformed file as usage."""
+    try:
+        return loader(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"cannot load {what} from {path!r}: {exc}")
+
+
 def load_poisson_json(path: str) -> poisson.PoissonTensor:
     import numpy as np
     from . import poisson
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        d = int(data["d"])
-        if d < 1:
-            raise ValueError(f"d = {d} is below 1")
-        pi = np.zeros((d, d, d, d), dtype=complex)
-        for entry in data["entries"]:
-            index = tuple(entry[k] for k in "abce")
-            if not all(type(i) is int and 0 <= i < d for i in index):
-                raise ValueError(f"entry index {index} is not in 0..{d - 1}")
-            pi[index] = complex(entry["re"], entry["im"])
-            if not np.isfinite(pi[index]):
-                raise ValueError(f"entry {index} is not finite")
-        return poisson.PoissonTensor(
-            d=d, r=int(data["r"]), pi=pi,
-            richardson_error=float(data["richardson_error"]))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"cannot load bracket from {path!r}: {exc}")
+    with open(path) as fh:
+        data = json.load(fh)
+    for key in "dr":
+        if type(data[key]) is not int:
+            raise ValueError(f"{key} = {data[key]!r} is not an integer")
+    d = data["d"]
+    if d < 1:
+        raise ValueError(f"d = {d} is below 1")
+    pi = np.zeros((d, d, d, d), dtype=complex)
+    for entry in data["entries"]:
+        index = tuple(entry[k] for k in "abce")
+        if not all(type(i) is int and 0 <= i < d for i in index):
+            raise ValueError(f"entry index {index} is not in 0..{d - 1}")
+        pi[index] = complex(entry["re"], entry["im"])
+        if not np.isfinite(pi[index]):
+            raise ValueError(f"entry {index} is not finite")
+    return poisson.PoissonTensor(
+        d=d, r=data["r"], pi=pi,
+        richardson_error=float(data["richardson_error"]))
 
 
 def cmd_poisson_jacobi(args, config: RunConfig) -> int:
-    tensor = load_poisson_json(args.infile)
+    tensor = _load("bracket", args.infile, load_poisson_json)
     row = _jacobi_row(tensor, args.trials, config)
     result = {
         "d": tensor.d, "r": tensor.r,
@@ -475,10 +475,7 @@ def _resolve_tensor_case(case: str):
             raise UsageError("gsp size must be even and at least 2")
         return invtensor.gsp_rep(two_r), None
     if kind == "file":
-        try:
-            return invtensor.load_rep_json(rest), None
-        except (OSError, KeyError, ValueError) as exc:
-            raise UsageError(f"cannot load rep from {rest!r}: {exc}")
+        return _load("rep", rest, invtensor.load_rep_json), None
     raise UsageError(f"unknown case {case!r} (expected gl:R1,R2, gsp:2R, "
                      "or file:rep.json)")
 
@@ -506,11 +503,8 @@ def cmd_tensor_check(args, config: RunConfig) -> int:
     from . import invtensor
     rep, default_tensor = _resolve_tensor_case(args.case)
     if args.t:
-        path = args.t.partition(":")[2] if args.t.startswith("file:") else args.t
-        try:
-            tensors = [invtensor.load_tensor_json(path)]
-        except (OSError, KeyError, ValueError) as exc:
-            raise UsageError(f"cannot load tensor from {path!r}: {exc}")
+        tensors = [_load("tensor", args.t.removeprefix("file:"),
+                         invtensor.load_tensor_json)]
     elif default_tensor is not None:
         tensors = [default_tensor]
     else:
@@ -777,34 +771,16 @@ def _config_from_args(args) -> RunConfig:
                         for f in fields(RunConfig)}).validate()
 
 
-def _verification_errors() -> tuple:
-    """The exceptions that exit 1, from the modules this run imported (a
-    module not loaded raised nothing)."""
-    names = {"theta": "ConvergenceError", "sklyanin": "AmbiguousRank",
-             "poisson": "ExtractionError", "mukai": "TransporterError"}
-    loaded = ((sys.modules.get(f"{__package__}.{m}"), c)
-              for m, c in names.items())
-    return (ArithmeticError, *(getattr(mod, c) for mod, c in loaded if mod))
-
-
 def run(argv=None) -> int:
     try:
-        env_cfg = config_from_env()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser(env_cfg)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser(config_from_env()).parse_args(argv)
+        return args.func(args, _config_from_args(args))
+    except SystemExit as exc:  # argparse: --help, or its usage message
         return int(exc.code or 0)
-    try:
-        config = _config_from_args(args)
-        return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _verification_errors() as exc:
+    except ArithmeticError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

@@ -66,7 +66,7 @@ def _mat_mul(m1, m2):
     )
 
 
-class TransporterError(RuntimeError):
+class TransporterError(ArithmeticError):
     """No transporter word (invariant mismatch or length budget exceeded)."""
 
 

@@ -55,7 +55,7 @@ BRACKET_TOL = 1e-6
 JACOBI_CHUNK = 8
 
 
-class ExtractionError(RuntimeError):
+class ExtractionError(ArithmeticError):
     """The bracket failed its check against the relations at x = h u."""
 
 

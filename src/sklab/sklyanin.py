@@ -47,8 +47,6 @@ __all__ = [
     "substitution_matrix",
 ]
 
-ROW_DROP_CUTOFF = 1e-10
-
 # Rank cutoff, relative to the largest singular value.
 RANK_TOL = 1e-9
 
@@ -56,7 +54,7 @@ RANK_TOL = 1e-9
 GENERIC_X_DRAWS = 51
 
 
-class AmbiguousRank(RuntimeError):
+class AmbiguousRank(ArithmeticError):
     """No clear spectral gap at the rank cutoff."""
 
 
@@ -135,18 +133,16 @@ class RelationSystem:
         """One batched SVD of the orbit representatives s0 < gcd(2, d).
 
         Every block of an orbit permutes the rows and columns of the others.
-        Rows below ROW_DROP_CUTOFF of the largest row are zeroed first; a
-        block with m kept rows has m singular values, its d - m trailing
+        A block row permutes a table row (exactly zero, or of maximum 1); a
+        block with m nonzero rows has m singular values, its d - m trailing
         ones are set to exact zeros and left out of the sorted spectrum.
         Returns (vh of each representative, block_svals of every grade,
         spectrum), all read-only and computed once per system.
         """
         d, d0 = self.d, gcd(2, self.d)
         reps = self._blocks(range(d0))
-        rowmax = np.abs(reps).max(axis=2)
-        live = (rowmax > 0.0) & (rowmax >= ROW_DROP_CUTOFF * rowmax.max())
-        _, svals, vh = np.linalg.svd(np.where(live[..., None], reps, 0.0))
-        kept = live.sum(axis=1)
+        _, svals, vh = np.linalg.svd(reps)
+        kept = reps.any(axis=2).sum(axis=1)
         svals[np.arange(d) >= kept[:, None]] = 0.0
         svals = svals[np.arange(d) % d0]
         spectrum = np.sort(svals, axis=None)[::-1][:kept.sum() * d // d0]

@@ -33,6 +33,7 @@ __all__ = [
     "ThetaBasis",
     "ThetaOverflowError",
     "reduce_to_cell",
+    "theta_functional_residuals",
     "theta_symmetry_constants",
     "theta_zero_count",
     "torsion_gate",
@@ -119,7 +120,7 @@ def torsion_gate(d: int, x: complex, omega: complex) -> None:
         raise DenominatorNearZero(d, point, dist, bound)
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """Adaptive truncation, contour placement, or a constants fit failed."""
 
 
@@ -314,6 +315,28 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex):
         raise ConvergenceError(
             f"|b^d - 1| = {abs(b ** d - 1.0):.3e} exceeds {FIT_TOL:g}")
     return a, b, residual
+
+
+def theta_functional_residuals(basis: ThetaBasis, ms, zs):
+    """Relative residuals (res1, res2) of the functional equations under
+    z -> z + 1/d and z -> z + omega at each (m, z), |lhs - rhs| / max(|lhs|,
+    |rhs|, 1e-300) with the phases of m as given; ValueError if a z is not
+    finite.  One eval call per distinct m covers its points and both shifts.
+    """
+    d, omega = basis.d, basis.omega
+    ms, zs = np.asarray(ms), np.asarray(zs, dtype=complex)
+    res = np.empty((2, len(zs)))
+    # a set, not np.unique: the latter imports numpy.ma on its first call
+    for m in set(ms.tolist()):
+        at = np.flatnonzero(ms == m)
+        z = zs[at]
+        vals = basis.eval(m, np.concatenate([z, z + 1.0 / d, z + omega]))
+        v, lhs = vals[:len(z)], vals[len(z):].reshape(2, -1)
+        rhs = -np.array([np.exp(2j * np.pi * m / d) * v, np.exp(
+            -1j * np.pi * d * omega - 2j * np.pi * d * z) * v])
+        res[:, at] = np.abs(lhs - rhs) / np.maximum(
+            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    return res[0], res[1]
 
 
 @functools.lru_cache(maxsize=16)

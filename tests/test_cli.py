@@ -1,6 +1,8 @@
 import argparse
 import ast
+import importlib
 import json
+import pkgutil
 import re
 import resource
 import shlex
@@ -10,10 +12,11 @@ import sys
 import numpy as np
 import pytest
 
+import sklab
 from conftest import OMEGA, SRC
 from sklab import cli, mukai, poisson, residues, sklyanin, theta
 from sklab.cli import RunConfig, build_parser, run
-from sklab.theta import ThetaBasis
+from sklab.theta import ThetaBasis, theta_functional_residuals
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +180,100 @@ def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
     assert detail in err
     # one line: no traceback, no numpy warning
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("d", float("inf"), "d = inf is not an integer"),
+    ("r", 1.9, "r = 1.9 is not an integer"),
+    ("d", True, "d = True is not an integer"),
+])
+def test_poisson_jacobi_refuses_non_integer_d_or_r(capsys, tmp_path, key,
+                                                   value, shown):
+    dump = _malformed_dump(tmp_path / "pi.json", lambda p: p.update(
+        {key: value}))
+    code, out, err = run_cli(capsys, "poisson", "jacobi", "--in", str(dump))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot load bracket from {str(dump)!r}: {shown}\n"
+
+
+@pytest.mark.parametrize("what, doc, argv", [
+    ("rep", {"dim_g": 1, "dim_V": 1, "bracket": 5, "action": []},
+     ("tensor", "check", "--case", "file:{}")),
+    ("rep", [1, 2], ("tensor", "solve", "--case", "file:{}")),
+    ("tensor", {"t": 5},
+     ("tensor", "check", "--case", "gl:2,1", "--t", "file:{}")),
+], ids=["rep-bracket-int", "rep-list", "tensor-t-int"])
+def test_malformed_outside_file_is_usage_error(capsys, tmp_path, what, doc,
+                                               argv):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot load {what} from {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
+def sklab_exception_classes():
+    for info in pkgutil.iter_modules(sklab.__path__):
+        module = importlib.import_module(f"sklab.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
+def test_every_sklab_exception_has_an_exit_code():
+    # ValueError exits 2 and ArithmeticError exits 1; a class that is
+    # neither would end in a traceback
+    classes = list(sklab_exception_classes())
+    assert {c.__name__ for c in classes} >= {
+        "UsageError", "DenominatorNearZero", "ConvergenceError",
+        "ThetaOverflowError", "AmbiguousRank", "ExtractionError",
+        "TransporterError"}
+    for cls in classes:
+        assert issubclass(cls, (ValueError, ArithmeticError)), cls
+
+
+@pytest.mark.parametrize("cls", [theta.ConvergenceError,
+                                 sklyanin.AmbiguousRank,
+                                 poisson.ExtractionError,
+                                 mukai.TransporterError])
+def test_library_refusal_is_exit_one(capsys, monkeypatch, cls):
+    def refuse(d):
+        raise cls(f"refused at d={d}")
+    monkeypatch.setattr(residues, "fixed_points", refuse)
+    code, out, err = run_cli(capsys, "s3", "fixed", "--d", "7")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: refused at d=7\n"
+
+
+def test_theta_check_rows_do_not_depend_on_the_chunk(capsys, monkeypatch):
+    seen = []
+
+    def recording(basis, ms, zs):
+        seen.append((list(ms), list(zs)))
+        return theta_functional_residuals(basis, ms, zs)
+    monkeypatch.setattr(theta, "theta_functional_residuals", recording)
+    argv = ("theta", "check", "--d", "5", "--trials", "20", "--seed", "3")
+    runs = []
+    for chunk in (3, 20):
+        monkeypatch.setattr(cli, "THETA_CHUNK", chunk)
+        seen.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        runs.append((json.loads(out), [len(ms) for ms, _ in seen],
+                     [p for ms, zs in seen for p in zip(ms, zs)]))
+    (chunked, sizes, points), (whole, [size], whole_points) = runs
+    assert sizes == [3] * 6 + [2] and size == 20
+    # the same points in the same order, so the same rows
+    assert points == whole_points
+    rows, want = chunked.pop("residuals"), whole.pop("residuals")
+    assert chunked == whole
+    for row, ref in zip(rows, want, strict=True):
+        assert row == dict(ref, value=pytest.approx(ref["value"], abs=1e-15))
 
 
 def test_h_flag_is_gone(capsys):

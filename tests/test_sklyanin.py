@@ -51,8 +51,7 @@ def dense_rows(system):
     d = system.d
     rows = system.coeffs.reshape(d * d, d * d)
     rowmax = np.abs(rows).max(axis=1)
-    return rows[(rowmax > 0) & (rowmax >= sklyanin.ROW_DROP_CUTOFF
-                                * rowmax.max())]
+    return rows[(rowmax > 0) & (rowmax >= 1e-10 * rowmax.max())]
 
 
 def dense_space(system, rank_tol=1e-9):
@@ -77,8 +76,7 @@ def all_grade_svd(system):
     spectrum) for every grade."""
     blocks = system.blocks
     rowmax = np.abs(blocks).max(axis=2)
-    live = (rowmax > 0.0) & (rowmax >= sklyanin.ROW_DROP_CUTOFF
-                             * rowmax.max())
+    live = (rowmax > 0.0) & (rowmax >= 1e-10 * rowmax.max())
     _, svals, vh = np.linalg.svd(np.where(live[..., None], blocks, 0.0))
     kept = live.sum(axis=1)
     svals[np.arange(system.d) >= kept[:, None]] = 0.0

@@ -6,8 +6,8 @@ from sklab.sklyanin import AlgebraParams, build_relations
 from sklab.theta import (CurveModulus, DenominatorNearZero, ThetaBasis,
                          ThetaOverflowError, _panel_nodes, _unit_nodes,
                          _values_at_zero,
-                         reduce_to_cell, theta_symmetry_constants,
-                         theta_zero_count)
+                         reduce_to_cell, theta_functional_residuals,
+                         theta_symmetry_constants, theta_zero_count)
 
 # Values computed independently with 45-digit summation of the defining
 # series, then rounded to double precision.
@@ -66,6 +66,44 @@ def test_quasi_periodicity(d, modulus, rng):
         lhs = basis.eval(m, z + omega)
         rhs = -np.exp(-1j * np.pi * d * omega - 2j * np.pi * d * z) * v
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+def pointwise_residuals(basis, m, z):
+    """The two quasi-periodicity residuals at one point, one eval per side."""
+    d, omega = basis.d, basis.omega
+    v = basis.eval(m, z)
+    lhs1 = basis.eval(m, z + 1.0 / d)
+    rhs1 = -np.exp(2j * np.pi * m / d) * v
+    lhs2 = basis.eval(m, z + omega)
+    rhs2 = -np.exp(-1j * np.pi * d * omega - 2j * np.pi * d * z) * v
+    return (abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1), 1e-300),
+            abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-300))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 25])
+def test_functional_residuals_match_pointwise(d, modulus, rng):
+    basis = ThetaBasis(d, modulus)
+    omega = modulus.omega
+    # repeated, unsorted and negative m (and m past d); z and z + omega up
+    # to two cells out (three overflow a float at d = 25)
+    ms = [2 * d + 1, 0, -1, d - 1, 0, -d - 2, 1, 2 * d + 1] * 4
+    zs = [complex(rng.uniform(-2.5, 2.5) + rng.uniform(-2.5, 1.5) * omega)
+          for _ in ms]
+    zs[1] = zs[4]
+    got1, got2 = theta_functional_residuals(basis, ms, zs)
+    want1, want2 = zip(*(pointwise_residuals(basis, m, z)
+                         for m, z in zip(ms, zs)))
+    assert got1.shape == got2.shape == (len(ms),)
+    assert np.abs(got1 - want1).max() <= 1e-15
+    assert np.abs(got2 - want2).max() <= 1e-15
+    assert max(got1.max(), got2.max()) < 1e-10
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex(0.1, float("inf"))])
+def test_functional_residuals_refuse_non_finite_z(modulus, z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        theta_functional_residuals(ThetaBasis(3, modulus), [0, 1],
+                                   [0.1 + 0.2j, z])
 
 
 def test_index_wraps_mod_d(modulus):
