@@ -13,12 +13,16 @@ headline dimensions (GL pairs, gsp4, sl2 before/after central
 augmentation) are unambiguous integers, not numerical ranks.  Float
 input is accepted through the same entry points with a 1e-10 residual
 cutoff standing in for exactness.
+
+Work follows the nonzeros: the solve keeps only the unknowns that the
+weights of the basis elements with diagonal ad allow, and t_star,
+check_invariance and LieRepData.validate multiply nonzero entries only.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -71,36 +75,40 @@ class LieRepData:
                                  for mat in acts):
             raise ValueError("action is not dim_g matrices of size dim_V")
         cut = 0 if self.is_exact() else FLOAT_TOL
-        nz = [[[(s, c[i][j][s]) for s in range(m) if c[i][j][s] != 0]
-               for j in range(m)] for i in range(m)]
         for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if abs(c[i][j][k] + c[j][i][k]) > cut:
-                        raise ValueError("bracket is not antisymmetric")
+            for j in range(i, m):
+                if any(abs(x + y) > cut for x, y in zip(c[i][j], c[j][i])):
+                    raise ValueError("bracket is not antisymmetric")
+        nz = [[_nonzeros(row) for row in pl] for pl in c]
         for i in range(m):
             for j in range(m):
                 for k in range(m):
                     # jacobi on (x_i, x_j, x_k), coefficient of each x_u
-                    acc = [0] * m
+                    acc = defaultdict(int)
                     for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
                         for s, val in nz[a][b]:
-                            row = c[s][e]
-                            for u in range(m):
-                                if row[u] != 0:
-                                    acc[u] += val * row[u]
-                    if any(abs(x) > cut for x in acc):
+                            for u, x in nz[s][e]:
+                                acc[u] += val * x
+                    if any(abs(x) > cut for x in acc.values()):
                         raise ValueError("structure constants fail jacobi")
+        rows = [[_nonzeros(row) for row in mat] for mat in acts]
+        entries = [[(a, b, x) for a, row in enumerate(mat) for b, x in row]
+                   for mat in rows]
         for i in range(m):
             for j in range(m):
-                comm = _commutator(acts[i], acts[j])
-                terms = [(acts[k], c[i][j][k]) for k in range(m)
-                         if c[i][j][k] != 0]
-                for a in range(n):
-                    for b in range(n):
-                        expect = sum(val * mat[a][b] for mat, val in terms)
-                        if abs(comm[a][b] - expect) > cut:
-                            raise ValueError("action is not a homomorphism")
+                # [A_i, A_j] - sum_s c[i][j][s] A_s, entry by entry
+                res = defaultdict(int)
+                for a, k, x in entries[i]:
+                    for b, y in rows[j][k]:
+                        res[a, b] += x * y
+                for a, k, x in entries[j]:
+                    for b, y in rows[i][k]:
+                        res[a, b] -= x * y
+                for s, val in nz[i][j]:
+                    for a, b, x in entries[s]:
+                        res[a, b] -= val * x
+                if any(abs(x) > cut for x in res.values()):
+                    raise ValueError("action is not a homomorphism")
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ class SymTensor:
     t: tuple  # symmetric dim_g x dim_g
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.t)
+        rows = tuple([tuple(row) for row in self.t])
         m = len(rows)
         if any(len(row) != m for row in rows):
             raise ValueError("tensor matrix is not square")
@@ -123,6 +131,11 @@ class SymTensor:
         return len(self.t)
 
 
+def _nonzeros(row):
+    """(index, value) of the nonzero entries of a list row."""
+    return [(u, x) for u, x in enumerate(row) if x != 0]
+
+
 def _commutator(a, b):
     """[A, B] = AB - BA of square list matrices."""
     n = len(a)
@@ -135,21 +148,41 @@ def sym_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _sym_product_coeffs(x, y, pairs, index):
-    """Coefficients of the symmetric product x . y in the monomial basis."""
-    n = len(x)
-    out = [0] * len(pairs)
-    for a in range(n):
-        xa, ya = x[a], y[a]
-        if xa == 0 and ya == 0:
-            continue
-        for b in range(a, n):
-            if a == b:
-                val = xa * y[a]
-            else:
-                val = xa * y[b] + x[b] * ya
-            if val != 0:
-                out[index[(a, b)]] += val
+def _tensor_entries(rows):
+    """Nonzero entries (i, j, t_ij) of a square matrix, row by row."""
+    return [(i, j, x) for i, row in enumerate(rows) for j, x in _nonzeros(row)]
+
+
+def _star_entries(rep: LieRepData, tensors):
+    """Entries {(s, c): x} of t_* reached by each tensor's nonzero entries.
+
+    Each tensor is the list of its nonzero entries (i, j, t_ij), over
+    all i and j.  Column c is the monomial u_p . u_q (p <= q) and
+    t_*(u_p . u_q) = sum t_ij (A_i u_p) . (A_j u_q), so only the nonzero
+    columns of each action matrix, and the nonzero entries within them,
+    are multiplied.
+    """
+    index = {pq: s for s, pq in enumerate(sym_pairs(rep.dim_V))}
+    cols = [[(p, col) for p, col in enumerate(map(_nonzeros, zip(*mat))) if col]
+            for mat in rep.action]
+    out = []
+    for entries in tensors:
+        star = defaultdict(int)
+        for i, j, val in entries:
+            for p, xs in cols[i]:
+                for q, ys in cols[j]:
+                    if q < p:
+                        continue
+                    # coefficients of (A_i u_p) . (A_j u_q) by monomial
+                    coef = defaultdict(int)
+                    for a, x in xs:
+                        for b, y in ys:
+                            coef[index[(a, b) if a <= b else (b, a)]] += x * y
+                    c = index[p, q]
+                    for s, x in coef.items():
+                        if x != 0:
+                            star[s, c] += val * x
+        out.append(star)
     return out
 
 
@@ -157,49 +190,32 @@ def t_star(rep: LieRepData, t: SymTensor):
     """Matrix of the induced operator on S^2 V, monomial basis, i <= j."""
     if t.dim != rep.dim_g:
         raise ValueError("tensor dimension does not match dim_g")
-    n = rep.dim_V
-    pairs = sym_pairs(n)
-    index = {pq: s for s, pq in enumerate(pairs)}
-    nonzero = [(i, j, t.t[i][j])
-               for i in range(rep.dim_g) for j in range(rep.dim_g)
-               if t.t[i][j] != 0]
-    cols = []
-    for (p, q) in pairs:
-        acc = [0] * len(pairs)
-        for i, j, val in nonzero:
-            ai_p = [row[p] for row in rep.action[i]]
-            aj_q = [row[q] for row in rep.action[j]]
-            for s, coef in enumerate(_sym_product_coeffs(ai_p, aj_q, pairs, index)):
-                if coef != 0:
-                    acc[s] += val * coef
-        cols.append(acc)
-    # columns were built per input basis vector; transpose to a matrix
-    size = len(pairs)
-    return [[cols[c][r] for c in range(size)] for r in range(size)]
+    size = len(sym_pairs(rep.dim_V))
+    out = [[0] * size for _ in range(size)]
+    for (s, c), x in _star_entries(rep, [_tensor_entries(t.t)])[0].items():
+        out[s][c] = x
+    return out
 
 
 def check_invariance(rep: LieRepData, t: SymTensor):
     """Max norm of (ad_z x 1 + 1 x ad_z)(t) over the basis z of g."""
     if t.dim != rep.dim_g:
         raise ValueError("tensor dimension does not match dim_g")
-    m = rep.dim_g
-    c = rep.bracket
-    tt = t.t
+    entries = _tensor_entries(t.t)
+    rows = {i for i, _, _ in entries}
     worst = 0
-    for k in range(m):
-        # nonzero c[k][a][u] over a, for each u
-        ad = [[(a, c[k][a][u]) for a in range(m) if c[k][a][u] != 0]
-              for u in range(m)]
-        for u in range(m):
-            # t is symmetric, so the (v, u) entry equals the (u, v) one
-            # (up to float rounding) and, coming later, never sets the max
-            for v in range(u, m):
-                acc = 0
-                for a, val in ad[u]:
-                    acc += val * tt[a][v]
-                for a, val in ad[v]:
-                    acc += val * tt[u][a]
-                worst = max(worst, abs(acc))
+    for plane in rep.bracket:
+        # [z, x_a] = sum_u plane[a][u] x_u
+        ad = {a: _nonzeros(plane[a]) for a in rows}
+        # t_ab x_a . x_b goes to plane[a][u] t_ab x_u . x_b, and t being
+        # symmetric, the second factor's term is the (b, a) entry's first
+        res = defaultdict(int)
+        for a, b, x in entries:
+            for u, val in ad[a]:
+                key = (u, b) if u <= b else (b, u)
+                res[key] += val * x if u != b else 2 * val * x
+        for key in sorted(res):
+            worst = max(worst, abs(res[key]))
     return worst
 
 
@@ -291,62 +307,76 @@ def _normalize_exact(vec):
     return ints
 
 
-def _tensor_from_sym_vec(vec, pairs, m):
-    t = [[0] * m for _ in range(m)]
+def _tensor_from_sym_vec(vec, pairs, m, zero):
+    """The symmetric t with t_ab = vec[s] for pairs[s] = (a, b), else zero."""
+    t = [[zero] * m for _ in range(m)]
     for s, (a, b) in enumerate(pairs):
         t[a][b] = vec[s]
         t[b][a] = vec[s]
-    return SymTensor(tuple(tuple(row) for row in t))
+    return SymTensor(tuple([tuple(row) for row in t]))
 
 
 def solve_admissible(rep: LieRepData):
     """Basis of the admissible space {t in (S^2 g)^g : t_* = 0}.
 
-    Staged: first the invariant subspace of S^2 g (kernel of every
-    ad_z x 1 + 1 x ad_z), then the t_* = 0 condition restricted to it.
-    The second stage is tiny since invariant spaces are low dimensional.
+    A basis element z with diagonal ad, [z, x_a] = w_a x_a (the E_ii of
+    gl, h of sl2), makes invariance under z read (w_a + w_b) t_ab = 0.
+    Such z are read off the structure constants, and t_ab stays an
+    unknown only where w_a + w_b = 0 for all of them: gl(3,3) keeps 27 of
+    171.  The forced zeros are pivot columns of the full system's unique
+    reduced form, so solving for the kept unknowns, in their S^2 g order,
+    gives the same basis.  Staged: first the invariant subspace (kernel
+    of every ad_z x 1 + 1 x ad_z, on the rows that meet a kept unknown),
+    then the t_* = 0 condition restricted to it, which is tiny since
+    invariant spaces are low dimensional.  Only the basis tensors are
+    expanded to dim_g x dim_g.
     """
     exact = rep.is_exact()
+    cut = 0 if exact else FLOAT_TOL
     m = rep.dim_g
-    c = rep.bracket
-    gpairs = sym_pairs(m)
-    gindex = {ab: s for s, ab in enumerate(gpairs)}
-    nsym = len(gpairs)
+    # ad[k][a]: nonzero c[k][a][u], [x_k, x_a] = sum_u c[k][a][u] x_u
+    ad = [[_nonzeros(row) for row in plane] for plane in rep.bracket]
+    weights = [[plane[a][a] for a in range(m)]
+               for plane, out in zip(rep.bracket, ad)
+               if all(abs(x) <= cut for a in range(m) for u, x in out[a]
+                      if u != a)]
+    pairs = [(a, b) for a, b in sym_pairs(m)
+             if all(abs(w[a] + w[b]) <= cut for w in weights)]
 
-    rows = []
-    for k in range(m):
-        # nonzero c[k][a][u] over a, for each u
-        ad = [[(a, c[k][a][u]) for a in range(m) if c[k][a][u] != 0]
-              for u in range(m)]
-        for u in range(m):
-            for v in range(u, m):
-                row = defaultdict(int)
-                for a, val in ad[u]:
-                    row[gindex[(min(a, v), max(a, v))]] += val
-                for a, val in ad[v]:
-                    row[gindex[(min(u, a), max(u, a))]] += val
-                rows.append(row)
-    invariant_vecs = _kernel_basis(rows, nsym, exact)
+    # row (k, u, v), u <= v: the x_u . x_v coefficient of the residual,
+    # T[u][v] + T[v][u] with T[u][v] = sum_a c[k][a][u] t_av, scattered
+    # from each unknown t_ab = t_ba
+    rows = defaultdict(Counter)
+    for s, (a, b) in enumerate(pairs):
+        for k in range(m):
+            for x, y in ((a, b), (b, a))[:1 + (a != b)]:
+                for u, val in ad[k][x]:
+                    key = (k, u, y) if u <= y else (k, y, u)
+                    rows[key][s] += val if u != y else 2 * val
+    invariant_vecs = _kernel_basis([rows[key] for key in sorted(rows)],
+                                   len(pairs), exact)
     if not invariant_vecs:
         return []
 
-    candidates = [_tensor_from_sym_vec(vec, gpairs, m) for vec in invariant_vecs]
-    star_cols = []
-    for cand in candidates:
-        mat = t_star(rep, cand)
-        star_cols.append([entry for row in mat for entry in row])
-    # solve sum_r s_r * star_cols[r] = 0 for the combination coefficients
-    stacked = [dict(enumerate(entries)) for entries in zip(*star_cols)]
-    combo = _kernel_basis(stacked, len(star_cols), exact)
+    stars = _star_entries(rep, [
+        [(i, j, x) for (a, b), x in zip(pairs, vec) if x != 0
+         for i, j in ((a, b), (b, a))[:1 + (a != b)]]
+        for vec in invariant_vecs])
+    # solve sum_r s_r * stars[r] = 0 for the combination coefficients,
+    # one row per entry of t_* that some candidate reaches
+    stacked = [{r: star[key] for r, star in enumerate(stars) if key in star}
+               for key in sorted(set().union(*stars))]
+    combo = _kernel_basis(stacked, len(stars), exact)
+    zero = 0 if exact else 0.0
     out = []
     for coeffs in combo:
-        vec = [0 if exact else 0.0] * nsym
+        vec = [zero] * len(pairs)
         for weight, base in zip(coeffs, invariant_vecs):
             if weight != 0:
                 vec = [x + weight * y for x, y in zip(vec, base)]
         if exact:
             vec = _normalize_exact(vec)
-        out.append(_tensor_from_sym_vec(vec, gpairs, m))
+        out.append(_tensor_from_sym_vec(vec, pairs, m, zero))
     return out
 
 
@@ -358,9 +388,9 @@ def _direct_sum_bracket(c1, c2):
     """
     m1, m2 = len(c1), len(c2)
     zero = (0,) * (m1 + m2)
-    top = [tuple(tuple(row) + (0,) * m2 for row in pl) + (zero,) * m2
+    top = [tuple([tuple(row) + (0,) * m2 for row in pl]) + (zero,) * m2
            for pl in c1]
-    bottom = [(zero,) * m1 + tuple((0,) * m1 + tuple(row) for row in pl)
+    bottom = [(zero,) * m1 + tuple([(0,) * m1 + tuple(row) for row in pl])
               for pl in c2]
     return tuple(top + bottom)
 
@@ -406,14 +436,14 @@ def gl_pair_rep(r1: int, r2: int) -> LieRepData:
             # E_ij M: row a=i picks row j of M
             for b in range(r2):
                 mat[i * r2 + b][j * r2 + b] = 1
-            action.append(tuple(tuple(row) for row in mat))
+            action.append(tuple([tuple(row) for row in mat]))
     for k in range(r2):
         for l in range(r2):
             mat = [[0] * n for _ in range(n)]
             # -(M F_kl): column b=l picks column k of M
             for a in range(r1):
                 mat[a * r2 + l][a * r2 + k] = -1
-            action.append(tuple(tuple(row) for row in mat))
+            action.append(tuple([tuple(row) for row in mat]))
     return LieRepData(
         dim_g=r1 * r1 + r2 * r2, dim_V=n,
         bracket=_direct_sum_bracket(_gl_basis_bracket(r1),
@@ -432,7 +462,7 @@ def gl_pair_tensor(r1: int, r2: int) -> SymTensor:
     for k in range(r2):
         for l in range(r2):
             t[off + k * r2 + l][off + l * r2 + k] -= 1
-    return SymTensor(tuple(tuple(row) for row in t))
+    return SymTensor(tuple([tuple(row) for row in t]))
 
 
 def _commutator_rep_from_matrices(mats, n):
@@ -554,7 +584,10 @@ def load_rep_json(path: str) -> LieRepData:
                     for pl in data["bracket"])
     action = tuple(tuple(tuple(_parse_scalar(x) for x in row) for row in mat)
                    for mat in data["action"])
-    rep = LieRepData(dim_g=int(data["dim_g"]), dim_V=int(data["dim_V"]),
+    for key in ("dim_g", "dim_V"):
+        if type(data[key]) is not int:
+            raise ValueError(f"{key} = {data[key]!r} is not an integer")
+    rep = LieRepData(dim_g=data["dim_g"], dim_V=data["dim_V"],
                      bracket=bracket, action=action)
     rep.validate()
     return rep

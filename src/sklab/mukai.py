@@ -96,7 +96,7 @@ class GroupWord:
         return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(tuple(LETTER_INVERSE[l] for l in reversed(self.letters)))
+        return GroupWord(tuple([LETTER_INVERSE[l] for l in reversed(self.letters)]))
 
 
 def _free_reduce(letters):
@@ -297,8 +297,8 @@ def sl2_to_word(matrix, max_len: int | None = None) -> GroupWord:
     if max_len is not None and count > max_len + 2:
         raise TransporterError(
             f"word of at least {count - 2} letters exceeds max_len={max_len}")
-    word = GroupWord(tuple(LETTER_INVERSE[letter] for letter, n in runs
-                           for _ in range(n)))
+    word = GroupWord(tuple([LETTER_INVERSE[letter] for letter, n in runs
+                            for _ in range(n)]))
     product = word_matrix(word)
     if product != matrix:
         raise ArithmeticError(

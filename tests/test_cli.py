@@ -215,6 +215,23 @@ def test_malformed_outside_file_is_usage_error(capsys, tmp_path, what, doc,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, value", [("dim_g", 2.9), ("dim_V", 1.0)])
+def test_tensor_solve_refuses_non_integer_rep_dimension(capsys, tmp_path,
+                                                        key, value):
+    # gl(1,1): dim_g = 2 and dim_V = 1, with one of them written as a float
+    doc = {"dim_g": 2, "dim_V": 1,
+           "bracket": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+           "action": [[[1]], [[-1]]], key: value}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "tensor", "solve", "--case",
+                             f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot load rep from {str(path)!r}: "
+                   f"{key} = {value!r} is not an integer\n")
+
+
 def sklab_exception_classes():
     for info in pkgutil.iter_modules(sklab.__path__):
         module = importlib.import_module(f"sklab.{info.name}")

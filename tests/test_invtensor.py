@@ -1,5 +1,6 @@
 import json
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -66,8 +67,69 @@ def dense_kernel(rows, ncols, exact):
     return basis
 
 
+def dense_t_star(rep, t):
+    """Reference t_*: every column of each action matrix, densely, with
+    the coefficients of each symmetric product summed before use."""
+    n = rep.dim_V
+    pairs = invtensor.sym_pairs(n)
+    index = {pq: s for s, pq in enumerate(pairs)}
+    nonzero = [(i, j, t.t[i][j])
+               for i in range(rep.dim_g) for j in range(rep.dim_g)
+               if t.t[i][j] != 0]
+    cols = []
+    for (p, q) in pairs:
+        acc = [0] * len(pairs)
+        for i, j, val in nonzero:
+            x = [row[p] for row in rep.action[i]]
+            y = [row[q] for row in rep.action[j]]
+            # x . y in the monomial basis
+            coef = [0] * len(pairs)
+            for a in range(n):
+                if x[a] == 0 and y[a] == 0:
+                    continue
+                for b in range(a, n):
+                    term = x[a] * y[a] if a == b else x[a] * y[b] + x[b] * y[a]
+                    if term != 0:
+                        coef[index[(a, b)]] += term
+            for s, x_s in enumerate(coef):
+                if x_s != 0:
+                    acc[s] += val * x_s
+        cols.append(acc)
+    return [list(row) for row in zip(*cols)]
+
+
+def dense_tensor(vec, pairs, m):
+    t = [[0] * m for _ in range(m)]
+    for s, (a, b) in enumerate(pairs):
+        t[a][b] = t[b][a] = vec[s]
+    return SymTensor(t)
+
+
+def admissible_from_invariant(rep, invariant, pairs, kernel):
+    """Second stage on candidates given as vectors over all of S^2 g:
+    the combinations with t_* = 0, by the reference t_* and `kernel`."""
+    exact = rep.is_exact()
+    m = rep.dim_g
+    if not invariant:
+        return []
+    stars = [[x for row in dense_t_star(rep, dense_tensor(vec, pairs, m))
+              for x in row] for vec in invariant]
+    combo = kernel([list(col) for col in zip(*stars)], len(stars), exact)
+    out = []
+    for coeffs in combo:
+        vec = [0 if exact else 0.0] * len(pairs)
+        for weight, base in zip(coeffs, invariant):
+            if weight != 0:
+                vec = [x + weight * y for x, y in zip(vec, base)]
+        if exact:
+            vec = invtensor._normalize_exact(vec)
+        out.append(dense_tensor(vec, pairs, m))
+    return out
+
+
 def dense_solve_admissible(rep):
-    """solve_admissible on dense list rows and the dense eliminator."""
+    """solve_admissible on every unknown of S^2 g, with dense list rows,
+    the dense eliminator and the reference t_*."""
     exact = rep.is_exact()
     m, c = rep.dim_g, rep.bracket
     gpairs = invtensor.sym_pairs(m)
@@ -82,21 +144,33 @@ def dense_solve_admissible(rep):
                     row[gindex[(min(u, a), max(u, a))]] += c[k][a][v]
                 rows.append(row)
     invariant = dense_kernel(rows, len(gpairs), exact)
-    if not invariant:
-        return []
-    stars = [[x for row in t_star(rep, invtensor._tensor_from_sym_vec(
-        vec, gpairs, m)) for x in row] for vec in invariant]
-    combo = dense_kernel([list(col) for col in zip(*stars)], len(stars), exact)
-    out = []
-    for coeffs in combo:
-        vec = [0 if exact else 0.0] * len(gpairs)
-        for weight, base in zip(coeffs, invariant):
-            if weight != 0:
-                vec = [x + weight * y for x, y in zip(vec, base)]
-        if exact:
-            vec = invtensor._normalize_exact(vec)
-        out.append(invtensor._tensor_from_sym_vec(vec, gpairs, m))
-    return out
+    return admissible_from_invariant(rep, invariant, gpairs, dense_kernel)
+
+
+def full_solve_admissible(rep):
+    """solve_admissible on every unknown of S^2 g with the sparse
+    eliminator: fast enough for the reps the dense oracle is too slow for."""
+    exact = rep.is_exact()
+    m, c = rep.dim_g, rep.bracket
+    gpairs = invtensor.sym_pairs(m)
+    gindex = {ab: s for s, ab in enumerate(gpairs)}
+    rows = []
+    for k in range(m):
+        ad = [[(a, c[k][a][u]) for a in range(m) if c[k][a][u] != 0]
+              for u in range(m)]
+        for u in range(m):
+            for v in range(u, m):
+                row = defaultdict(int)
+                for a, val in ad[u]:
+                    row[gindex[(min(a, v), max(a, v))]] += val
+                for a, val in ad[v]:
+                    row[gindex[(min(u, a), max(u, a))]] += val
+                rows.append(row)
+    invariant = invtensor._kernel_basis(rows, len(gpairs), exact)
+    return admissible_from_invariant(
+        rep, invariant, gpairs,
+        lambda rows, ncols, exact: invtensor._kernel_basis(
+            as_dicts(rows), ncols, exact))
 
 
 def dense_check_invariance(rep, t):
@@ -304,6 +378,23 @@ def test_json_loaders_roundtrip(tmp_path):
     assert load_tensor_json(str(t_path)) == t
 
 
+@pytest.mark.parametrize("key, value", [("dim_g", 2.9), ("dim_V", 1.0),
+                                        ("dim_g", "3"), ("dim_V", True)])
+def test_loader_refuses_non_integer_dimensions(tmp_path, key, value):
+    rep = sl2_rep()
+    doc = {"dim_g": rep.dim_g, "dim_V": rep.dim_V,
+           "bracket": [[[str(x) for x in row] for row in plane]
+                       for plane in rep.bracket],
+           "action": [[[str(x) for x in row] for row in mat]
+                      for mat in rep.action]}
+    doc[key] = value
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError,
+                       match=f"^{key} = {value!r} is not an integer$"):
+        load_rep_json(str(path))
+
+
 def test_loader_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim_g": 1, "dim_V": 1,
@@ -312,10 +403,19 @@ def test_loader_rejects_garbage(tmp_path):
         load_rep_json(str(path))
 
 
+def sl2_tilted_rep():
+    """sl2 on C^2 in the basis (h+e, e, f): no element has diagonal ad."""
+    return invtensor._commutator_rep_from_matrices(
+        [[[1, 1], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], 2)
+
+
 ORACLE_REPS = ([(f"gl({r1},{r2})", lambda r1=r1, r2=r2: gl_pair_rep(r1, r2))
                 for r1 in (1, 2, 3) for r2 in (1, 2, 3)]
                + [("gsp4", lambda: gsp_rep(4)), ("sl2", sl2_rep),
-                  ("sl2+center", lambda: augment_with_center(sl2_rep()))])
+                  ("sl2+center", lambda: augment_with_center(sl2_rep())),
+                  ("sl2(h+e,e,f)", sl2_tilted_rep),
+                  ("sl2(h+e,e,f)+center",
+                   lambda: augment_with_center(sl2_tilted_rep()))])
 
 
 @pytest.mark.parametrize("make", [make for _, make in ORACLE_REPS],
@@ -326,6 +426,66 @@ def test_solve_admissible_equals_dense_oracle(make):
     want = dense_solve_admissible(rep)
     assert got == want
     assert repr(got) == repr(want)
+
+
+def diagonal_elements(rep):
+    """Indices k whose ad is diagonal in the basis."""
+    m, c = rep.dim_g, rep.bracket
+    return [k for k in range(m)
+            if all(c[k][a][u] == 0 for a in range(m) for u in range(m)
+                   if u != a)]
+
+
+def test_tilted_sl2_has_no_weight_to_drop_by():
+    # the no-drop path: only the centre has diagonal ad, with weight 0,
+    # so every unknown of S^2 g stays in the solve
+    assert diagonal_elements(sl2_tilted_rep()) == []
+    center = augment_with_center(sl2_tilted_rep())
+    assert diagonal_elements(center) == [3]
+    assert all(x == 0 for row in center.bracket[3] for x in row)
+    assert solve_admissible(sl2_tilted_rep()) == []
+    assert len(solve_admissible(center)) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: gl_pair_rep(4, 1),
+                                  lambda: gl_pair_rep(1, 4),
+                                  lambda: gl_pair_rep(4, 2),
+                                  lambda: gl_pair_rep(3, 3),
+                                  lambda: gsp_rep(6)],
+                         ids=["gl(4,1)", "gl(1,4)", "gl(4,2)", "gl(3,3)",
+                              "gsp6"])
+def test_solve_admissible_equals_full_system_solve(make):
+    # reps where the dense oracle takes seconds: the sparse solve on every
+    # unknown of S^2 g, which the weight reduction must reproduce exactly
+    rep = make()
+    got = solve_admissible(rep)
+    want = full_solve_admissible(rep)
+    assert len(got) >= 1
+    assert repr(got) == repr(want)
+
+
+def test_weights_take_float_noise_as_zero():
+    # gl(2,1) with rounding noise below FLOAT_TOL on E_00's eigenvalue at
+    # E_01 and on an entry off its diagonal: E_00 still counts as diagonal,
+    # and (E_01, E_10), whose weights now sum to 1e-13, keeps its unknown,
+    # which the Casimir of gl_2 needs
+    noise = 1e-13
+    rep = float_copy(gl_pair_rep(2, 1))
+    c = [[list(row) for row in plane] for plane in rep.bracket]
+    for i, j, k, x in ((0, 1, 1, noise), (0, 3, 1, noise)):
+        c[i][j][k] += x
+        c[j][i][k] -= x
+    assert 0 < c[0][1][1] + c[0][2][2] <= invtensor.FLOAT_TOL
+    noisy = LieRepData(dim_g=rep.dim_g, dim_V=rep.dim_V,
+                       bracket=tuple(tuple(map(tuple, plane)) for plane in c),
+                       action=rep.action)
+    noisy.validate()
+    got = solve_admissible(noisy)
+    want = dense_solve_admissible(noisy)
+    assert len(got) == len(want) == len(solve_admissible(rep)) == 3
+    for g, w in zip(got, want):
+        assert max(abs(x - y) for gr, wr in zip(g.t, w.t)
+                   for x, y in zip(gr, wr)) <= 1e-10
 
 
 @pytest.mark.parametrize("two_r", [4, 6])
@@ -464,6 +624,22 @@ def invariance_cases(name, rep, seed):
 
 SEEDED_REPS = [(seed, name, make)
                for seed, (name, make) in enumerate(ORACLE_REPS)]
+
+
+@pytest.mark.parametrize("seed, name, make", SEEDED_REPS,
+                         ids=[name for name, _ in ORACLE_REPS])
+def test_t_star_equals_dense_oracle(seed, name, make):
+    exact = make()
+    rep = float_copy(exact)
+    basis, generic = invariance_cases(name, exact, seed)
+    for t in basis + generic:
+        got, want = t_star(exact, t), dense_t_star(exact, t)
+        assert got == want
+        assert repr(got) == repr(want)
+        ft = SymTensor([[float(x) for x in row] for row in t.t])
+        got, want = t_star(rep, ft), dense_t_star(rep, ft)
+        assert max(abs(x - y) for gr, wr in zip(got, want)
+                   for x, y in zip(gr, wr)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed, name, make", SEEDED_REPS,
