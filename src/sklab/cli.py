@@ -313,10 +313,10 @@ def cmd_poisson_extract(args, config: RunConfig) -> int:
     import numpy as np
     tensor, rows = _extract_rows(args.d, args.r, config)
     if args.dump:
-        pi = tensor.pi
-        entries = [{"a": int(a), "b": int(b), "c": int(c), "e": int(e),
-                    "re": val.real, "im": val.imag}
-                   for (a, b, c, e), val in zip(np.argwhere(pi), pi[pi != 0])]
+        pi, d = tensor.pi, tensor.d
+        entries = [{"a": int(a), "b": int(b), "c": int(c),
+                    "e": int((a + b - c) % d), "re": val.real, "im": val.imag}
+                   for (a, b, c), val in zip(np.argwhere(pi), pi[pi != 0])]
         payload = {"d": tensor.d, "r": tensor.r, "entries": entries,
                    "richardson_error": tensor.richardson_error}
         with open(args.dump, "w") as fh:
@@ -349,14 +349,17 @@ def load_poisson_json(path: str) -> poisson.PoissonTensor:
     d = data["d"]
     if d < 1:
         raise ValueError(f"d = {d} is below 1")
-    pi = np.zeros((d, d, d, d), dtype=complex)
+    pi = np.zeros((d, d, d), dtype=complex)
     for entry in data["entries"]:
         index = tuple(entry[k] for k in "abce")
         if not all(type(i) is int and 0 <= i < d for i in index):
             raise ValueError(f"entry index {index} is not in 0..{d - 1}")
-        pi[index] = complex(entry["re"], entry["im"])
-        if not np.isfinite(pi[index]):
+        a, b, c, e = index
+        pi[a, b, c] = complex(entry["re"], entry["im"])
+        if not np.isfinite(pi[a, b, c]):
             raise ValueError(f"entry {index} is not finite")
+        if (a + b - c - e) % d:
+            raise ValueError(f"entry {index}: c + e is not a + b mod {d}")
     return poisson.PoissonTensor(
         d=d, r=data["r"], pi=pi,
         richardson_error=float(data["richardson_error"]))

@@ -25,7 +25,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 __all__ = [
     "LieRepData",
@@ -80,9 +80,11 @@ class LieRepData:
                 if any(abs(x + y) > cut for x, y in zip(c[i][j], c[j][i])):
                     raise ValueError("bracket is not antisymmetric")
         nz = [[_nonzeros(row) for row in pl] for pl in c]
+        # rotations of (i, j, k) sum the same terms: visit only the least,
+        # which starts at its smallest index ((i, i, j), not (i, j, i))
         for i in range(m):
-            for j in range(m):
-                for k in range(m):
+            for j in range(i, m):
+                for k in range(i + (j > i), m):
                     # jacobi on (x_i, x_j, x_k), coefficient of each x_u
                     acc = defaultdict(int)
                     for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
@@ -566,6 +568,8 @@ def _parse_scalar(value):
     if isinstance(value, str):
         if "/" in value:
             num, den = value.split("/")
+            if int(den) == 0:
+                raise ValueError(f"scalar {value!r} has a zero denominator")
             return Fraction(int(num), int(den))
         return Fraction(int(value))
     if isinstance(value, bool):
@@ -573,6 +577,8 @@ def _parse_scalar(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"scalar {value!r} is not finite")
         return value
     raise ValueError(f"cannot parse scalar {value!r}")
 

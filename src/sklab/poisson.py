@@ -4,7 +4,7 @@ As x -> 0 the relations of Q_{d,r}(x) tend to the commutators, and their
 first-order term is the Feigin-Odesskii bracket q_{d,r} (Feigin-Odesskii
 1998; Odesskii, Elliptic algebras, 2002)
 
-    {t_a, t_b} = sum_{c<=e} pi[a, b, c, e] t_c t_e.
+    {t_a, t_b} = sum_{c<=e, c+e = a+b mod d} pi[a, b, c] t_c t_e.
 
 theta_0 is odd with a simple zero at 0, so for k = j - i != 0
 
@@ -14,7 +14,7 @@ and {t_{ri}, t_{rj}} is the symmetric part of S_k times u/2
 (u = EXTRACTION_DIRECTION).  S_k depends on (i, j) only through k, and its
 terms are ratios of theta(0) and theta'(0).  The bracket is graded like the
 relations: {t_a, t_b} holds only monomials t_c t_e with c + e = a + b mod d,
-and pi is exactly zero off the grading.  The tangent residual checks the
+so pi keeps one coefficient per (a, b, c).  The tangent residual checks the
 bracket against the relations at x = h u; jacobi_check verifies the Jacobi
 identity pointwise.
 """
@@ -63,11 +63,11 @@ class ExtractionError(ArithmeticError):
 class PoissonTensor:
     """Coefficients of a quadratic bracket on C^d.
 
-    pi[a, b, c, e] is the coefficient of t_c t_e in {t_a, t_b}, stored for
-    all (a, b) with pi[b, a] = -pi[a, b] and zero diagonal, and with the
-    quadratic monomial indices canonicalized to c <= e (entries with c > e
-    are structurally zero).  richardson_error holds the tangent residual
-    of extract_bracket, or the value read back from a dump.
+    pi[a, b, c] is the coefficient of t_c t_e in {t_a, t_b}, e = a + b - c
+    mod d (the bracket is graded), for all (a, b) with pi[b, a] = -pi[a, b]
+    and zero diagonal.  Each monomial is stored once, at c <= e; entries
+    with c > e are structurally zero.  richardson_error holds the tangent
+    residual of extract_bracket, or the value read back from a dump.
     """
 
     d: int
@@ -75,23 +75,21 @@ class PoissonTensor:
     pi: np.ndarray
     richardson_error: float
 
-    def bracket_matrix(self, a: int, b: int) -> np.ndarray:
-        """Symmetric matrix M with {t_a, t_b}(p) = p^T M p."""
-        return _unpack(self.pi[a, b])
+
+def _grade(d: int):
+    """Open grids a, b, c of pi's axes, and e = a + b - c mod d."""
+    a, b, c = np.ogrid[:d, :d, :d]
+    return a, b, c, (a + b - c) % d
 
 
-def _unpack(packed: np.ndarray) -> np.ndarray:
-    """Symmetric matrices of quadratic forms stored in c <= e form.
+def _unpack(pi: np.ndarray) -> np.ndarray:
+    """M_ab[c, e] at (a, b, c), M_ab the symmetric matrix of {t_a, t_b}.
 
-    Works on the last two axes, so _unpack(pi)[a, b] is the matrix of
-    {t_a, t_b}.  With zeros below the diagonal no entry is rounded.
+    Halves each monomial's coefficient onto both of its orders; with zeros
+    at c > e no entry is rounded.
     """
-    return 0.5 * (packed + packed.swapaxes(-1, -2))
-
-
-def _pack(mats: np.ndarray) -> np.ndarray:
-    """Canonical c <= e storage of symmetric matrices (inverse of _unpack)."""
-    return np.triu(mats) + np.triu(mats, 1)
+    a, b, _, e = _grade(len(pi))
+    return 0.5 * (pi + pi[a, b, e])
 
 
 def _bracket_rows(d: int, r: int, modulus: CurveModulus) -> np.ndarray:
@@ -137,8 +135,9 @@ def _tangent_residual(pi: np.ndarray, params: AlgebraParams) -> float:
         # fixed points of sigma (2a = r s0, even d only) pair with nothing
         lo = np.flatnonzero(coord < sigma)
         hi = sigma[lo]
+        # on the grade of s0, _unpack(pi)[lo, hi, c] is M[c, sigma(c)]
         w = (0.5 * (coord[:, None] == lo) - 0.5 * (coord[:, None] == hi)
-             - h * _unpack(pi[lo, hi])[:, coord, sigma].T)
+             - h * _unpack(pi)[lo, hi].T)
         gone = w - basis @ (basis.conj().T @ w)
         residual = np.linalg.norm(gone, axis=0) / np.linalg.norm(w, axis=0)
         if len(lo):
@@ -175,11 +174,10 @@ def extract_bracket(d: int, r: int, modulus: CurveModulus) -> PoissonTensor:
     i, k = (v[:, None] for v in np.nonzero(once))
     n = np.arange(d)
     a, b = (r * i) % d, (r * (i + k)) % d
-    c, e = (r * (i + k - n)) % d, (r * (i + n)) % d
-    lo, hi = np.minimum(c, e), np.maximum(c, e)
-    pi = np.zeros((d, d, d, d), dtype=complex)
-    pi[a, b, lo, hi] = sym[k, n]
-    pi[b, a, lo, hi] = -sym[k, n]
+    c = np.minimum((r * (i + k - n)) % d, (r * (i + n)) % d)
+    pi = np.zeros((d, d, d), dtype=complex)
+    pi[a, b, c] = sym[k, n]
+    pi[b, a, c] = -sym[k, n]
     residual = _tangent_residual(pi, params)
     return PoissonTensor(d=d, r=r, pi=pi, richardson_error=residual)
 
@@ -193,8 +191,9 @@ def skew_check(tensor: PoissonTensor) -> float:
     hand-edited array shows up as positive.
     """
     pi = tensor.pi
+    _, _, c, e = _grade(tensor.d)
     skew = np.abs(pi + pi.swapaxes(0, 1)).max()
-    lower = np.abs(np.tril(pi, -1)).max()
+    lower = np.abs(np.where(c > e, pi, 0.0)).max()
     return float(max(skew, lower))
 
 
@@ -212,8 +211,8 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     d = tensor.d
-    forms = _unpack(tensor.pi).reshape(d ** 3, d)
-    a, b, c = np.ogrid[:d, :d, :d]
+    forms = _unpack(tensor.pi)
+    a, b, c, e = _grade(d)
     triples = (a < b) & (b < c)
     # per trial, d radius draws then d angle draws: the doubles that
     # rng.uniform(0, 1, d) and rng.uniform(0, 2 pi, d) would return
@@ -225,16 +224,17 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     for start in range(0, len(points), JACOBI_CHUNK):
         p = points[start:start + JACOBI_CHUNK]
         n = len(p)
-        # gradients[t, a, b] = M_ab p_t, half the gradient of
-        # {t_a, t_b}(p) = p^T M_ab p at point t (the 2 is applied below)
-        gradients = (p @ forms.T).reshape(n, d * d, d)
+        # gradients[t, a, b] = M_ab p_t, whose entry c is M_ab[c, e] p_e:
+        # half the gradient of p^T M_ab p at point t (2 is applied below)
+        gradients = (forms * p[:, e]).reshape(n, d * d, d)
         values = (gradients @ p[..., None]).reshape(n, d, d)
         # term[t, a, b, c] = gradients[t, b, c] . values[t, a]; J_abc sums
         # its cyclic shifts
         term = (values @ gradients.swapaxes(1, 2)).reshape(n, d, d, d)
-        total = 2.0 * (term + term.transpose(0, 3, 1, 2)
-                       + term.transpose(0, 2, 3, 1))
-        scaled = (np.abs(total[:, triples]).max(axis=1, initial=0.0)
+        total = 2.0 * (term[:, triples]
+                       + term.transpose(0, 3, 1, 2)[:, triples]
+                       + term.transpose(0, 2, 3, 1)[:, triples])
+        scaled = (np.abs(total).max(axis=1, initial=0.0)
                   / cubes[start:start + n])
         worst = max(worst, float(scaled.max()))
     return worst
@@ -245,16 +245,16 @@ def substituted_tensor(tensor: PoissonTensor) -> PoissonTensor:
 
     The relation-space substitution that identifies Q_{d,r}(x) with
     Q_{d,r'}(x) acts on the extracted bracket entrywise: the transported
-    coefficient at (a, b, c, e) is the original one at the indices
-    multiplied by r, with a sign when the (a, b) ordering flips.  The
-    result is directly comparable (up to one overall scale) with the
-    tensor extracted at (d, r').
+    coefficient of t_c t_e in {t_a, t_b} is the original one at the
+    indices multiplied by r, stored again at c <= e.  The result is
+    directly comparable (up to one overall scale) with the tensor
+    extracted at (d, r').
     """
     d, r = tensor.d, tensor.r
     r_prime = pow(r, -1, d) if d > 1 else 0
-    moved = (r * np.arange(d)) % d
-    mats = _unpack(tensor.pi)[np.ix_(moved, moved, moved, moved)]
-    return PoissonTensor(d=d, r=r_prime, pi=_pack(mats),
+    a, b, c, e = _grade(d)
+    moved = tensor.pi[r * a % d, r * b % d, np.minimum(r * c % d, r * e % d)]
+    return PoissonTensor(d=d, r=r_prime, pi=np.where(c <= e, moved, 0.0),
                          richardson_error=tensor.richardson_error)
 
 

@@ -169,6 +169,9 @@ def _malformed_dump(path, edit):
     ("zero_d", lambda p: p.update(d=0), "d = 0 is below 1"),
     ("non_finite_entry", lambda p: p["entries"][0].update(re=float("inf")),
      "entry (0, 1, 1, 2) is not finite"),
+    # the base entry itself: 1 + 2 is not 0 + 1 mod 3
+    ("off_grade", lambda p: None,
+     "entry (0, 1, 1, 2): c + e is not a + b mod 3"),
 ])
 def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
                                                detail):
@@ -180,6 +183,21 @@ def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
     assert detail in err
     # one line: no traceback, no numpy warning
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d,r", [(5, 2), (8, 3)])
+def test_dump_reloads_the_extracted_bracket(capsys, tmp_path, d, r):
+    # odd and even d: the dump names e, and the loader puts each entry back
+    # at (a, b, c) of the graded array
+    dump = tmp_path / "pi.json"
+    code, _, _ = run_cli(capsys, "poisson", "extract", "--d", str(d),
+                         "--r", str(r), "--dump", str(dump))
+    assert code == 0
+    want = poisson.extract_bracket(d, r, cli.config_from_env().modulus)
+    got = cli.load_poisson_json(str(dump))
+    assert (got.d, got.r) == (d, r)
+    assert np.array_equal(got.pi, want.pi)
+    assert got.richardson_error == want.richardson_error
 
 
 @pytest.mark.parametrize("key, value, shown", [
@@ -213,6 +231,33 @@ def test_malformed_outside_file_is_usage_error(capsys, tmp_path, what, doc,
     assert out == ""
     assert err.startswith(f"error: cannot load {what} from {str(path)!r}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad, shown", [
+    ("1/0", "scalar '1/0' has a zero denominator"),
+    (float("nan"), "scalar nan is not finite"),
+    (float("inf"), "scalar inf is not finite"),
+])
+@pytest.mark.parametrize("what, argv", [
+    ("rep", ("tensor", "solve", "--case", "file:{}")),
+    ("tensor", ("tensor", "check", "--case", "gl:1,1", "--t", "file:{}")),
+])
+def test_bad_scalar_in_outside_file_is_usage_error(capsys, tmp_path, bad,
+                                                   shown, what, argv):
+    # gl(1,1) with one action entry, or a 2 x 2 tensor with one entry,
+    # replaced by bad; json writes nan and inf as NaN and Infinity
+    if what == "rep":
+        doc = {"dim_g": 2, "dim_V": 1,
+               "bracket": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+               "action": [[[bad]], [[-1]]]}
+    else:
+        doc = {"t": [[bad, 0], [0, 1]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot load {what} from {str(path)!r}: {shown}\n"
 
 
 @pytest.mark.parametrize("key, value", [("dim_g", 2.9), ("dim_V", 1.0)])

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -239,15 +240,30 @@ def test_rep_validation_refuses_non_antisymmetric_bracket():
         bad.validate()
 
 
-@pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1),
+                                   (0, 2, 1), (2, 1, 0), (1, 0, 2)])
 def test_rep_validation_refuses_jacobi_failure(order):
     # [x0, x1] = x1, [x0, x2] = x2, [x1, x2] = x0: antisymmetric, but the
-    # Jacobi sum on (x0, x1, x2) is 2 x0; every relabelling must refuse
+    # Jacobi sum on (x0, x1, x2) is 2 x0; every relabelling must refuse,
+    # in exact and in float arithmetic
     a, b, e = order
     bracket = bracket_from(3, {(a, b): {b: 1}, (a, e): {e: 1},
                                (b, e): {a: 1}})
     bad = LieRepData(dim_g=3, dim_V=1, bracket=bracket,
                      action=zero_action(3, 1))
+    for rep in (bad, float_copy(bad)):
+        with pytest.raises(ValueError, match="fail jacobi"):
+            rep.validate()
+
+
+def test_rep_validation_refuses_jacobi_failure_on_a_repeated_index():
+    # J(x0, x0, x1) = [[x0, x1], x0] + [[x1, x0], x0], zero when the bracket
+    # is antisymmetric; within FLOAT_TOL of antisymmetric it is 5e-9 here,
+    # and only the classes (0, 0, 1) and (0, 1, 1) can show it
+    bracket = (((0.0, 0.0), (0.0, 100.0 + 5e-11)),
+               ((0.0, -100.0), (0.0, 0.0)))
+    bad = LieRepData(dim_g=2, dim_V=1, bracket=bracket,
+                     action=zero_action(2, 1))
     with pytest.raises(ValueError, match="fail jacobi"):
         bad.validate()
 
@@ -393,6 +409,32 @@ def test_loader_refuses_non_integer_dimensions(tmp_path, key, value):
     with pytest.raises(ValueError,
                        match=f"^{key} = {value!r} is not an integer$"):
         load_rep_json(str(path))
+
+
+@pytest.mark.parametrize("bad, shown", [
+    ("1/0", "scalar '1/0' has a zero denominator"),
+    ("-3/0", "scalar '-3/0' has a zero denominator"),
+    (float("nan"), "scalar nan is not finite"),
+    (float("inf"), "scalar inf is not finite"),
+    (float("-inf"), "scalar -inf is not finite"),
+])
+def test_loaders_refuse_zero_denominator_and_non_finite(tmp_path, bad, shown):
+    # a NaN or infinite entry would pass validate, whose comparisons with
+    # nan are all false, and solve to a zero admissible space
+    rep = sl2_rep()
+    action = [[[str(x) for x in row] for row in mat] for mat in rep.action]
+    action[0][0][0] = bad
+    doc = {"dim_g": rep.dim_g, "dim_V": rep.dim_V,
+           "bracket": [[[str(x) for x in row] for row in plane]
+                       for plane in rep.bracket],
+           "action": action}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        load_rep_json(str(path))
+    path.write_text(json.dumps({"t": [[bad, "0"], ["0", "1"]]}))
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        load_tensor_json(str(path))
 
 
 def test_loader_rejects_garbage(tmp_path):
