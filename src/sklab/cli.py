@@ -313,14 +313,25 @@ def cmd_poisson_extract(args, config: RunConfig) -> int:
     import numpy as np
     tensor, rows = _extract_rows(args.d, args.r, config)
     if args.dump:
+        # the _dumps of {"d", "r", "entries", "richardson_error"}, with the
+        # nonzero entries in (a, b, c) order written one a at a time
         pi, d = tensor.pi, tensor.d
-        entries = [{"a": int(a), "b": int(b), "c": int(c),
-                    "e": int((a + b - c) % d), "re": val.real, "im": val.imag}
-                   for (a, b, c), val in zip(np.argwhere(pi), pi[pi != 0])]
-        payload = {"d": tensor.d, "r": tensor.r, "entries": entries,
-                   "richardson_error": tensor.richardson_error}
+        head, tail = _dumps({"d": d, "r": tensor.r, "entries": [],
+                             "richardson_error": tensor.richardson_error}
+                            ).split("[]")
         with open(args.dump, "w") as fh:
-            fh.write(_dumps(payload) + "\n")
+            fh.write(head + "[")
+            sep = ""
+            for a, pi_a in enumerate(pi):
+                text = _dumps([{"a": a, "b": int(b), "c": int(c),
+                                "e": int((a + b - c) % d),
+                                "re": val.real, "im": val.imag}
+                               for (b, c), val in zip(np.argwhere(pi_a),
+                                                      pi_a[pi_a != 0])])
+                if text != "[]":
+                    fh.write(sep + text[1:-1])
+                    sep = ", "
+            fh.write("]" + tail + "\n")
     result = {
         "d": args.d, "r": args.r,
         "richardson_error": tensor.richardson_error,

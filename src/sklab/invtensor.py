@@ -22,9 +22,10 @@ check_invariance and LieRepData.validate multiply nonzero entries only.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isfinite
 
 __all__ = [
@@ -199,25 +200,37 @@ def t_star(rep: LieRepData, t: SymTensor):
     return out
 
 
+def _invariance_rows(bracket, pairs):
+    """Rows {s: coefficient} of ad_z x 1 + 1 x ad_z over t_ab = t_ba,
+    (a, b) = pairs[s], from the structure constants c = bracket.
+
+    Row (k, u, v), u <= v, is the x_u . x_v coefficient of the residual,
+    T[u][v] + T[v][u] with T[u][v] = sum_a c[k][a][u] t_av.
+    """
+    # the nonzero c[k][x][u] of each x, over every k
+    acts = {x: [(k, u, val) for k, plane in enumerate(bracket)
+                for u, val in enumerate(plane[x]) if val != 0]
+            for x in {x for pair in pairs for x in pair}}
+    rows = defaultdict(partial(defaultdict, int))
+    for s, (a, b) in enumerate(pairs):
+        for x, y in ((a, b), (b, a)) if a != b else ((a, b),):
+            for k, u, val in acts[x]:
+                key = (k, u, y) if u <= y else (k, y, u)
+                rows[key][s] += val if u != y else 2 * val
+    return rows
+
+
 def check_invariance(rep: LieRepData, t: SymTensor):
-    """Max norm of (ad_z x 1 + 1 x ad_z)(t) over the basis z of g."""
+    """Max norm of (ad_z x 1 + 1 x ad_z)(t) over the basis z of g: the
+    rows of solve_admissible at the nonzero t_ab, a <= b."""
     if t.dim != rep.dim_g:
         raise ValueError("tensor dimension does not match dim_g")
-    entries = _tensor_entries(t.t)
-    rows = {i for i, _, _ in entries}
+    pairs = [(a, b) for a, b in sym_pairs(t.dim) if t.t[a][b] != 0]
+    rows = _invariance_rows(rep.bracket, pairs)
+    vals = [t.t[a][b] for a, b in pairs]
     worst = 0
-    for plane in rep.bracket:
-        # [z, x_a] = sum_u plane[a][u] x_u
-        ad = {a: _nonzeros(plane[a]) for a in rows}
-        # t_ab x_a . x_b goes to plane[a][u] t_ab x_u . x_b, and t being
-        # symmetric, the second factor's term is the (b, a) entry's first
-        res = defaultdict(int)
-        for a, b, x in entries:
-            for u, val in ad[a]:
-                key = (u, b) if u <= b else (b, u)
-                res[key] += val * x if u != b else 2 * val * x
-        for key in sorted(res):
-            worst = max(worst, abs(res[key]))
+    for key in sorted(rows):
+        worst = max(worst, abs(sum(c * vals[s] for s, c in rows[key].items())))
     return worst
 
 
@@ -336,25 +349,13 @@ def solve_admissible(rep: LieRepData):
     exact = rep.is_exact()
     cut = 0 if exact else FLOAT_TOL
     m = rep.dim_g
-    # ad[k][a]: nonzero c[k][a][u], [x_k, x_a] = sum_u c[k][a][u] x_u
-    ad = [[_nonzeros(row) for row in plane] for plane in rep.bracket]
-    weights = [[plane[a][a] for a in range(m)]
-               for plane, out in zip(rep.bracket, ad)
-               if all(abs(x) <= cut for a in range(m) for u, x in out[a]
-                      if u != a)]
+    # [x_k, x_a] = sum_u c[k][a][u] x_u, diagonal in a for some k
+    weights = [[plane[a][a] for a in range(m)] for plane in rep.bracket
+               if all(abs(x) <= cut for a, row in enumerate(plane)
+                      for u, x in enumerate(row) if x != 0 and u != a)]
     pairs = [(a, b) for a, b in sym_pairs(m)
              if all(abs(w[a] + w[b]) <= cut for w in weights)]
-
-    # row (k, u, v), u <= v: the x_u . x_v coefficient of the residual,
-    # T[u][v] + T[v][u] with T[u][v] = sum_a c[k][a][u] t_av, scattered
-    # from each unknown t_ab = t_ba
-    rows = defaultdict(Counter)
-    for s, (a, b) in enumerate(pairs):
-        for k in range(m):
-            for x, y in ((a, b), (b, a))[:1 + (a != b)]:
-                for u, val in ad[k][x]:
-                    key = (k, u, y) if u <= y else (k, y, u)
-                    rows[key][s] += val if u != y else 2 * val
+    rows = _invariance_rows(rep.bracket, pairs)
     invariant_vecs = _kernel_basis([rows[key] for key in sorted(rows)],
                                    len(pairs), exact)
     if not invariant_vecs:

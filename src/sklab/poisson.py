@@ -51,8 +51,9 @@ TANGENT_TOL = 1e-9
 # Bound on the Jacobi residual of a bracket.
 BRACKET_TOL = 1e-6
 
-# Points per batch of jacobi_check
-JACOBI_CHUNK = 8
+# Budget of jacobi_check per batch, in points times d^3: 8 points at d = 10,
+# one point from d = 20 up.
+JACOBI_ENTRIES = 8000
 
 
 class ExtractionError(ArithmeticError):
@@ -205,8 +206,9 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     first derivatives of the quadratic forms.  Points are drawn with each
     coordinate uniform in the unit disc, all from one call, and |J| is
     normalized per point by the largest cubic monomial (max_i |p_i|)^3.
-    The points are evaluated JACOBI_CHUNK at a time, which bounds the
-    memory of the batched products.  trials must be at least 1.
+    The points are evaluated max(1, JACOBI_ENTRIES // d^3) at a time,
+    which bounds the memory of the batched (points, d, d, d) products.
+    trials must be at least 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -220,9 +222,10 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     points = np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * np.pi * draws[:, 1]))
     cubes = np.abs(points).max(axis=1) ** 3
     points, cubes = points[cubes > 0.0], cubes[cubes > 0.0]
+    chunk = max(1, JACOBI_ENTRIES // d ** 3)
     worst = 0.0
-    for start in range(0, len(points), JACOBI_CHUNK):
-        p = points[start:start + JACOBI_CHUNK]
+    for start in range(0, len(points), chunk):
+        p = points[start:start + chunk]
         n = len(p)
         # gradients[t, a, b] = M_ab p_t, whose entry c is M_ab[c, e] p_e:
         # half the gradient of p^T M_ab p at point t (2 is applied below)

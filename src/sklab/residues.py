@@ -54,18 +54,6 @@ class S3Element:
         k2 = -other.k if self.e else other.k
         return S3Element(self.k + k2, self.e + other.e)
 
-    def inverse(self) -> "S3Element":
-        if self.e:
-            return self  # reflections are involutions
-        return S3Element(-self.k, 0)
-
-    def __str__(self) -> str:
-        phi_part = ("", "phi", "phi^2")[self.k]
-        beta_part = "beta" if self.e else ""
-        if not phi_part and not beta_part:
-            return "id"
-        return (phi_part + (" " if phi_part and beta_part else "") + beta_part)
-
 
 IDENTITY = S3Element(0, 0)
 PHI = S3Element(1, 0)

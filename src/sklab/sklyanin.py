@@ -91,8 +91,9 @@ class RelationSystem:
     table[k, n] is the coefficient of term n, on t_{r(j-n)} t_{r(i+n)}, of
     every relation R_ij with j - i = k mod d.  Each row is scaled to unit
     max entry; rows that vanish identically (their theta numerators are
-    exact zeros) are zero rows.  blocks and coeffs are the same data in the
-    grade-block and the dense (i, j, a, b) layouts.
+    exact zeros) are zero rows.  The table is the only stored layout:
+    relation_terms lists the terms of each row, and the grade blocks of the
+    SVD are gathered from the table when needed.
     """
 
     params: AlgebraParams
@@ -102,31 +103,14 @@ class RelationSystem:
     def d(self) -> int:
         return self.params.d
 
-    def _blocks(self, grades=None) -> np.ndarray:
+    def _blocks(self, grades) -> np.ndarray:
         """blocks[s, i, a], the coefficient of t_a t_{rs-a} in R_{i,s-i}, is
         term s - i - a/r; block s + 2 is block s rolled by 1 in i and by r
-        in a.  Built from the table on every access (of the given grades).
+        in a.  Gathered from the table for the given grades on every call.
         """
         d, r = self.d, self.params.r
-        s = np.arange(d) if grades is None else np.asarray(grades)
-        s, (i, a) = s[:, None, None], np.ogrid[:d, :d]
+        s, (i, a) = np.asarray(grades)[:, None, None], np.ogrid[:d, :d]
         return self.table[(s - 2 * i) % d, (s - i - pow(r, -1, d) * a) % d]
-
-    blocks = property(_blocks)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """coeffs[i, j, a, b], the coefficient of t_a t_b in R_ij.
-
-        For fixed (i, j) the nonzero entries sit at (a, b) = (r(j-n),
-        r(i+n)), one per n.  Built from the table on every access.
-        """
-        d, r = self.d, self.params.r
-        i, j, n = np.ogrid[:d, :d, :d]
-        coeffs = np.zeros((d, d, d, d), dtype=self.table.dtype)
-        coeffs[i, j, r * (j - n) % d, r * (i + n) % d] = \
-            self.table[(j - i) % d, n]
-        return coeffs
 
     @functools.cached_property
     def _svd(self):
@@ -214,8 +198,7 @@ def relation_terms(sys: RelationSystem):
 
     Each entry is (i, j, [(n, a, b, coeff), ...]), rows in (i, j) order and
     terms in n order, with exact-zero terms left out.  Term n of R_ij is
-    the table entry table[j - i, n], so summing the terms of a row at each
-    (a, b) reproduces RelationSystem.coeffs.
+    the table entry table[j - i, n].
     """
     d, r = sys.d, sys.params.r
     i, j, n = np.ogrid[:d, :d, :d]

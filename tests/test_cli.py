@@ -14,7 +14,7 @@ import pytest
 
 import sklab
 from conftest import OMEGA, SRC
-from sklab import cli, mukai, poisson, residues, sklyanin, theta
+from sklab import cli, invtensor, mukai, poisson, residues, sklyanin, theta
 from sklab.cli import RunConfig, build_parser, run
 from sklab.theta import ThetaBasis, theta_functional_residuals
 
@@ -198,6 +198,25 @@ def test_dump_reloads_the_extracted_bracket(capsys, tmp_path, d, r):
     assert (got.d, got.r) == (d, r)
     assert np.array_equal(got.pi, want.pi)
     assert got.richardson_error == want.richardson_error
+
+
+@pytest.mark.parametrize("d,r", [(1, 0), (2, 1), (5, 2), (5, 4), (8, 3)])
+def test_dump_is_the_json_of_the_whole_payload(capsys, tmp_path, d, r):
+    # the dump is written one first index at a time; its bytes are those of
+    # one _dumps of every entry, in (a, b, c) order (none at d = 1, only
+    # rounding noise at r = -1 mod d)
+    dump = tmp_path / "pi.json"
+    code, _, _ = run_cli(capsys, "poisson", "extract", "--d", str(d),
+                         "--r", str(r), "--dump", str(dump))
+    assert code == 0
+    tensor = poisson.extract_bracket(d, r, cli.config_from_env().modulus)
+    pi = tensor.pi
+    entries = [{"a": int(a), "b": int(b), "c": int(c),
+                "e": int((a + b - c) % d), "re": val.real, "im": val.imag}
+               for (a, b, c), val in zip(np.argwhere(pi), pi[pi != 0])]
+    payload = {"d": d, "r": r, "entries": entries,
+               "richardson_error": tensor.richardson_error}
+    assert dump.read_text() == cli._dumps(payload) + "\n"
 
 
 @pytest.mark.parametrize("key, value, shown", [
@@ -557,6 +576,30 @@ def test_tensor_check_and_solve(capsys):
     code, out, _ = run_cli(capsys, "tensor", "solve", "--case", "gsp:4")
     assert code == 0
     assert json.loads(out)["dim"] == 1
+
+
+def test_tensor_check_solves_a_case_without_a_tensor(capsys, tmp_path):
+    # gsp has no canonical tensor, so `tensor check` checks the admissible
+    # basis it solves for; sl2 has none, and nothing is checked
+    code, out, _ = run_cli(capsys, "tensor", "check", "--case", "gsp:4")
+    assert code == 0
+    result = json.loads(out)
+    assert result["checked"] == 1
+    assert [(row["name"], row["value"], row["pass"])
+            for row in result["residuals"]] == [("invariance", 0.0, True),
+                                                ("t_star_norm", 0.0, True)]
+    sl2 = invtensor.sl2_rep()
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps({
+        "dim_g": sl2.dim_g, "dim_V": sl2.dim_V, "action": sl2.action,
+        "bracket": [[[int(x) for x in row] for row in plane]
+                    for plane in sl2.bracket]}))
+    code, out, _ = run_cli(capsys, "tensor", "check", "--case", f"file:{path}")
+    assert code == 0
+    assert json.loads(out) == {
+        "case": f"file:{path}", "checked": 0,
+        "note": "admissible space is zero; nothing to check",
+        "residuals": []}
 
 
 def test_format_env_and_flag_precedence(capsys, monkeypatch):

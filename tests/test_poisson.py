@@ -221,6 +221,19 @@ def test_scale_match_identical_tensors(modulus):
     assert dev == 0.0
 
 
+def test_scale_match_zero_and_mismatched_tensors(modulus):
+    # two zero tensors match at scale 1; a zero against a nonzero tensor
+    # does not match at all, either way round
+    t_a = extract_bracket(5, 2, modulus)
+    zero = poisson.PoissonTensor(d=5, r=2, pi=np.zeros_like(t_a.pi),
+                                 richardson_error=0.0)
+    assert scale_match_deviation(zero, zero) == (1.0, 0.0)
+    assert scale_match_deviation(zero, t_a) == (1.0, 1.0)
+    assert scale_match_deviation(t_a, zero) == (1.0, 1.0)
+    with pytest.raises(ValueError, match="tensor dimensions differ"):
+        scale_match_deviation(t_a, extract_bracket(3, 1, modulus))
+
+
 @pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 11)
                                  for r in range(d) if gcd(r, d) == 1])
 def test_batched_extraction_matches_per_pair_lstsq(d, r, modulus):
@@ -309,7 +322,9 @@ def test_bracket_is_graded(d, r, modulus):
 def test_jacobi_chunks_match_loop_oracle(modulus):
     # one chunk, exactly one full chunk, one entry past it, many chunks
     tensor = extract_bracket(8, 3, modulus)
-    for trials in (1, poisson.JACOBI_CHUNK, poisson.JACOBI_CHUNK + 1, 100):
+    chunk = max(1, poisson.JACOBI_ENTRIES // 8 ** 3)
+    assert 1 < chunk < 100
+    for trials in (1, chunk, chunk + 1, 100):
         assert abs(jacobi_check(tensor, trials, seed=5)
                    - loop_jacobi(dense(tensor.pi), trials, 5)) <= 1e-13
 

@@ -46,10 +46,21 @@ def loop_relations(params):
     return coeffs, rows
 
 
+def term_coeffs(system):
+    """coeffs[i, j, a, b], the coefficient of t_a t_b in R_ij, scattered
+    from the public per-term breakdown relation_terms."""
+    d = system.d
+    coeffs = np.zeros((d, d, d, d), dtype=complex)
+    for i, j, terms in relation_terms(system):
+        for n, a, b, coeff in terms:
+            coeffs[i, j, a, b] += coeff
+    return coeffs
+
+
 def dense_rows(system):
     """Nonzero relation rows as one (m, d^2) matrix, as the module once did."""
     d = system.d
-    rows = system.coeffs.reshape(d * d, d * d)
+    rows = term_coeffs(system).reshape(d * d, d * d)
     rowmax = np.abs(rows).max(axis=1)
     return rows[(rowmax > 0) & (rowmax >= 1e-10 * rowmax.max())]
 
@@ -74,7 +85,7 @@ def all_grade_svd(system):
     """The decomposition of every grade block, as RelationSystem._svd once
     did: one batched SVD of all d blocks.  Returns (vh, block_svals,
     spectrum) for every grade."""
-    blocks = system.blocks
+    blocks = system._blocks(np.arange(system.d))
     rowmax = np.abs(blocks).max(axis=2)
     live = (rowmax > 0.0) & (rowmax >= 1e-10 * rowmax.max())
     _, svals, vh = np.linalg.svd(np.where(live[..., None], blocks, 0.0))
@@ -208,7 +219,7 @@ def test_relation_space_holds_the_rows(d, modulus):
         if gcd(r, d) != 1:
             continue
         system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
-        rows = system.coeffs.reshape(d * d, d * d)
+        rows = term_coeffs(system).reshape(d * d, d * d)
         rows = rows[np.abs(rows).max(axis=1) > 0.0].T
         space = relation_space(system)
         residual = rows - space @ (space.conj().T @ rows)
@@ -224,23 +235,34 @@ def test_negative_controls_match_dense_oracle(d, r, rp, modulus):
                                                   modulus)) <= 1e-12
 
 
+def test_subspace_distance_with_an_empty_basis():
+    empty, plane = np.zeros((4, 0), dtype=complex), np.eye(4, 2)
+    assert subspace_distance(empty, empty) == 0.0
+    assert subspace_distance(empty, plane) == 1.0
+    assert subspace_distance(plane, empty) == 1.0
+
+
 def test_rows_normalized_to_unit_max(modulus):
     system = build_relations(AlgebraParams(5, 2, X_GENERIC, modulus))
-    flat = system.coeffs.reshape(25, 25)
-    for row in flat:
+    for row in system.table:
         top = np.abs(row).max()
         if top > 0:
             assert top == pytest.approx(1.0, abs=1e-12)
 
 
-def test_relation_terms_sum_to_coeffs(modulus):
-    params = AlgebraParams(5, 2, X_GENERIC, modulus)
-    system = build_relations(params)
-    rebuilt = np.zeros_like(system.coeffs)
-    for i, j, terms in relation_terms(system):
+def test_relation_terms_read_the_table(modulus):
+    d, r = 5, 2
+    system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+    rows = relation_terms(system)
+    assert [(i, j) for i, j, _ in rows] == [(i, j) for i in range(d)
+                                            for j in range(d)]
+    for i, j, terms in rows:
+        k = (j - i) % d
+        assert [n for n, *_ in terms] == [n for n in range(d)
+                                          if system.table[k, n] != 0.0]
         for n, a, b, coeff in terms:
-            rebuilt[i, j, a, b] += coeff
-    assert np.max(np.abs(rebuilt - system.coeffs)) == 0.0
+            assert (a, b) == ((r * (j - n)) % d, (r * (i + n)) % d)
+            assert coeff == system.table[k, n]
 
 
 @pytest.mark.parametrize("d", range(1, 10))
@@ -251,7 +273,8 @@ def test_coefficients_match_loop_oracle(d, modulus):
         params = AlgebraParams(d, r, X_GENERIC, modulus)
         want, want_rows = loop_relations(params)
         # rows have unit max, so this is relative to the row scale
-        assert np.abs(build_relations(params).coeffs - want).max() <= 1e-15
+        assert np.abs(term_coeffs(build_relations(params)) - want).max() \
+            <= 1e-15
         got_rows = [(i, j, [term[:3] for term in terms])
                     for i, j, terms in relation_terms(
                         build_relations(params))]
@@ -327,14 +350,14 @@ def test_off_cell_x_matches_the_cell(d, r, q, modulus):
     system = build_relations(AlgebraParams(d, r, x, modulus))
     cell = build_relations(AlgebraParams(d, r, x_red, modulus))
     phase = np.exp(2j * np.pi * d * q * (w.real * q + 2.0 * x_red.real))
-    assert np.abs(system.blocks - phase * cell.blocks).max() <= 1e-15
+    assert np.abs(system.table - phase * cell.table).max() <= 1e-15
     space = relation_space(system)
     assert space.shape == (d * d, d * (d - 1) // 2)
     assert subspace_distance(space, relation_space(cell)) <= 1e-12
     if q * q * d <= 20:
         # near the cell the direct theta values are still accurate
         want, _ = loop_relations(AlgebraParams(d, r, x, modulus))
-        assert np.abs(system.coeffs - want).max() <= 1e-13
+        assert np.abs(term_coeffs(system) - want).max() <= 1e-13
 
 
 def test_ambiguous_rank_raises(modulus):
@@ -419,10 +442,10 @@ def test_blocks_heisenberg_shift(d, modulus):
         if gcd(r, d) != 1:
             continue
         system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
-        blocks = system.blocks
+        blocks = system._blocks(np.arange(d))
         s, i, a = np.ogrid[:d, :d, :d]
         assert np.array_equal(
-            blocks, system.coeffs[i, (s - i) % d, a, (r * s - a) % d])
+            blocks, term_coeffs(system)[i, (s - i) % d, a, (r * s - a) % d])
         for g in range(d):
             assert np.array_equal(blocks[(g + 2) % d],
                                   np.roll(blocks[g], (1, r), axis=(0, 1)))
