@@ -1,11 +1,12 @@
 """Command-line front end for every module in the package.
 
-One executable, one subcommand per capability, uniform output: results
-go to stdout as JSON (default) or an aligned table, residual checks are
-reported as {name, value, tolerance, pass} rows, and the exit code tells
-scripts what happened: 0 success, 1 a verification failed (a row or an
-ArithmeticError), 2 usage (a ValueError or OSError).
-`check --all` is assembled from the row builders of the subcommands.
+One executable, one subcommand per capability, uniform output.  Each
+handler returns its result as a dict, and `run` reports it: to stdout as
+JSON (default) or an aligned table, residual checks as {name, value,
+tolerance, pass} rows.  The exit code tells scripts what happened: 0
+success, 1 a verification failed (a row or an ArithmeticError), 2 usage (a
+ValueError or OSError).  `check --all` is assembled from the row builders
+of the subcommands, and both `--dump` files are streamed by `_dump`.
 
 Each command imports what it calls, so the exact subcommands, `--help` and
 usage errors load no numpy.
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -143,6 +146,20 @@ def _plain(value):
 _dumps = functools.partial(json.dumps, allow_nan=False, default=_plain)
 
 
+def _dump(path: str, payload: dict, parts) -> None:
+    """Write _dumps(payload) and a newline to path, with the one empty list
+    in payload filled from parts (lists), which are written one at a time."""
+    head, tail = _dumps(payload).split("[]")
+    with open(path, "w") as fh:
+        fh.write(head + "[")
+        sep = ""
+        for part in parts:
+            if part:
+                fh.write(sep + _dumps(part)[1:-1])
+                sep = ", "
+        fh.write("]" + tail + "\n")
+
+
 def residual_row(name: str, value: float, tolerance) -> dict:
     return {"name": name, "value": float(value),
             "tolerance": float(tolerance), "pass": bool(value <= tolerance)}
@@ -176,13 +193,13 @@ def report(result: dict, config: RunConfig) -> int:
 # ------------------------------------------------------------------ commands
 
 
-def cmd_theta_eval(args, config: RunConfig) -> int:
+def cmd_theta_eval(args, config: RunConfig) -> dict:
     from .theta import ThetaBasis, theta_functional_residuals
     basis = ThetaBasis(args.d, config.modulus)
     z = args.z
     value = basis.eval(args.m, z)
     (res1,), (res2,) = theta_functional_residuals(basis, [args.m], [z])
-    result = {
+    return {
         "d": args.d, "m": args.m,
         "z_re": z.real, "z_im": z.imag,
         "value_re": value.real, "value_im": value.imag,
@@ -191,7 +208,6 @@ def cmd_theta_eval(args, config: RunConfig) -> int:
             residual_row("shift_by_omega", res2, FUNCTIONAL_EQ_TOL),
         ],
     }
-    return report(result, config)
 
 
 def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
@@ -227,32 +243,30 @@ def _theta_rows(d: int, trials: int, config: RunConfig, rng) -> list:
     ]
 
 
-def cmd_theta_check(args, config: RunConfig) -> int:
+def cmd_theta_check(args, config: RunConfig) -> dict:
     import numpy as np
     rows = _theta_rows(args.d, args.trials, config,
                       np.random.default_rng(config.seed))
-    return report({"d": args.d, "trials": args.trials, "residuals": rows},
-                  config)
+    return {"d": args.d, "trials": args.trials, "residuals": rows}
 
 
-def cmd_sklyanin_relations(args, config: RunConfig) -> int:
+def cmd_sklyanin_relations(args, config: RunConfig) -> dict:
     from . import sklyanin
     params = sklyanin.AlgebraParams(args.d, args.r, args.x, config.modulus)
     system = sklyanin.build_relations(params)
     rank, gap = sklyanin.relation_rank(system)
     expected = args.d * (args.d - 1) // 2
     if args.dump:
-        rows = [{"i": i, "j": j,
+        # one relation row per part
+        _dump(args.dump, {"d": args.d, "r": params.r,
+                          "x": [args.x.real, args.x.imag],
+                          "rows": [], "rank": rank},
+              ([{"i": i, "j": j,
                  "terms": [{"n": n, "a": a, "b": b,
                             "coeff_re": c.real, "coeff_im": c.imag}
-                           for n, a, b, c in terms]}
-                for i, j, terms in sklyanin.relation_terms(system)]
-        payload = {"d": args.d, "r": params.r,
-                   "x": [args.x.real, args.x.imag],
-                   "rows": rows, "rank": rank}
-        with open(args.dump, "w") as fh:
-            fh.write(_dumps(payload) + "\n")
-    result = {
+                           for n, a, b, c in terms]}]
+               for i, j, terms in sklyanin.relation_terms(system)))
+    return {
         "d": args.d, "r": params.r,
         "x_re": args.x.real, "x_im": args.x.imag,
         "rank": rank, "expected_rank": expected,
@@ -261,7 +275,6 @@ def cmd_sklyanin_relations(args, config: RunConfig) -> int:
             residual_row("rank_deviation", abs(rank - expected), 0.5),
         ],
     }
-    return report(result, config)
 
 
 def _iso_row(d: int, r: int, r_prime: int, x: complex,
@@ -273,15 +286,14 @@ def _iso_row(d: int, r: int, r_prime: int, x: complex,
     return residual_row("subspace_distance", dist, ISO_TOL)
 
 
-def cmd_sklyanin_check_iso(args, config: RunConfig) -> int:
+def cmd_sklyanin_check_iso(args, config: RunConfig) -> dict:
     row = _iso_row(args.d, args.r, args.rprime, args.x, config)
-    result = {
+    return {
         "d": args.d, "r": args.r, "r_prime": args.rprime,
         "x_re": args.x.real, "x_im": args.x.imag,
         "distance": row["value"],
         "residuals": [row],
     }
-    return report(result, config)
 
 
 def _skew_row(tensor: poisson.PoissonTensor) -> dict:
@@ -309,83 +321,103 @@ def _jacobi_row(tensor: poisson.PoissonTensor, trials: int,
                         poisson.BRACKET_TOL)
 
 
-def cmd_poisson_extract(args, config: RunConfig) -> int:
+def cmd_poisson_extract(args, config: RunConfig) -> dict:
     import numpy as np
     tensor, rows = _extract_rows(args.d, args.r, config)
     if args.dump:
-        # the _dumps of {"d", "r", "entries", "richardson_error"}, with the
-        # nonzero entries in (a, b, c) order written one a at a time
-        pi, d = tensor.pi, tensor.d
-        head, tail = _dumps({"d": d, "r": tensor.r, "entries": [],
-                             "richardson_error": tensor.richardson_error}
-                            ).split("[]")
-        with open(args.dump, "w") as fh:
-            fh.write(head + "[")
-            sep = ""
-            for a, pi_a in enumerate(pi):
-                text = _dumps([{"a": a, "b": int(b), "c": int(c),
-                                "e": int((a + b - c) % d),
-                                "re": val.real, "im": val.imag}
-                               for (b, c), val in zip(np.argwhere(pi_a),
-                                                      pi_a[pi_a != 0])])
-                if text != "[]":
-                    fh.write(sep + text[1:-1])
-                    sep = ", "
-            fh.write("]" + tail + "\n")
-    result = {
+        # the nonzero entries in (a, b, c) order, one first index a per part
+        d = tensor.d
+        _dump(args.dump, {"d": d, "r": tensor.r, "entries": [],
+                          "richardson_error": tensor.richardson_error},
+              ([{"a": a, "b": b, "c": c, "e": (a + b - c) % d,
+                 "re": val.real, "im": val.imag}
+                for (b, c), val in zip(np.argwhere(pi_a).tolist(),
+                                       pi_a[pi_a != 0].tolist())]
+               for a, pi_a in enumerate(tensor.pi)))
+    return {
         "d": args.d, "r": args.r,
         "richardson_error": tensor.richardson_error,
         "nonzero_entries": int(np.count_nonzero(tensor.pi)),
         "residuals": rows,
     }
-    return report(result, config)
 
 
 def _load(what: str, path: str, loader):
     """loader(path), refusing an unreadable or malformed file as usage."""
     try:
         return loader(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError,
+            MemoryError) as exc:
         raise UsageError(f"cannot load {what} from {path!r}: {exc}")
 
 
+_entry = operator.itemgetter("a", "b", "c", "e", "re", "im")
+
+
+def _entry_tuple(obj: dict):
+    """json object_hook: an entry as (a, b, c, e, complex(re, im)); any
+    other object, an entry that lacks a key included, stays a dict."""
+    try:
+        a, b, c, e, re, im = _entry(obj)
+    except KeyError:
+        return obj
+    return a, b, c, e, complex(re, im)
+
+
 def load_poisson_json(path: str) -> poisson.PoissonTensor:
+    """The bracket of a `poisson extract --dump` file, its entries read as
+    tuples and checked as arrays; a refusal names the first entry at fault."""
     import numpy as np
     from . import poisson
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_hook=_entry_tuple)
     for key in "dr":
         if type(data[key]) is not int:
             raise ValueError(f"{key} = {data[key]!r} is not an integer")
     d = data["d"]
     if d < 1:
         raise ValueError(f"d = {d} is below 1")
+    entries = data.pop("entries")
+    for entry in entries:
+        if type(entry) is not tuple:
+            _entry(entry)  # not an object with every key: raises, naming it
+    cols = np.fromiter(itertools.chain.from_iterable(entries), object,
+                       5 * len(entries)).reshape(-1, 5)
+    del entries
+    index = cols[:, :4]
+
+    def refuse_first(bad, message):
+        if np.any(bad):
+            raise ValueError(message.format(tuple(index[np.argmax(bad)])))
+
+    # ints in 0..d-1, compared as Python ints, so that an index past int64
+    # is refused here rather than overflowing the numpy cast below
+    if not (set(map(type, index.flat)) <= {int} and 0 <= min(
+            index.flat, default=0) and max(index.flat, default=0) < d):
+        refuse_first([not all(type(i) is int and 0 <= i < d for i in row)
+                      for row in index],
+                     f"entry index {{}} is not in 0..{d - 1}")
+    values = cols[:, 4].astype(complex)
+    refuse_first(~np.isfinite(values), "entry {} is not finite")
+    a, b, c, e = index.astype(np.intp).T
+    refuse_first((a + b - c - e) % d,
+                 f"entry {{}}: c + e is not a + b mod {d}")
     pi = np.zeros((d, d, d), dtype=complex)
-    for entry in data["entries"]:
-        index = tuple(entry[k] for k in "abce")
-        if not all(type(i) is int and 0 <= i < d for i in index):
-            raise ValueError(f"entry index {index} is not in 0..{d - 1}")
-        a, b, c, e = index
-        pi[a, b, c] = complex(entry["re"], entry["im"])
-        if not np.isfinite(pi[a, b, c]):
-            raise ValueError(f"entry {index} is not finite")
-        if (a + b - c - e) % d:
-            raise ValueError(f"entry {index}: c + e is not a + b mod {d}")
+    pi[a, b, c] = values
     return poisson.PoissonTensor(
         d=d, r=data["r"], pi=pi,
         richardson_error=float(data["richardson_error"]))
 
 
-def cmd_poisson_jacobi(args, config: RunConfig) -> int:
+def cmd_poisson_jacobi(args, config: RunConfig) -> dict:
     tensor = _load("bracket", args.infile, load_poisson_json)
     row = _jacobi_row(tensor, args.trials, config)
-    result = {
+    return {
         "d": tensor.d, "r": tensor.r,
         "trials": args.trials, "seed": config.seed,
         "max_jacobi": row["value"],
         "residuals": [row, _skew_row(tensor)],
     }
-    return report(result, config)
 
 
 def _object_fields(obj: mukai.DerivedObject) -> dict:
@@ -394,55 +426,42 @@ def _object_fields(obj: mukai.DerivedObject) -> dict:
     return {"class": "torsion", "shift": obj.shift}
 
 
-def cmd_mukai_act(args, config: RunConfig) -> int:
+def cmd_mukai_act(args, config: RunConfig) -> dict:
     from . import mukai
     obj = parse_object(args.object)
     moved = mukai.act_word(obj, mukai.GroupWord.parse(args.word))
-    return report(_object_fields(moved), config)
+    return _object_fields(moved)
 
 
-def cmd_mukai_invariants(args, config: RunConfig) -> int:
+def cmd_mukai_invariants(args, config: RunConfig) -> dict:
     from . import mukai
     inv = mukai.orbit_invariants(mukai.KVector(*args.v1),
                                  mukai.KVector(*args.v2))
-    return report({"det": inv.det, "alpha": inv.alpha}, config)
+    return {"det": inv.det, "alpha": inv.alpha}
 
 
-def cmd_mukai_solve_tr(args, config: RunConfig) -> int:
+def cmd_mukai_solve_tr(args, config: RunConfig) -> dict:
     from . import mukai
     word, companion = mukai.solve_T_r(mukai.Bundle(args.r, args.d, 0))
-    return report({"word": str(word), "r_prime": companion.rank}, config)
+    return {"word": str(word), "r_prime": companion.rank}
 
 
-def cmd_mukai_solve_ur(args, config: RunConfig) -> int:
+def cmd_mukai_solve_ur(args, config: RunConfig) -> dict:
     from . import mukai
     word, r_dp = mukai.solve_U_r(mukai.Bundle(args.r, args.d, 0))
-    return report({"word": str(word), "r_prime": r_dp}, config)
+    return {"word": str(word), "r_prime": r_dp}
 
 
-def cmd_s3_orbits(args, config: RunConfig) -> int:
+def cmd_s3_orbits(args, config: RunConfig) -> dict:
     from . import residues
-    rset = residues.residue_set(args.d)
-    fixed = residues.fixed_points(args.d)
-    result = {
-        "d": args.d,
-        "members": list(rset.members),
-        "orbits": [list(o) for o in residues.orbit_report(args.d)],
-        "phi_fixed": list(fixed["phi_fixed"]),
-        "phibeta_fixed": list(fixed["phibeta_fixed"]),
-    }
-    return report(result, config)
+    return {"d": args.d, "members": residues.residue_set(args.d).members,
+            "orbits": residues.orbit_report(args.d),
+            **residues.fixed_points(args.d)}
 
 
-def cmd_s3_fixed(args, config: RunConfig) -> int:
+def cmd_s3_fixed(args, config: RunConfig) -> dict:
     from . import residues
-    fixed = residues.fixed_points(args.d)
-    result = {
-        "d": args.d,
-        "phi_fixed": list(fixed["phi_fixed"]),
-        "phibeta_fixed": list(fixed["phibeta_fixed"]),
-    }
-    return report(result, config)
+    return {"d": args.d, **residues.fixed_points(args.d)}
 
 
 def _s3_row(dmax: int):
@@ -453,25 +472,20 @@ def _s3_row(dmax: int):
     return bad, residual_row("relation_failures", len(bad), 0.5)
 
 
-def cmd_s3_check(args, config: RunConfig) -> int:
+def cmd_s3_check(args, config: RunConfig) -> dict:
     if args.dmax < 2:
         raise UsageError(f"--dmax must be at least 2, got {args.dmax}")
     bad, row = _s3_row(args.dmax)
-    return report({"dmax": args.dmax, "failures": bad, "residuals": [row]},
-                  config)
+    return {"dmax": args.dmax, "failures": bad, "residuals": [row]}
 
 
-def cmd_walls(args, config: RunConfig) -> int:
+def cmd_walls(args, config: RunConfig) -> dict:
     from . import walls
     triple = walls.TripleInvariants(args.r1, args.r2, args.d1, args.d2)
     wall_list = walls.candidate_walls(triple, args.lo, args.hi)
-    degens = walls.degeneration_cells(triple)
-    result = {
-        "walls": [{"tau": w.tau, "witnesses": [list(wit) for wit in w.witnesses]}
-                  for w in wall_list],
-        "degenerations": [list(cell) for cell in degens],
-    }
-    return report(result, config)
+    return {"walls": [{"tau": w.tau, "witnesses": w.witnesses}
+                      for w in wall_list],
+            "degenerations": walls.degeneration_cells(triple)}
 
 
 def _resolve_tensor_case(case: str):
@@ -513,7 +527,7 @@ def _tensor_rows(rep, tensors) -> list:
     return rows
 
 
-def cmd_tensor_check(args, config: RunConfig) -> int:
+def cmd_tensor_check(args, config: RunConfig) -> dict:
     from . import invtensor
     rep, default_tensor = _resolve_tensor_case(args.case)
     if args.t:
@@ -524,29 +538,26 @@ def cmd_tensor_check(args, config: RunConfig) -> int:
     else:
         tensors = invtensor.solve_admissible(rep)
         if not tensors:
-            result = {"case": args.case, "checked": 0,
-                      "note": "admissible space is zero; nothing to check",
-                      "residuals": []}
-            return report(result, config)
-    result = {"case": args.case, "checked": len(tensors),
-              "residuals": _tensor_rows(rep, tensors)}
-    return report(result, config)
+            return {"case": args.case, "checked": 0,
+                    "note": "admissible space is zero; nothing to check",
+                    "residuals": []}
+    return {"case": args.case, "checked": len(tensors),
+            "residuals": _tensor_rows(rep, tensors)}
 
 
-def cmd_tensor_solve(args, config: RunConfig) -> int:
+def cmd_tensor_solve(args, config: RunConfig) -> dict:
     from . import invtensor
     rep, _ = _resolve_tensor_case(args.case)
     basis = invtensor.solve_admissible(rep)
-    result = {
+    return {
         "case": args.case,
         "dim": len(basis),
         "basis": [[[Fraction(x) if isinstance(x, int) else x for x in row]
                    for row in tensor.t] for tensor in basis],
     }
-    return report(result, config)
 
 
-def cmd_check_all(args, config: RunConfig) -> int:
+def cmd_check_all(args, config: RunConfig) -> dict:
     """One verification sweep over every module.
 
     Rows that a subcommand also reports come from that subcommand's row
@@ -637,8 +648,7 @@ def cmd_check_all(args, config: RunConfig) -> int:
                              0 if dim_after >= 1 else 1, 0.5))
     rows.append(residual_row("tensor_gsp4_dim_dev", abs(gsp_dim - 1), 0.5))
 
-    result = {"dmax": dmax, "checks": len(rows), "residuals": rows}
-    return report(result, config)
+    return {"dmax": dmax, "checks": len(rows), "residuals": rows}
 
 
 def _random_object(rng) -> mukai.DerivedObject:
@@ -679,45 +689,37 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
                     "limits: evaluation, verification, and solvers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def leaf(subparsers, name, func, **kwargs):
+    def leaf(subparsers, name, func, *int_flags, **kwargs):
         # no prefix matching: a flag that no longer exists must be refused,
         # not read as the prefix of another (--help above all)
         p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
         _add_config_flags(p, env_cfg)
         p.set_defaults(func=func)
+        for flag in int_flags:  # required integers, in this order
+            p.add_argument(f"--{flag}", type=int, required=True)
         return p
 
     theta_p = sub.add_parser("theta", help="theta basis evaluation and checks")
     theta_sub = theta_p.add_subparsers(dest="subcommand", required=True)
-    p = leaf(theta_sub, "eval", cmd_theta_eval)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = leaf(theta_sub, "eval", cmd_theta_eval, "d", "m")
     p.add_argument("--z", type=parse_complex, required=True,
                    help=_negative_form("--z", "-0.3,0.4"))
-    p = leaf(theta_sub, "check", cmd_theta_check)
-    p.add_argument("--d", type=int, required=True)
+    p = leaf(theta_sub, "check", cmd_theta_check, "d")
     p.add_argument("--trials", type=int, default=100)
 
     sk_p = sub.add_parser("sklyanin", help="relation spaces of Q_{d,r}(x)")
     sk_sub = sk_p.add_subparsers(dest="subcommand", required=True)
-    p = leaf(sk_sub, "relations", cmd_sklyanin_relations)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = leaf(sk_sub, "relations", cmd_sklyanin_relations, "d", "r")
     p.add_argument("--x", type=parse_complex, required=True,
                    help=_negative_form("--x", "-0.3,0.4"))
     p.add_argument("--dump", metavar="coeffs.json")
-    p = leaf(sk_sub, "check-iso", cmd_sklyanin_check_iso)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--rprime", type=int, required=True)
+    p = leaf(sk_sub, "check-iso", cmd_sklyanin_check_iso, "d", "r", "rprime")
     p.add_argument("--x", type=parse_complex, required=True,
                    help=_negative_form("--x", "-0.3,0.4"))
 
     po_p = sub.add_parser("poisson", help="classical-limit bracket extraction")
     po_sub = po_p.add_subparsers(dest="subcommand", required=True)
-    p = leaf(po_sub, "extract", cmd_poisson_extract)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = leaf(po_sub, "extract", cmd_poisson_extract, "d", "r")
     p.add_argument("--dump", metavar="pi.json")
     p = leaf(po_sub, "jacobi", cmd_poisson_jacobi)
     p.add_argument("--in", dest="infile", required=True, metavar="pi.json")
@@ -735,28 +737,18 @@ def build_parser(env_cfg: RunConfig) -> argparse.ArgumentParser:
                    help=_negative_form("--v1", "-2,1"))
     p.add_argument("--v2", type=parse_int_pair, required=True, metavar="R,D",
                    help=_negative_form("--v2", "-2,1"))
-    p = leaf(mk_sub, "solve-tr", cmd_mukai_solve_tr)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p = leaf(mk_sub, "solve-ur", cmd_mukai_solve_ur)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    leaf(mk_sub, "solve-tr", cmd_mukai_solve_tr, "r", "d")
+    leaf(mk_sub, "solve-ur", cmd_mukai_solve_ur, "r", "d")
 
     s3_p = sub.add_parser("s3", help="residue sets and the S3 action")
     s3_sub = s3_p.add_subparsers(dest="subcommand", required=True)
-    p = leaf(s3_sub, "orbits", cmd_s3_orbits)
-    p.add_argument("--d", type=int, required=True)
-    p = leaf(s3_sub, "fixed", cmd_s3_fixed)
-    p.add_argument("--d", type=int, required=True)
+    leaf(s3_sub, "orbits", cmd_s3_orbits, "d")
+    leaf(s3_sub, "fixed", cmd_s3_fixed, "d")
     p = leaf(s3_sub, "check", cmd_s3_check)
     p.add_argument("--dmax", type=int, default=200)
 
-    p = leaf(sub, "walls", cmd_walls,
+    p = leaf(sub, "walls", cmd_walls, "r1", "r2", "d1", "d2",
              help="candidate stability walls for a triple")
-    p.add_argument("--r1", type=int, required=True)
-    p.add_argument("--r2", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--d2", type=int, required=True)
     p.add_argument("--lo", type=parse_rational, required=True, metavar="P/Q",
                    help=_negative_form("--lo", "-1/2"))
     p.add_argument("--hi", type=parse_rational, required=True, metavar="P/Q",
@@ -788,7 +780,8 @@ def _config_from_args(args) -> RunConfig:
 def run(argv=None) -> int:
     try:
         args = build_parser(config_from_env()).parse_args(argv)
-        return args.func(args, _config_from_args(args))
+        config = _config_from_args(args)
+        return report(args.func(args, config), config)
     except SystemExit as exc:  # argparse: --help, or its usage message
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

@@ -66,10 +66,12 @@ def reduce_to_cell(z, omega: complex):
     """Write z = z_red + p + q*omega with z_red in the centered unit cell.
 
     Works elementwise on arrays; p and q come back as int64 arrays.
-    ValueError is raised when |p| or |q| reaches 2^53, where a float has
-    no fractional part left to reduce.
+    ValueError is raised when z is not finite, and when |p| or |q| reaches
+    2^53, where a float has no fractional part left to reduce.
     """
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
     beta = z.imag / omega.imag
     q = np.rint(beta)
     p = np.rint(z.real - beta * omega.real)
@@ -229,8 +231,6 @@ class ThetaBasis:
     def eval(self, m: int, z) -> complex:
         """Evaluate theta_m at z (scalar or array), index m taken mod d."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if not np.all(np.isfinite(z_arr)):
-            raise ValueError("z must be finite")
         z_red, p, q = reduce_to_cell(z_arr, self.omega)
         vals = self._from_cell(self._series(m, z_red)[0], z_red, p, q)
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals

@@ -172,6 +172,24 @@ def _malformed_dump(path, edit):
     # the base entry itself: 1 + 2 is not 0 + 1 mod 3
     ("off_grade", lambda p: None,
      "entry (0, 1, 1, 2): c + e is not a + b mod 3"),
+    # an entry that lacks a key is not read as the list of its keys
+    ("missing_re", lambda p: p["entries"][0].pop("re"), "'re'"),
+    ("entry_not_an_object", lambda p: p["entries"].append([0, 1, 1, 0]),
+     "list indices must be integers"),
+    # past int64: refused by its range, not overflowed by a numpy cast
+    ("index_past_int64", lambda p: p["entries"][0].update(b=2 ** 63),
+     "(0, 9223372036854775808, 1, 2) is not in 0..2"),
+    ("float_index", lambda p: p["entries"][0].update(c=1.0),
+     "(0, 1, 1.0, 2) is not in 0..2"),
+    ("bool_index", lambda p: p["entries"][0].update(c=True),
+     "(0, 1, True, 2) is not in 0..2"),
+    ("huge_int_value", lambda p: p["entries"][0].update(re=10 ** 400),
+     "int too large to convert to float"),
+    ("string_value", lambda p: p["entries"][0].update(im="0"),
+     "complex() second arg can't be a string"),
+    # a (d, d, d) array no machine holds: refused when allocating fails
+    ("huge_d", lambda p: p.update(d=10 ** 5, entries=[]),
+     "Unable to allocate"),
 ])
 def test_poisson_jacobi_refuses_malformed_dump(capsys, tmp_path, name, edit,
                                                detail):
@@ -216,6 +234,29 @@ def test_dump_is_the_json_of_the_whole_payload(capsys, tmp_path, d, r):
                for (a, b, c), val in zip(np.argwhere(pi), pi[pi != 0])]
     payload = {"d": d, "r": r, "entries": entries,
                "richardson_error": tensor.richardson_error}
+    assert dump.read_text() == cli._dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("d,r", [(1, 0), (2, 1), (5, 2), (8, 3)])
+def test_relations_dump_is_the_json_of_the_whole_payload(capsys, tmp_path,
+                                                         d, r):
+    # the dump is written one relation row at a time; its bytes are those
+    # of one _dumps of every row from relation_terms
+    dump = tmp_path / "coeffs.json"
+    x = 0.11 + 0.17j
+    code, out, _ = run_cli(capsys, "sklyanin", "relations", "--d", str(d),
+                           "--r", str(r), "--x", "0.11,0.17",
+                           "--dump", str(dump))
+    assert code == 0
+    system = sklyanin.build_relations(sklyanin.AlgebraParams(
+        d, r, x, cli.config_from_env().modulus))
+    rows = [{"i": i, "j": j,
+             "terms": [{"n": n, "a": a, "b": b,
+                        "coeff_re": c.real, "coeff_im": c.imag}
+                       for n, a, b, c in terms]}
+            for i, j, terms in sklyanin.relation_terms(system)]
+    payload = {"d": d, "r": r, "x": [x.real, x.imag], "rows": rows,
+               "rank": json.loads(out)["rank"]}
     assert dump.read_text() == cli._dumps(payload) + "\n"
 
 
@@ -904,13 +945,53 @@ def probe_imports(src_env, argv, setup=""):
     return code, set(modules)
 
 
+# The other leaves, in an order where `poisson jacobi` reads the dump that
+# `poisson extract` wrote.
+NUMERIC_LEAVES = [
+    ("theta", "eval", "--d", "5", "--m", "1", "--z", "0.13,0.21"),
+    ("theta", "check", "--d", "3", "--trials", "5"),
+    ("sklyanin", "relations", "--d", "5", "--r", "2", "--x", "0.11,0.17",
+     "--dump", "coeffs.json"),
+    ("sklyanin", "check-iso", "--d", "5", "--r", "2", "--rprime", "3",
+     "--x", "0.11,0.17"),
+    ("poisson", "extract", "--d", "3", "--r", "1", "--dump", "pi.json"),
+    ("poisson", "jacobi", "--in", "pi.json", "--trials", "5"),
+    ("check", "--all", "--dmax", "3"),
+]
+
+
+def leaf_name(argv) -> str:
+    return " ".join(["sklab", *(a for a in argv[:2] if a[0] != "-")])
+
+
+def test_every_leaf_reports_as_a_table(capsys, monkeypatch, tmp_path):
+    # every handler's result goes through the one report in `run`: as a
+    # table, each key of the JSON result but "residuals" is one
+    # `key: value` line, then come the header and one line per row
+    monkeypatch.chdir(tmp_path)
+    runs = NUMERIC_LEAVES + EXACT_LEAVES
+    assert {leaf_name(argv) for argv in runs} == {
+        p.prog for p in all_parsers() if "func" in p._defaults}
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        result = json.loads(out)
+        code, table, err = run_cli(capsys, *argv, "--format", "table")
+        assert code == 0, (argv, err)
+        keys = [key for key in result if key != "residuals"]
+        rows = result.get("residuals", [])
+        lines = table.splitlines()
+        assert len(lines) == len(keys) + (len(rows) + 1 if rows else 0)
+        assert [line.split(": ")[0] for line in lines[:len(keys)]] == keys
+        assert [line.split()[0] for line in lines[len(keys) + 1:]] == [
+            row["name"] for row in rows]
+
+
 def test_exact_leaves_are_every_exact_leaf():
     leaves = {p.prog for p in all_parsers() if "func" in p._defaults}
     exact = {p for p in leaves if p.split()[1] in ("mukai", "s3", "walls",
                                                    "tensor")}
-    shown = {" ".join(["sklab", *(a for a in argv[:2] if a[0] != "-")])
-             for argv in EXACT_LEAVES}
-    assert shown == exact
+    assert {leaf_name(argv) for argv in EXACT_LEAVES} == exact
 
 
 @pytest.mark.parametrize("argv, want", [

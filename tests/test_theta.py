@@ -106,6 +106,22 @@ def test_functional_residuals_refuse_non_finite_z(modulus, z):
                                    [0.1 + 0.2j, z])
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex(0.1, float("inf")),
+                               complex(float("-inf"), 0.2)])
+@pytest.mark.parametrize("evaluate", [
+    lambda basis, z: reduce_to_cell(z, basis.omega),
+    lambda basis, z: basis.eval(1, z),
+    lambda basis, z: basis.values_at(z),
+    lambda basis, z: basis.dlog(1, z),
+    lambda basis, z: basis.dlog(1, [0.1 + 0.2j, z]),
+], ids=["reduce_to_cell", "eval", "values_at", "dlog", "dlog-array"])
+def test_evaluators_refuse_non_finite_z(modulus, evaluate, z):
+    # one check, in reduce_to_cell, before any series is summed: no numpy
+    # warning (an error under this suite) and no truncation-window refusal
+    with pytest.raises(ValueError, match="^z must be finite$"):
+        evaluate(ThetaBasis(3, modulus), z)
+
+
 def test_index_wraps_mod_d(modulus):
     basis = ThetaBasis(5, modulus)
     z = 0.21 + 0.13j
