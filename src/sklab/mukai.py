@@ -34,7 +34,6 @@ __all__ = [
     "OrbitInvariant",
     "Torsion",
     "TransporterError",
-    "act_letter",
     "act_word",
     "orbit_invariants",
     "signed_kvector",
@@ -156,11 +155,6 @@ def signed_kvector(obj: DerivedObject):
 # shift step when the image leaves the orientation half-plane; R and R-
 # keep the rank, so they never do
 _CROSSING_SHIFT = {"S": -1, "S-": 1}
-
-
-def act_letter(obj: DerivedObject, letter: str) -> DerivedObject:
-    """One generator applied to an object: act_word on the one-letter word."""
-    return act_word(obj, GroupWord((letter,)))
 
 
 def act_word(obj: DerivedObject, word: GroupWord) -> DerivedObject:

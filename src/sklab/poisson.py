@@ -124,7 +124,7 @@ def _tangent_residual(pi: np.ndarray, params: AlgebraParams) -> float:
     w = (delta_a - delta_sigma(a))/2 - h M_{a,sigma(a)}[c, sigma(c)], M the
     bracket matrices.  Returns max |w - Pw| / |w|, P the projector onto
     the space; ExtractionError names the grade and pair when it reaches
-    TANGENT_TOL.
+    TANGENT_TOL or is not finite.
     """
     d, r, h = params.d, params.r, TANGENT_H
     sys = build_relations(params)
@@ -136,13 +136,21 @@ def _tangent_residual(pi: np.ndarray, params: AlgebraParams) -> float:
         # fixed points of sigma (2a = r s0, even d only) pair with nothing
         lo = np.flatnonzero(coord < sigma)
         hi = sigma[lo]
-        # on the grade of s0, _unpack(pi)[lo, hi, c] is M[c, sigma(c)]
-        w = (0.5 * (coord[:, None] == lo) - 0.5 * (coord[:, None] == hi)
-             - h * _unpack(pi)[lo, hi].T)
-        gone = w - basis @ (basis.conj().T @ w)
-        residual = np.linalg.norm(gone, axis=0) / np.linalg.norm(w, axis=0)
+        # on the grade of s0, e = lo + hi - c is sigma(c): M[c, sigma(c)]
+        m = pi[lo, hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (0.5 * (coord[:, None] == lo) - 0.5 * (coord[:, None] == hi)
+                 - h * (0.5 * (m + m[:, sigma])).T)
+            gone = w - basis @ (basis.conj().T @ w)
+            residual = (np.linalg.norm(gone, axis=0)
+                        / np.linalg.norm(w, axis=0))
         if len(lo):
-            j = residual.argmax()
+            j = residual.argmax()  # the first NaN, if there is one
+            if not np.isfinite(residual[j]):
+                raise ExtractionError(
+                    f"tangent residual is not finite for e_{lo[j]}^e_{hi[j]}"
+                    f", grade s={s0}: the bracket holds a non-finite entry "
+                    f"or overflows")
             worst = max(worst, (residual[j], s0, lo[j], hi[j]))
     size, s0, a, b = worst
     if size >= TANGENT_TOL:
@@ -198,6 +206,7 @@ def skew_check(tensor: PoissonTensor) -> float:
     return float(max(skew, lower))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the residual check shows them
 def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     """Max normalized Jacobi residual of the bracket at random points.
 
@@ -208,7 +217,7 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     normalized per point by the largest cubic monomial (max_i |p_i|)^3.
     The points are evaluated max(1, JACOBI_ENTRIES // d^3) at a time,
     which bounds the memory of the batched (points, d, d, d) products.
-    trials must be at least 1.
+    trials must be at least 1; a non-finite residual raises ArithmeticError.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -237,9 +246,14 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
         total = 2.0 * (term[:, triples]
                        + term.transpose(0, 3, 1, 2)[:, triples]
                        + term.transpose(0, 2, 3, 1)[:, triples])
-        scaled = (np.abs(total).max(axis=1, initial=0.0)
-                  / cubes[start:start + n])
-        worst = max(worst, float(scaled.max()))
+        top = float((np.abs(total).max(axis=1, initial=0.0)
+                     / cubes[start:start + n]).max())
+        if not np.isfinite(top):
+            raise ArithmeticError(
+                f"Jacobi residual of batch {start // chunk} (points {start}"
+                f" to {start + n - 1}) is not finite: the bracket holds a "
+                f"non-finite entry or overflows")
+        worst = max(worst, top)
     return worst
 
 

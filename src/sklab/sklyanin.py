@@ -92,8 +92,8 @@ class RelationSystem:
     every relation R_ij with j - i = k mod d.  Each row is scaled to unit
     max entry; rows that vanish identically (their theta numerators are
     exact zeros) are zero rows.  The table is the only stored layout:
-    relation_terms lists the terms of each row, and the grade blocks of the
-    SVD are gathered from the table when needed.
+    relation_terms yields the terms of one row at a time, and the grade
+    blocks of the SVD are gathered from the table when needed.
     """
 
     params: AlgebraParams
@@ -194,23 +194,20 @@ def build_relations(params: AlgebraParams) -> RelationSystem:
 
 
 def relation_terms(sys: RelationSystem):
-    """Per-term breakdown of every relation row, for serialization.
+    """Per-term breakdown of the relation rows, yielded one row at a time.
 
-    Each entry is (i, j, [(n, a, b, coeff), ...]), rows in (i, j) order and
+    Each row is (i, j, [(n, a, b, coeff), ...]), rows in (i, j) order and
     terms in n order, with exact-zero terms left out.  Term n of R_ij is
-    the table entry table[j - i, n].
+    the table entry table[j - i, n], on t_a t_b with a = r(j - n) and
+    b = r(i + n) mod d.
     """
     d, r = sys.d, sys.params.r
-    i, j, n = np.ogrid[:d, :d, :d]
-    a, b = (r * (j - n)) % d, (r * (i + n)) % d
-    coeff = sys.table[(j - i) % d, n]
-    keep = coeff != 0.0
-    # every kept term in (i, j, n) order, then cut into one list per row
-    terms = list(zip(*(np.broadcast_to(v, keep.shape)[keep].tolist()
-                       for v in (n, a, b, coeff))))
-    ends = np.cumsum(keep.sum(axis=2).ravel()).tolist()
-    return [(row // d, row % d, terms[start:end])
-            for row, (start, end) in enumerate(zip([0] + ends, ends))]
+    for i in range(d):
+        for j in range(d):
+            row = sys.table[(j - i) % d]
+            n = np.flatnonzero(row)
+            yield i, j, list(zip(n.tolist(), (r * (j - n) % d).tolist(),
+                                 (r * (i + n) % d).tolist(), row[n].tolist()))
 
 
 def singular_values(sys: RelationSystem) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "Wall",
     "candidate_walls",
     "degeneration_cells",
-    "sigma_slope",
     "stability_verdict",
 ]
 
@@ -49,12 +48,6 @@ class TripleInvariants:
 class Wall:
     tau: Fraction
     witnesses: tuple  # (r1', r2', dsum') triples achieving equality
-
-
-def sigma_slope(t: TripleInvariants, sigma) -> Fraction:
-    """(d1 + d2 + sigma*r2)/(r1 + r2), exactly."""
-    sigma = Fraction(sigma)
-    return (t.d1 + t.d2 + sigma * t.r2) / (t.r1 + t.r2)
 
 
 def _sigma_of_tau(t: TripleInvariants, tau: Fraction) -> Fraction:

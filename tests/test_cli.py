@@ -150,6 +150,23 @@ def test_poisson_extract_then_jacobi(capsys, tmp_path):
     assert all(row["pass"] for row in doc["residuals"])
 
 
+def test_poisson_jacobi_fails_on_an_overflowing_bracket(capsys, tmp_path):
+    # every entry scaled by 1e200: the products overflow, and the check
+    # fails (exit 1) rather than reading 0
+    dump = tmp_path / "pi.json"
+    code, _, _ = run_cli(capsys, "poisson", "extract", "--d", "5",
+                         "--r", "2", "--dump", str(dump))
+    assert code == 0
+    payload = json.loads(dump.read_text())
+    for entry in payload["entries"]:
+        entry["re"], entry["im"] = 1e200 * entry["re"], 1e200 * entry["im"]
+    dump.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "poisson", "jacobi", "--in", str(dump))
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: Jacobi residual of batch 0 ")
+    assert "is not finite" in err and err.count("\n") == 1
+
+
 def _malformed_dump(path, edit):
     payload = {"d": 3, "r": 1, "richardson_error": 0.0,
                "entries": [{"a": 0, "b": 1, "c": 1, "e": 2,

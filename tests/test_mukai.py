@@ -285,9 +285,10 @@ def test_act_letter_matches_case_split_oracle():
                 for d in range(-9, 10) if gcd(r, d) == 1 and (d or r == 1)]
     for obj in objects:
         for letter in mukai.LETTER_MATRIX:
-            assert mukai.act_letter(obj, letter) == ref_act_letter(obj, letter)
+            assert (act_word(obj, GroupWord((letter,)))
+                    == ref_act_letter(obj, letter))
     with pytest.raises(ValueError, match="unknown letter 'T'"):
-        mukai.act_letter(Torsion(0), "T")
+        GroupWord(("T",))
 
 
 def test_sl2_to_word_matches_per_letter_oracle():

@@ -362,3 +362,20 @@ def test_symplectic_rank_of_the_bracket(d, r, modulus):
         s = np.linalg.svd(np.einsum("abce,c,e->ab", dense(pi), p, p),
                           compute_uv=False)
         assert s[rank - 1] / s[rank] >= 1e6, (s[rank - 1], s[rank])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_fails_both_checks(bad, modulus):
+    # one (a, b, c)/(b, a, c) pair of the (5, 2) bracket, in the grade the
+    # tangent check reads: neither residual may lose it in a max, and no
+    # RuntimeWarning escapes
+    pi = extract_bracket(5, 2, modulus).pi.copy()
+    pi[1, 4, 0], pi[4, 1, 0] = bad, -bad
+    params = AlgebraParams(5, 2, poisson.TANGENT_H
+                           * poisson.EXTRACTION_DIRECTION, modulus)
+    with pytest.raises(ExtractionError, match=r"tangent residual is not "
+                       r"finite for e_1\^e_4, grade s=0"):
+        poisson._tangent_residual(pi, params)
+    with pytest.raises(ArithmeticError, match=r"Jacobi residual of batch 0 "
+                       r"\(points 0 to 7\) is not finite"):
+        jacobi_check(poisson.PoissonTensor(5, 2, pi, 0.0), 8, seed=0)

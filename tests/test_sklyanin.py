@@ -254,6 +254,8 @@ def test_relation_terms_read_the_table(modulus):
     d, r = 5, 2
     system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
     rows = relation_terms(system)
+    assert iter(rows) is rows  # a generator: one row at a time
+    rows = list(rows)
     assert [(i, j) for i, j, _ in rows] == [(i, j) for i in range(d)
                                             for j in range(d)]
     for i, j, terms in rows:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sklab.walls import (TripleInvariants, candidate_walls,
-                         degeneration_cells, sigma_slope, stability_verdict)
+from sklab.walls import (TripleInvariants, _sigma_of_tau, candidate_walls,
+                         degeneration_cells, stability_verdict)
 
 
 def frac(a, b=1):
@@ -112,5 +112,10 @@ def test_tensoring_shift_invariance():
 
 
 def test_sigma_slope_formula():
+    # the slope (d1 + d2 + sigma*r2)/(r1 + r2) is tau; _sigma_of_tau inverts it
     t = TripleInvariants(2, 1, 3, 0)
-    assert sigma_slope(t, frac(1, 2)) == frac(3 + frac(1, 2), 3)
+    assert _sigma_of_tau(t, frac(3 + frac(1, 2), 3)) == frac(1, 2)
+    for t in (t, TripleInvariants(3, 2, 1, -1), TripleInvariants(1, 4, -2, 5)):
+        for sigma in (frac(-3), frac(0), frac(1, 2), frac(7, 5)):
+            slope = (t.d1 + t.d2 + sigma * t.r2) / (t.r1 + t.r2)
+            assert _sigma_of_tau(t, slope) == sigma
