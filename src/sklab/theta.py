@@ -17,6 +17,13 @@ reduces the argument to the fundamental cell first and then sums the
 series adaptively, so values stay accurate (and finite) for any z a
 moderate number of cells away from the origin; farther out, a value too
 large for a float raises ThetaOverflowError instead of turning into nan.
+
+The checks of these facts, theta_functional_residuals and
+theta_zero_count, do not reduce: reduction takes z and z + omega to one
+cell point and one series, so the omega equation and the contour's
+opposite edges would hold by construction, for any function of the cell.
+They sum the series at each point in scaled form (a log-scale and a
+mantissa of modulus about 1), so they test it and overflow at no d.
 """
 
 from __future__ import annotations
@@ -56,9 +63,10 @@ TORSION_BOUND = 3e-5
 # Fit tolerance of theta_symmetry_constants.
 FIT_TOL = 1e-8
 
-# Gauss-Legendre nodes per contour edge (per half edge for the doubled
-# estimate), and contour placements tried, of theta_zero_count.
-ZERO_COUNT_NODES = 160
+# Gauss-Legendre nodes per panel, the most panels per contour edge, and the
+# contour placements tried, of theta_zero_count.
+ZERO_COUNT_NODES = 16
+ZERO_COUNT_PANELS_MAX = 64
 ZERO_COUNT_TRIES = 8
 
 
@@ -124,6 +132,15 @@ def torsion_gate(d: int, x: complex, omega: complex) -> None:
 
 class ConvergenceError(ArithmeticError):
     """Adaptive truncation, contour placement, or a constants fit failed."""
+
+
+def _check_window(d: int, omega: complex, size: int) -> None:
+    """Refuse a series window of more than SERIES_WINDOW_MAX terms."""
+    if size > SERIES_WINDOW_MAX:
+        raise ConvergenceError(
+            f"theta series at d={d}, Im omega={omega.imag:g} needs a "
+            f"window of {size} terms, above the bound "
+            f"SERIES_WINDOW_MAX={SERIES_WINDOW_MAX}")
 
 
 class ThetaOverflowError(ArithmeticError):
@@ -208,11 +225,7 @@ class ThetaBasis:
             # one window of k covering [-half_width, half_width] for every mu
             lo = np.ceil(-half_width - mu.max())
             size = int(np.floor(half_width - mu.min()) + 1 - lo)
-            if size > SERIES_WINDOW_MAX:
-                raise ConvergenceError(
-                    f"theta series at d={d}, Im omega={w.imag:g} needs a "
-                    f"window of {size} terms, above the bound "
-                    f"SERIES_WINDOW_MAX={SERIES_WINDOW_MAX}")
+            _check_window(d, w, size)
             k = lo + np.arange(size)
             c = k + mu
             terms = np.exp(((1j * np.pi * d * w) * c * c)[:, None, :]
@@ -317,11 +330,65 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     return a, b, residual
 
 
+def _scaled_series(basis: ThetaBasis, m: int, z, want_deriv=False):
+    """theta_m (and theta_m') at unreduced z, in scaled form.
+
+    Returns (log_scale, value) or (log_scale, value, deriv), arrays over z,
+    with theta_m(z) = exp(log_scale) value and theta_m'(z) = exp(log_scale)
+    deriv.  z is not reduced to the cell: each point sums the defining
+    series itself, over a window of k centred on its largest term, at
+    k + m/d + 1/2 = -Im z / Im omega, whose exponent is factored out into
+    log_scale.  No term then exceeds 1 in modulus, so nothing overflows at
+    any d or z; ValueError if a z is not finite.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    d, w = basis.d, basis.omega
+    mu = (m % d) / d + 0.5
+    c0 = np.rint(-z.imag / w.imag - mu) + mu
+    lin = d * z + 0.5
+    log_scale = (1j * np.pi * d * w) * c0 * c0 + _TWO_PI_I * c0 * lin
+    # the exponent of term c0 + j, less that of c0, is
+    # pi i d omega j^2 + 2 pi i j (d omega c0 + d z + 1/2)
+    step = _TWO_PI_I * (d * w * c0 + lin)
+    half = int(3.0 + 6.0 / np.sqrt(np.pi * d * w.imag))
+    while True:
+        _check_window(d, w, 2 * half + 1)
+        j = np.arange(-half, half + 1)
+        terms = np.exp((1j * np.pi * d * w) * j * j + step[:, None] * j)
+        value = terms.sum(axis=1)
+        edge = np.maximum(np.abs(terms[:, 0]), np.abs(terms[:, -1]))
+        if np.all(edge < TAIL_EPS * np.abs(value)):
+            break
+        half += half // 2 + 1
+    if not want_deriv:
+        return log_scale, value
+    return log_scale, value, _TWO_PI_I * d * (c0 * value + terms @ j)
+
+
+def _relative_gap(lhs_scale, lhs, rhs_scale, rhs):
+    """|L - R| / max(|L|, |R|, 1e-300) for L = exp(lhs_scale) lhs and
+    R = exp(rhs_scale) rhs, with the larger real scale divided out."""
+    top = np.maximum(lhs_scale.real, rhs_scale.real)
+    lhs = np.exp(lhs_scale - top) * lhs
+    rhs = np.exp(rhs_scale - top) * rhs
+    return np.abs(lhs - rhs) / np.maximum(
+        np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+
+
 def theta_functional_residuals(basis: ThetaBasis, ms, zs):
     """Relative residuals (res1, res2) of the functional equations under
     z -> z + 1/d and z -> z + omega at each (m, z), |lhs - rhs| / max(|lhs|,
     |rhs|, 1e-300) with the phases of m as given; ValueError if a z is not
-    finite.  One eval call per distinct m covers its points and both shifts.
+    finite.
+
+    Both sides come from the unreduced series (_scaled_series), one call
+    per distinct m for its points and both shifts, compared as mantissas
+    once their log-scales are combined, so no value overflows at any d.
+    theta_m at z + omega is its own sum; through reduce_to_cell it was z's
+    series, and the omega residual compared the cell multiplier with
+    itself.
     """
     d, omega = basis.d, basis.omega
     ms, zs = np.asarray(ms), np.asarray(zs, dtype=complex)
@@ -330,12 +397,14 @@ def theta_functional_residuals(basis: ThetaBasis, ms, zs):
     for m in set(ms.tolist()):
         at = np.flatnonzero(ms == m)
         z = zs[at]
-        vals = basis.eval(m, np.concatenate([z, z + 1.0 / d, z + omega]))
-        v, lhs = vals[:len(z)], vals[len(z):].reshape(2, -1)
-        rhs = -np.array([np.exp(2j * np.pi * m / d) * v, np.exp(
-            -1j * np.pi * d * omega - 2j * np.pi * d * z) * v])
-        res[:, at] = np.abs(lhs - rhs) / np.maximum(
-            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        scale, value = _scaled_series(
+            basis, m, np.concatenate([z, z + 1.0 / d, z + omega]))
+        (s, s1, s2), (v, v1, v2) = scale.reshape(3, -1), value.reshape(3, -1)
+        # the multipliers -exp(2 pi i m/d) and -exp(-pi i d omega - 2 pi i
+        # d z) of the right-hand sides join the log-scale of theta_m(z)
+        res[0, at] = _relative_gap(s1, v1, s + _TWO_PI_I * m / d, -v)
+        res[1, at] = _relative_gap(
+            s2, v2, s - 1j * np.pi * d * omega - _TWO_PI_I * d * z, -v)
     return res[0], res[1]
 
 
@@ -349,7 +418,7 @@ def _unit_nodes(n):
     return nodes
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=ZERO_COUNT_PANELS_MAX.bit_length())
 def _panel_nodes(panels):
     """The ZERO_COUNT_NODES rule on each of `panels` equal pieces of [0, 1];
     cached, so read-only."""
@@ -366,36 +435,46 @@ def _winding(basis, m, base, panels):
     t, weights = _panel_nodes(panels)
     pts = np.concatenate([base + t, base + 1.0 + t * w,
                           base + w + t, base + t * w])
-    f = basis.dlog(m, pts)
-    if not np.all(np.isfinite(f)):
-        return None
-    fb, fr, ft, fl = f.reshape(4, -1)
-    return weights @ (fb - ft + w * (fr - fl)) / _TWO_PI_I
+    _, value, deriv = _scaled_series(basis, m, pts, want_deriv=True)
+    # a zero on the contour leaves a winding that is not finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fb, fr, ft, fl = (deriv / value).reshape(4, -1)
+        return weights @ (fb - ft + w * (fr - fl)) / _TWO_PI_I
 
 
 def theta_zero_count(basis: ThetaBasis, m: int) -> int:
     """Count zeros of theta_m in a fundamental cell by contour integration.
 
     Integrates theta'/theta around a fundamental parallelogram with
-    Gauss-Legendre quadrature on each edge.  The zeros of theta_m fill a
-    single horizontal line per cell (d of them, spaced 1/d apart), so the
-    contour is based half a lattice period below that line and 1/(2d) to
-    the side of the nearest zero.  The winding number is accepted only if
-    it is stable under splitting each edge into two panels (the same rule
-    on each half) and within 0.01 of an integer; otherwise the base is
-    nudged sideways and the count retried.
+    ZERO_COUNT_NODES-point Gauss-Legendre panels on each edge.  The zeros
+    of theta_m fill a single horizontal line per cell (d of them, spaced
+    1/d apart), so the contour is based half a lattice period below that
+    line and 1/(2d) to the side of the nearest zero.  The panels per edge
+    double from 1 until two successive estimates agree within 1e-3 (at
+    most ZERO_COUNT_PANELS_MAX), and the count is accepted only within
+    0.01 of an integer; otherwise the base is nudged sideways and the
+    count retried, ConvergenceError after ZERO_COUNT_TRIES placements.
+
+    theta'/theta comes from the unreduced series (_scaled_series) on all
+    four edges, so opposite edges are independent sums and the count reads
+    d only if the series is quasi-periodic.  Through reduce_to_cell they
+    were one sum, and the count read d for any function of the cell.
     """
     d = basis.d
     height = ((-m) % d) / d
     base = 1.0 / (2.0 * d) + (height - 0.5) * basis.omega
     for attempt in range(ZERO_COUNT_TRIES):
-        w1 = _winding(basis, m, base, 1)
-        w2 = _winding(basis, m, base, 2)
-        if w1 is not None and w2 is not None and abs(w2 - w1) < 1e-3:
-            count = int(np.rint(w2.real))
-            if abs(w2 - count) < 0.01:
-                return count
+        panels, prev, last = 1, np.nan, _winding(basis, m, base, 1)
+        while np.isfinite(last) and panels < ZERO_COUNT_PANELS_MAX:
+            panels, prev = 2 * panels, last
+            last = _winding(basis, m, base, panels)
+            if abs(last - prev) < 1e-3:
+                count = int(np.rint(last.real))
+                if abs(last - count) < 0.01:
+                    return count
+                break
         base += 0.37 / d
     raise ConvergenceError(
         f"no clean contour found for zero count after {ZERO_COUNT_TRIES} "
-        "attempts")
+        f"attempts; the last reached {panels} panel(s) per edge, with "
+        f"estimates {prev:.6g} and {last:.6g}")

@@ -8,6 +8,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_theta_check_deterministic(capsys):
                              "--trials", "20", "--seed", "4")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_theta_check_at_d_401(capsys):
+    # the functional equations and zero counts read the unreduced series
+    # in scaled form: nothing overflows (ThetaOverflowError at d = 61
+    # while they went through eval) and no numpy warning fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "theta", "check", "--d", "401",
+                                 "--trials", "20")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["residuals"]
+    assert all(row["pass"] for row in rows)
+    assert rows[2] == {"name": "zero_count_deviation", "value": 0.0,
+                       "tolerance": 0.5, "pass": True}
 
 
 def test_check_iso_pass_and_usage_error(capsys):

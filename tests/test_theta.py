@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sklab import theta
+from sklab.cli import FUNCTIONAL_EQ_TOL
 from sklab.sklyanin import AlgebraParams, build_relations
 from sklab.theta import (CurveModulus, DenominatorNearZero, ThetaBasis,
                          ThetaOverflowError, _panel_nodes, _unit_nodes,
@@ -68,35 +69,64 @@ def test_quasi_periodicity(d, modulus, rng):
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
-def pointwise_residuals(basis, m, z):
-    """The two quasi-periodicity residuals at one point, one eval per side."""
-    d, omega = basis.d, basis.omega
-    v = basis.eval(m, z)
-    lhs1 = basis.eval(m, z + 1.0 / d)
-    rhs1 = -np.exp(2j * np.pi * m / d) * v
-    lhs2 = basis.eval(m, z + omega)
-    rhs2 = -np.exp(-1j * np.pi * d * omega - 2j * np.pi * d * z) * v
-    return (abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1), 1e-300),
-            abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-300))
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 25])
 def test_functional_residuals_match_pointwise(d, modulus, rng):
     basis = ThetaBasis(d, modulus)
     omega = modulus.omega
     # repeated, unsorted and negative m (and m past d); z and z + omega up
-    # to two cells out (three overflow a float at d = 25)
+    # to two cells out
     ms = [2 * d + 1, 0, -1, d - 1, 0, -d - 2, 1, 2 * d + 1] * 4
     zs = [complex(rng.uniform(-2.5, 2.5) + rng.uniform(-2.5, 1.5) * omega)
           for _ in ms]
     zs[1] = zs[4]
     got1, got2 = theta_functional_residuals(basis, ms, zs)
-    want1, want2 = zip(*(pointwise_residuals(basis, m, z)
-                         for m, z in zip(ms, zs)))
+    # batching by index hands each point its own residuals: the same as
+    # checking the points one at a time
+    want1, want2 = np.array([theta_functional_residuals(basis, [m], [z])
+                             for m, z in zip(ms, zs)])[:, :, 0].T
     assert got1.shape == got2.shape == (len(ms),)
     assert np.abs(got1 - want1).max() <= 1e-15
     assert np.abs(got2 - want2).max() <= 1e-15
     assert max(got1.max(), got2.max()) < 1e-10
+
+
+def not_quasi_periodic(scaled_series):
+    """_scaled_series for theta_m + 3 + z^2, in the same scaled form: a
+    function with no quasi-periodicity at all."""
+    def series(basis, m, z, want_deriv=False):
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        scale, *rest = scaled_series(basis, m, z, want_deriv)
+        unscale = np.exp(-scale)
+        out = (scale, rest[0] + (3.0 + z * z) * unscale)
+        return out + (rest[1] + 2.0 * z * unscale,) if want_deriv else out
+    return series
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_zero_count_fails_on_a_series_that_is_not_quasi_periodic(
+        d, modulus, monkeypatch):
+    monkeypatch.setattr(theta, "_scaled_series",
+                        not_quasi_periodic(theta._scaled_series))
+    basis = ThetaBasis(d, modulus)
+    counts = []
+    for m in range(d):
+        try:
+            counts.append(theta_zero_count(basis, m))
+        except theta.ConvergenceError:
+            counts.append(None)
+    assert counts != [d] * d
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_functional_residuals_fail_on_a_series_that_is_not_quasi_periodic(
+        d, modulus, monkeypatch, rng):
+    monkeypatch.setattr(theta, "_scaled_series",
+                        not_quasi_periodic(theta._scaled_series))
+    ms = rng.integers(0, d, 20)
+    zs = rng.uniform(-1, 1, 20) + rng.uniform(-1, 1, 20) * modulus.omega
+    res1, res2 = theta_functional_residuals(ThetaBasis(d, modulus), ms, zs)
+    assert res1.max() > FUNCTIONAL_EQ_TOL
+    assert res2.max() > FUNCTIONAL_EQ_TOL
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex(0.1, float("inf"))])
@@ -245,12 +275,86 @@ def test_zero_count_is_d_for_every_index(omega):
         assert [theta_zero_count(basis, m) for m in range(d)] == [d] * d
 
 
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.3j])
+@pytest.mark.parametrize("d", [101, 401, 1001])
+def test_zero_count_and_residuals_at_large_d(d, omega):
+    basis = ThetaBasis(d, CurveModulus(omega))
+    assert [theta_zero_count(basis, m)
+            for m in (0, 1, d // 2, d - 1)] == [d] * 4
+    rng = np.random.default_rng(d)
+    ms = rng.integers(0, d, 20)
+    zs = rng.uniform(-1, 1, 20) + rng.uniform(-1, 1, 20) * omega
+    res1, res2 = theta_functional_residuals(basis, ms, zs)
+    assert max(res1.max(), res2.max()) < FUNCTIONAL_EQ_TOL
+
+
+def test_zero_count_refusal_names_panels_and_estimates(monkeypatch):
+    # estimates that never settle: each doubling moves the winding by 0.01
+    # times the panel count
+    monkeypatch.setattr(theta, "_winding",
+                        lambda basis, m, base, panels: 0.01 * panels)
+    with pytest.raises(theta.ConvergenceError) as info:
+        theta_zero_count(ThetaBasis(5, CurveModulus(0.2 + 1.3j)), 2)
+    panels = theta.ZERO_COUNT_PANELS_MAX
+    assert str(info.value) == (
+        f"no clean contour found for zero count after "
+        f"{theta.ZERO_COUNT_TRIES} attempts; the last reached {panels} "
+        f"panel(s) per edge, with estimates {0.005 * panels:.6g} and "
+        f"{0.01 * panels:.6g}")
+
+
+def test_zero_count_refuses_a_contour_through_zeros(monkeypatch):
+    # a series that vanishes everywhere: every placement's first winding is
+    # not finite, so no placement doubles, and no numpy warning escapes
+    def vanishing(basis, m, z, want_deriv=False):
+        scale, value, deriv = scaled_series(basis, m, z, want_deriv)
+        return scale, 0.0 * value, deriv
+    scaled_series = theta._scaled_series
+    monkeypatch.setattr(theta, "_scaled_series", vanishing)
+    with pytest.raises(theta.ConvergenceError,
+                       match=r"reached 1 panel\(s\) per edge, with "
+                             "estimates nan and nan"):
+        theta_zero_count(ThetaBasis(5, CurveModulus(0.2 + 1.3j)), 2)
+
+
 def test_zero_count_builds_one_rule():
-    # the doubled estimate is the same rule on two half edges
+    # every panel count reuses the one ZERO_COUNT_NODES rule, so a count
+    # builds a single Gauss-Legendre rule however far it doubles
     _unit_nodes.cache_clear()
     _panel_nodes.cache_clear()
     theta_zero_count(ThetaBasis(5, CurveModulus(0.2 + 1.3j)), 2)
     assert _unit_nodes.cache_info().currsize == 1
+    hits = _unit_nodes.cache_info().hits
+    t, weights = _unit_nodes(theta.ZERO_COUNT_NODES)
+    assert _unit_nodes.cache_info().hits == hits + 1
+    # on p panels, panel k holds the rule mapped onto [k/p, (k+1)/p]
+    nodes, panel_weights = _panel_nodes(4)
+    assert np.array_equal(nodes.reshape(4, -1),
+                          (np.arange(4)[:, None] + t) / 4)
+    assert np.array_equal(panel_weights.reshape(4, -1),
+                          np.tile(weights / 4, (4, 1)))
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.05j])
+def test_scaled_series_matches_eval(omega):
+    """The unreduced series in scaled form is theta_m, and its derivative
+    theta_m' / theta_m is dlog, in every cell the reduced path reaches.
+    Reduction keeps d z small; the unreduced phases 2 pi c (d z) lose
+    digits with |d z|, about 4e-13 at |d z| ~ 100."""
+    for d in (1, 2, 3, 5, 8, 13, 21, 30):
+        basis = ThetaBasis(d, CurveModulus(omega))
+        points = np.array([0.13 + 0.21 * omega + p + q * omega
+                           for p, q in CELLS])
+        points = points[~cell_overflows(d, omega, points)]
+        for m in range(d):
+            scale, value, deriv = theta._scaled_series(basis, m, points,
+                                                       want_deriv=True)
+            want = basis.eval(m, points)
+            assert (np.abs(np.exp(scale) * value - want)
+                    <= 1e-12 * np.abs(want)).all()
+            want = basis.dlog(m, points)
+            assert (np.abs(deriv / value - want)
+                    <= 1e-12 * np.abs(want)).all()
 
 
 @pytest.mark.parametrize("n", [1, 7, 160, 320])
@@ -351,7 +455,28 @@ def mp_theta(d, m, omega, z, mpmath):
         c = k + mpmath.mpf(m) / d + mpmath.mpf(1) / 2
         total += mpmath.exp(mpmath.pi * 1j * d * w * c * c
                             + 2 * mpmath.pi * 1j * c * (d * z + 0.5))
-    return complex(total)
+    return total
+
+
+@pytest.mark.parametrize("d", [101, 1001])
+def test_scaled_series_at_large_d_against_mpmath_series(d):
+    """Past the reach of a float theta value, the scaled form is the series:
+    theta_m(z) exp(-log_scale) summed with mpmath.  The exponents add
+    terms up to 2 pi d |z| |c| in size, each rounded in floats where
+    mpmath takes them exactly, so the bound grows like d (1 + |z|)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(d)
+    for omega in (0.2 + 1.3j, 3j, 0.2 + 0.3j):
+        basis = ThetaBasis(d, CurveModulus(omega))
+        for _ in range(3):
+            z = complex(rng.uniform(-1, 1) + rng.uniform(-1, 1) * omega)
+            for m in (0, 1, d // 2, d - 1):
+                (scale,), (got,) = theta._scaled_series(basis, m, z)
+                with mpmath.workdps(40):
+                    want = complex(mp_theta(d, m, omega, z, mpmath)
+                                   * mpmath.exp(-mpmath.mpc(scale)))
+                assert abs(got - want) <= \
+                    2e-15 * np.pi * d * (1.0 + abs(z)) * abs(want)
 
 
 @pytest.mark.parametrize("d", [25, 41])
@@ -364,8 +489,8 @@ def test_values_at_large_d_against_mpmath_series(d, modulus):
                     + rng.uniform(-0.5, 0.5) * modulus.omega)
         got = basis.values_at(z)
         with mpmath.workdps(30):
-            want = np.array([mp_theta(d, m, modulus.omega, z, mpmath)
-                             for m in range(d)])
+            want = np.array([complex(mp_theta(d, m, modulus.omega, z,
+                                              mpmath)) for m in range(d)])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # each value to its own relative accuracy too, although at d = 41
         # they span 18 orders of magnitude: a small denominator is not an
