@@ -99,20 +99,40 @@ def _bracket_rows(d: int, r: int, modulus: CurveModulus) -> np.ndarray:
     Term n sits on t_{r(j-n)} t_{r(i+n)}.  It is theta_0'(0)
     theta_{k+(r-1)n}(0) / (theta_{k-n}(0) theta_{rn}(0)), and theta_k'/theta_k
     at n = 0, theta_{rk}'/theta_{rk} at n = k, all at 0.  Row 0 is zero.
+    An entry that is not a finite double raises ExtractionError naming its
+    (k, n) and the moduli of its theta values, before any d^3 array exists.
     """
     basis = ThetaBasis(d, modulus)
     at_zero = basis.values_at_zero()
     slope = basis._series(np.arange(d), np.zeros(1), want_deriv=True)[1][:, 0]
     k, n = np.ogrid[:d, :d]
     # theta_0(0) = 0 divides at n = 0 and n = k; those entries are replaced
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = slope[0] * at_zero[(k + (r - 1) * n) % d] / (
             at_zero[(k - n) % d] * at_zero[(r * n) % d])
         rows[:, 0] = slope / at_zero
-    diag = np.arange(d)
-    rows[diag, diag] = rows[(r * diag) % d, 0]
-    rows[0] = 0.0
-    return 0.5 * EXTRACTION_DIRECTION * rows
+        diag = np.arange(d)
+        rows[diag, diag] = rows[(r * diag) % d, 0]
+        rows[0] = 0.0
+        rows = 0.5 * EXTRACTION_DIRECTION * rows
+    bad = np.argwhere(~np.isfinite(rows))
+    if len(bad):
+        k, n = bad[0].tolist()
+        if n in (0, k):
+            m = k if n == 0 else r * k % d
+            term = (f"theta_{m}'(0) / theta_{m}(0), of moduli "
+                    f"{abs(slope[m]):.3e} / {abs(at_zero[m]):.3e}")
+        else:
+            a, b, c = (k + (r - 1) * n) % d, (k - n) % d, (r * n) % d
+            term = (f"theta_0'(0) theta_{a}(0) / (theta_{b}(0) theta_{c}"
+                    f"(0)), of moduli {abs(slope[0]):.3e} * "
+                    f"{abs(at_zero[a]):.3e} / ({abs(at_zero[b]):.3e} * "
+                    f"{abs(at_zero[c]):.3e})")
+        raise ExtractionError(
+            f"non-finite bracket coefficient at (k, n) = ({k}, {n}), d={d}, "
+            f"r={r}: {term}, is not a finite double (normal doubles span "
+            f"{np.finfo(float).tiny:.3e} to {np.finfo(float).max:.3e})")
+    return rows
 
 
 def _tangent_residual(pi: np.ndarray, params: AlgebraParams) -> float:

@@ -17,6 +17,15 @@ equals d(d-1)/2 for generic x) from one SVD of one block per orbit, and
 checks orbit by orbit that the index substitution t_i -> t_{r'i} with
 r*r' = 1 mod d carries the relation space of Q_{d,r}(x) onto that of
 Q_{d,r'}(x).
+
+The relations are ratios of theta values at 0, x and -x, none of which
+depends on r.  The module keeps the last theta triple, keyed on
+(d, x, modulus), and the last system build_relations made, keyed on its
+parameters, with the SVD the system caches: a build followed by the
+isomorphism check of the same algebra, or extractions at every unit r of
+one d, sum the series and decompose the blocks once.  Each memo holds one
+entry, since that is all such a sequence reuses, and both hand out
+read-only arrays, so no caller can change what the next one reads.
 """
 
 from __future__ import annotations
@@ -135,7 +144,8 @@ class RelationSystem:
         return vh, svals, spectrum
 
 
-def _theta_triple(params: AlgebraParams):
+@functools.lru_cache(maxsize=1)
+def _theta_triple(d: int, x: complex, modulus: CurveModulus):
     """Theta values at 0, x_red and -x_red, x_red = x in the cell.
 
     torsion_gate refuses x first, so no denominator among them vanishes.
@@ -145,19 +155,26 @@ def _theta_triple(params: AlgebraParams):
     values carry that phase, exp(i (2 pi d Re(omega) q^2 + 4 pi d q
     Re(x_red))), so the scaled coefficients are those at x; the theta(0)
     values are shared per basis and read-only, so the phase multiplies a
-    copy.  The triple does not depend on r, so one serves every system at
-    the same (d, x).
+    copy.  x_red and -x_red both lie in the centred cell, so one series
+    sum gives both, with no cell multiplier.
+
+    The triple does not depend on r, so it is keyed on (d, x, modulus) and
+    the last one is kept: every r at one (d, x) reads it.  The arrays are
+    read-only.
     """
-    d, omega = params.d, params.modulus.omega
-    torsion_gate(d, params.x, omega)
-    basis = ThetaBasis(d, params.modulus)
-    x_red, _, q = reduce_to_cell(params.x, omega)
-    at_x, at_minus_x = basis.values_at(x_red), basis.values_at(-x_red)
+    omega = modulus.omega
+    torsion_gate(d, x, omega)
+    basis = ThetaBasis(d, modulus)
+    x_red, _, q = reduce_to_cell(x, omega)
+    pair = basis._series(np.arange(d), np.array([x_red, -x_red]))
     at_zero = basis.values_at_zero()
     if q:
         at_zero = at_zero * np.exp(2j * np.pi * d * q * (omega.real * q
                                                          + 2.0 * x_red.real))
-    return at_zero, at_x, at_minus_x
+    triple = at_zero, pair[:, 0], pair[:, 1]
+    for a in triple:
+        a.flags.writeable = False
+    return triple
 
 
 def _system(params: AlgebraParams, triple) -> RelationSystem:
@@ -167,30 +184,50 @@ def _system(params: AlgebraParams, triple) -> RelationSystem:
     maximum is that of its table row.  Terms whose numerator theta is an
     exact zero stay exact zeros; at small x their denominators vanish to
     second order, and dividing rounding-level numerator noise by them would
-    pollute the row with entries that blow up like 1/x^2.
+    pollute the row with entries that blow up like 1/x^2.  A coefficient
+    that is not a finite double raises ArithmeticError naming its (k, n),
+    its three theta values and their moduli.  The table is read-only.
     """
     d, r = params.d, params.r
     at_zero, at_x, at_minus_x = triple
     k, n = np.ogrid[:d, :d]
     num = at_zero[(k + (r - 1) * n) % d]
-    den = at_minus_x[(k - n) % d] * at_x[(r * n) % d]
-    table = np.divide(num, den, out=np.zeros((d, d), dtype=complex),
-                      where=num != 0.0)
-    if not np.all(np.isfinite(table)):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        den = at_minus_x[(k - n) % d] * at_x[(r * n) % d]
+        table = np.divide(num, den, out=np.zeros((d, d), dtype=complex),
+                          where=num != 0.0)
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        k, n = bad[0].tolist()
+        a, b, c = (k + (r - 1) * n) % d, (k - n) % d, (r * n) % d
         raise ArithmeticError(
-            "non-finite relation coefficient slipped through")
+            f"non-finite relation coefficient at (k, n) = ({k}, {n}), "
+            f"d={d}, r={r}: theta_{a}(0) / (theta_{b}(-x) theta_{c}(x)), "
+            f"of moduli {abs(at_zero[a]):.3e} / ({abs(at_minus_x[b]):.3e} "
+            f"* {abs(at_x[c]):.3e}), is not a finite double (normal "
+            f"doubles span {np.finfo(float).tiny:.3e} to "
+            f"{np.finfo(float).max:.3e})")
     top = np.abs(table).max(axis=1, keepdims=True)
     table /= np.where(top > 0.0, top, 1.0)
+    table.flags.writeable = False
     return RelationSystem(params, table)
 
 
+@functools.lru_cache(maxsize=1)
 def build_relations(params: AlgebraParams) -> RelationSystem:
     """Build the relation coefficient table of Q_{d,r}(x).
 
     x is refused (DenominatorNearZero) near a d-torsion point, the only
     place a denominator theta vanishes, before any division happens.
+
+    The last system built is kept, keyed on params (equal params give the
+    same object), so a caller that builds Q_{d,r}(x) and then checks its
+    isomorphism reads one theta triple, one table and one SVD.  One entry
+    serves exactly that build-then-check; a larger memo would only serve
+    repeated passes over the same inputs.  A refusal is not kept, so it is
+    raised again on every call.  The table is read-only.
     """
-    return _system(params, _theta_triple(params))
+    return _system(params, _theta_triple(params.d, params.x, params.modulus))
 
 
 def relation_terms(sys: RelationSystem):
@@ -317,14 +354,17 @@ def substitution_distance(d: int, r: int, r2: int, x: complex,
     formed.  The shift s -> s + 2 on one side and r steps of it on the
     other both roll the coordinates by r*r2, so one grade per orbit is
     compared.  substitution_matrix is the same map in the dense layout.
-    One theta triple serves both systems.
+
+    The Q_{d,r}(x) side is build_relations', so after a caller's build it
+    is the kept system, with its SVD; the Q_{d,r2}(x) side is built from
+    the kept theta triple and not kept, so the caller's system stays.
     """
     params = AlgebraParams(d, r, x, modulus)
-    triple = _theta_triple(params)
-    src = _system(params, triple)
+    src = build_relations(params)
     # a self-inverse r (r2 = r mod d) compares the system with itself
     dst = src if (r2 - r) % d == 0 else _system(
-        AlgebraParams(d, r2, x, modulus), triple)
+        AlgebraParams(d, r2, x, modulus),
+        _theta_triple(d, params.x, modulus))
     reps = np.arange(gcd(2, d))
     bases, rank = _grade_bases(src, reps)
     bases2, rank2 = _grade_bases(dst, r * reps % d)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sklab import sklyanin, theta
 from sklab.theta import CurveModulus
 
 OMEGA = 0.2 + 1.3j
@@ -21,6 +22,23 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Empty the theta and relation memos around every test.
+
+    A test that patches theta leaves what it computed in the memos, and the
+    next test at the same (d, x) would read it; counting tests also need to
+    start cold.
+    """
+    memos = (theta._values_at_zero, sklyanin._theta_triple,
+             sklyanin.build_relations)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -768,6 +768,19 @@ def test_non_finite_coefficient_is_exit_one_without_traceback(capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_relations_past_the_float_range_name_the_entry(capsys):
+    # at d = 401 a denominator product underflows: exit 1 with the entry
+    # named, and no numpy RuntimeWarning
+    code, out, err = run_cli(capsys, "sklyanin", "relations", "--d", "401",
+                             "--r", "2", "--x", "0.11,0.17")
+    assert code == 1
+    assert out == ""
+    assert re.match(r"verification failed: non-finite relation coefficient "
+                    r"at \(k, n\) = \(\d+, \d+\), d=401, r=2: ", err)
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("sklyanin", "relations", "--d", "5", "--r", "2", "--x", "1e300,0"),
     ("theta", "eval", "--d", "5", "--m", "2", "--z", "1e300,0"),

@@ -4,7 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from sklab import poisson
+from sklab import poisson, sklyanin
 from sklab.poisson import (ExtractionError, extract_bracket, jacobi_check,
                            scale_match_deviation, skew_check,
                            substituted_tensor)
@@ -379,3 +379,34 @@ def test_non_finite_entry_fails_both_checks(bad, modulus):
     with pytest.raises(ArithmeticError, match=r"Jacobi residual of batch 0 "
                        r"\(points 0 to 7\) is not finite"):
         jacobi_check(poisson.PoissonTensor(5, 2, pi, 0.0), 8, seed=0)
+
+
+def test_units_of_one_d_share_one_theta_triple(modulus):
+    # the tangent check samples x = h u at every r: one series sum at x
+    units = [r for r in range(1, 8) if gcd(r, 7) == 1]
+    for r in units:
+        extract_bracket(7, r, modulus)
+    info = sklyanin._theta_triple.cache_info()
+    assert (info.misses, info.hits) == (1, len(units) - 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_row_entry_is_refused_before_pi(modulus, monkeypatch):
+    # at d = 401 some product theta_{k-n}(0) theta_{rn}(0) falls below the
+    # smallest normal double; the refusal names the entry and its theta
+    # indices, no numpy warning is emitted, and no d^3 array is allocated
+    d, r = 401, 2
+    zeros = []
+    monkeypatch.setattr(np, "zeros",
+                        lambda shape, *a, _f=np.zeros, **k:
+                        zeros.append(shape) or _f(shape, *a, **k))
+    with pytest.raises(ExtractionError) as info:
+        extract_bracket(d, r, modulus)
+    assert (d, d, d) not in zeros
+    message = str(info.value)
+    k, n, a, b, c = map(int, re.match(
+        r"non-finite bracket coefficient at \(k, n\) = \((\d+), (\d+)\), "
+        r"d=401, r=2: theta_0'\(0\) theta_(\d+)\(0\) / \(theta_(\d+)\(0\) "
+        r"theta_(\d+)\(0\)\), of moduli ", message).groups())
+    assert (a, b, c) == ((k + (r - 1) * n) % d, (k - n) % d, (r * n) % d)
+    assert message.endswith("normal doubles span 2.225e-308 to 1.798e+308)")

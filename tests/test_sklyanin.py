@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import numpy as np
@@ -324,20 +325,30 @@ def test_one_svd_per_system(modulus, monkeypatch):
     assert singular_values(system)[0] > 0.0
 
 
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.name to record the arguments of every call."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
 def test_substitution_distance_evaluates_one_theta_triple(modulus,
                                                            monkeypatch):
-    calls = []
-    values_at = ThetaBasis.values_at
-    monkeypatch.setattr(ThetaBasis, "values_at",
-                        lambda self, z: calls.append(z) or values_at(self, z))
-    # start from a cold cache of the values at 0
-    theta._values_at_zero.cache_clear()
+    # from cold memos: one series sum gives theta at x and -x, one the
+    # values at 0
+    sums = count_calls(monkeypatch, ThetaBasis, "_series")
+    builds = count_calls(monkeypatch, sklyanin, "_system")
     assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
-    assert len(calls) == 3
-    # the values at 0 are summed once per (d, omega), so a second check
-    # evaluates theta only at x and -x
+    assert len(sums) == 2
+    assert [params.r for params, _ in builds] == [2, 3]
+    # a second identical check sums no series and keeps the r = 2 system;
+    # only the r2 = 3 side, which is not kept, is divided out again
     assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
-    assert len(calls) == 5
+    assert len(sums) == 2
+    assert [params.r for params, _ in builds] == [2, 3, 3]
+    assert sklyanin.build_relations.cache_info().misses == 1
+    assert sklyanin._theta_triple.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("d,r,q", [(5, 2, 1), (5, 2, -2), (9, 4, 2),
@@ -495,12 +506,17 @@ def test_self_inverse_distance_matches_two_builds(d, r, r2, modulus,
         grades)[0] for q, grades in ((r, reps), (r2, r * reps % d))]
     back = (pow(r2, -1, d) * np.arange(d)) % d
     want = max(subspace_distance(b[back], b2) for b, b2 in zip(*bases))
-    builds = []
-    system = sklyanin._system
-    monkeypatch.setattr(sklyanin, "_system",
-                        lambda *a: builds.append(a) or system(*a))
+    # count from cold sklyanin memos: the builds above are kept.  The one
+    # series sum is the x/-x pair; theta keeps the values at 0 per basis
+    sklyanin.build_relations.cache_clear()
+    sklyanin._theta_triple.cache_clear()
+    sums = count_calls(monkeypatch, ThetaBasis, "_series")
+    builds = count_calls(monkeypatch, sklyanin, "_system")
     assert substitution_distance(d, r, r2, X_GENERIC, modulus) == want
-    assert len(builds) == 1
+    assert (len(builds), len(sums)) == (1, 1)
+    # again: the kept system serves, so no series and no build
+    assert substitution_distance(d, r, r2, X_GENERIC, modulus) == want
+    assert (len(builds), len(sums)) == (1, 1)
 
 
 def test_substitution_isomorphism_rejects_non_inverse(modulus):
@@ -570,17 +586,16 @@ def test_sample_generic_x_matches_reference_loop(modulus):
 
 
 def test_sample_generic_x_computes_no_theta(modulus, monkeypatch):
-    calls = []
-    values_at = ThetaBasis.values_at
-    monkeypatch.setattr(ThetaBasis, "values_at",
-                        lambda self, z: calls.append(z) or values_at(self, z))
+    sums = count_calls(monkeypatch, ThetaBasis, "_series")
     rng = np.random.default_rng(5)
     xs = [sample_generic_x(d, modulus, rng) for d in (3, 9, 25, 41)]
-    assert calls == []
-    # the counter sees the build: theta at x, -x and 0
-    theta._values_at_zero.cache_clear()
+    assert sums == []
+    # the counter sees the build from cold memos: one sum for theta at x
+    # and -x, one for the values at 0; the same build again sums none
     build_relations(AlgebraParams(9, 2, xs[1], modulus))
-    assert len(calls) == 3
+    assert len(sums) == 2
+    build_relations(AlgebraParams(9, 2, xs[1], modulus))
+    assert len(sums) == 2
 
 
 def test_sample_generic_x_gives_up_after_the_draw_limit(modulus,
@@ -599,3 +614,94 @@ def test_sample_generic_x_avoids_denominator_zeros(modulus, rng):
         for _ in range(10):
             x = sample_generic_x(d, modulus, rng)
             build_relations(AlgebraParams(d, 1, x, modulus))
+
+
+def test_memos_keep_one_entry():
+    assert sklyanin._theta_triple.cache_info().maxsize == 1
+    assert sklyanin.build_relations.cache_info().maxsize == 1
+
+
+def test_kept_arrays_are_read_only(modulus):
+    params = AlgebraParams(7, 3, X_GENERIC, modulus)
+    system = build_relations(params)
+    for a in (*sklyanin._theta_triple(7, params.x, modulus), system.table):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_equal_params_share_one_system(modulus):
+    system = build_relations(AlgebraParams(7, 3, X_GENERIC, modulus))
+    again = AlgebraParams(7, 10, complex(X_GENERIC), modulus)
+    assert build_relations(again) is system
+
+
+def test_distinct_inputs_in_turn_never_hit(modulus):
+    inputs = [(5, X_GENERIC), (7, X_GENERIC), (7, 0.23 + 0.41j)]
+    for _ in range(2):
+        for d, x in inputs:
+            build_relations(AlgebraParams(d, 2, x, modulus))
+    for memo in (sklyanin._theta_triple, sklyanin.build_relations):
+        assert memo.cache_info().hits == 0
+        assert memo.cache_info().misses == 6
+
+
+def test_refusal_is_raised_on_every_call(modulus):
+    params = AlgebraParams(5, 2, 0.4 + 1e-9j, modulus)
+    for _ in range(2):
+        with pytest.raises(DenominatorNearZero):
+            build_relations(params)
+    assert sklyanin.build_relations.cache_info().currsize == 0
+
+
+def test_lattice_shift_of_x_is_its_own_key(modulus):
+    w = modulus.omega
+    x = 0.31 + 0.43 * w + 1 + w
+    x_red = complex(reduce_to_cell(x, w)[0])
+    cell = build_relations(AlgebraParams(9, 2, x_red, modulus))
+    system = build_relations(AlgebraParams(9, 2, x, modulus))
+    assert system is not cell
+    assert sklyanin._theta_triple.cache_info().misses == 2
+    assert sklyanin.build_relations.cache_info().misses == 2
+    # the phase of test_off_cell_x_matches_the_cell at q = 1
+    phase = np.exp(2j * np.pi * 9 * (w.real + 2.0 * x_red.real))
+    assert np.abs(system.table - phase * cell.table).max() <= 1e-15
+
+
+def test_isomorphism_check_reuses_the_callers_build(modulus, monkeypatch):
+    d, r = 9, 2
+    system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+    rank, _ = relation_rank(system)
+    sums = count_calls(monkeypatch, ThetaBasis, "_series")
+    builds = count_calls(monkeypatch, sklyanin, "_system")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    assert check_substitution_isomorphism(d, r, pow(r, -1, d), X_GENERIC,
+                                          modulus) < 1e-8
+    # only the r' side is built and decomposed; the rest are the subspace
+    # distances' own 2-d SVDs
+    assert sums == []
+    assert [params.r for params, _ in builds] == [pow(r, -1, d)]
+    assert [a[0].ndim for a in svds] == [3, 2, 2]
+    assert build_relations(AlgebraParams(d, r, X_GENERIC, modulus)) \
+        is system
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_coefficient_names_its_entry(modulus):
+    # at d = 401 some denominator theta_{k-n}(-x) theta_{rn}(x) falls below
+    # the smallest normal double: the refusal names the entry, its theta
+    # indices and their moduli, and no numpy warning is emitted
+    d, r = 401, 2
+    with pytest.raises(ArithmeticError) as info:
+        build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
+    message = str(info.value)
+    assert message.startswith("non-finite relation coefficient at (k, n) = (")
+    k, n, a, b, c = map(int, re.search(
+        r"\((\d+), (\d+)\), d=401, r=2: theta_(\d+)\(0\) / "
+        r"\(theta_(\d+)\(-x\) theta_(\d+)\(x\)\), of moduli ", message
+    ).groups())
+    assert (a, b, c) == ((k + (r - 1) * n) % d, (k - n) % d, (r * n) % d)
+    at_zero, at_x, at_minus_x = sklyanin._theta_triple(d, X_GENERIC, modulus)
+    moduli = f"{abs(at_zero[a]):.3e} / ({abs(at_minus_x[b]):.3e} * " \
+             f"{abs(at_x[c]):.3e})"
+    assert moduli in message
+    assert message.endswith("normal doubles span 2.225e-308 to 1.798e+308)")
