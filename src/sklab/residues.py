@@ -9,15 +9,24 @@ For even d the set is empty (one of r, r+1 is even), so everything
 interesting happens at odd d, where phi beta has the single fixed point
 r = -2 and phi fixes exactly the roots of r^2 + r + 1 = 0 mod d.
 
+Membership depends on the primes of d alone: r is in R_d exactly when
+r is neither 0 nor -1 mod any prime p | d.  ``residue_set`` sieves the
+units mod d by those primes instead of taking a gcd per residue.
+
 ``apply`` acts on a single residue.  The whole-set checks (relations,
-fixed points, orbits) compute the action once per call instead, from one
-table of inverses mod d: phi and beta are then lookups into it.
+fixed points, orbits) read phi and beta from tables built from one table
+of inverses mod d, and a one-entry memo keeps the last modulus's tables,
+so the checks run in sequence on one d build them once.  Each check
+still runs in full on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, compress, filterfalse
 from math import gcd
+from operator import and_
 
 __all__ = [
     "PHI",
@@ -70,7 +79,7 @@ class ResidueSet:
     members: tuple
 
     def __contains__(self, r: int) -> bool:
-        return r in self.members
+        return 1 <= r < self.d and _in_residue_set(r, self.d)
 
 
 def _in_residue_set(r: int, d: int) -> bool:
@@ -82,8 +91,28 @@ def residue_set(d: int) -> ResidueSet:
     """Residues r mod d with gcd(r, d) = gcd(r + 1, d) = 1."""
     if d < 2:
         raise ValueError("modulus must be at least 2")
-    members = tuple(r for r in range(1, d) if _in_residue_set(r, d))
+    # unit[u] = 1 exactly when u is a unit mod d, for u in 0..d
+    unit = bytearray(b"\1") * (d + 1)
+    for p in _prime_factors(d):
+        unit[::p] = bytes(d // p + 1)
+    # unit[d] = 0, so r = d - 1 (with r + 1 = 0 mod d) drops out
+    members = tuple(compress(range(1, d), map(and_, unit[1:d], unit[2:])))
     return ResidueSet(d=d, members=members)
+
+
+def _prime_factors(d: int):
+    """The distinct primes dividing d >= 2, by trial division up to sqrt d."""
+    primes = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    if d > 1:
+        primes.append(d)
+    return primes
 
 
 def apply(g: S3Element, r: int, d: int) -> int:
@@ -100,11 +129,14 @@ def apply(g: S3Element, r: int, d: int) -> int:
     return out
 
 
+@lru_cache(maxsize=1, typed=True)
 def _action_tables(d: int):
-    """R_d with phi and beta as lists indexed by residue (0 off R_d).
+    """R_d with phi and beta as tuples indexed by residue (0 off R_d).
 
     inv[u] = u^{-1} mod d at every unit u, one pow per pair {u, u^{-1}};
     then beta(r) = inv[r] and phi(r) = -inv[r + 1] for each member r.
+    The memo holds the last d only, for the checks run in turn on it;
+    typed, so a float d is refused as before instead of hitting an int.
     """
     members = residue_set(d).members
     inv = [0] * d
@@ -117,7 +149,7 @@ def _action_tables(d: int):
         # r + 1 < d, since r = d - 1 has r + 1 = 0, which is no unit
         phi[r] = d - inv[r + 1]
         beta[r] = inv[r]
-    return members, phi, beta
+    return members, tuple(phi), tuple(beta)
 
 
 def _closed_action(d: int):
@@ -128,10 +160,12 @@ def _closed_action(d: int):
     """
     members, phi, beta = _action_tables(d)
     inside = set(members)
-    for r in members:
-        for image in (phi[r], beta[r]):
-            if image not in inside:
-                raise ValueError(f"residue {image} is not in R_{d}")
+    # phi(r), then beta(r), in member order: the first image outside R_d
+    images = chain.from_iterable(zip(map(phi.__getitem__, members),
+                                     map(beta.__getitem__, members)))
+    image = next(filterfalse(inside.__contains__, images), None)
+    if image is not None:
+        raise ValueError(f"residue {image} is not in R_{d}")
     return members, phi, beta
 
 

@@ -13,6 +13,30 @@ def test_residue_set_examples():
     assert residue_set(6).members == ()
 
 
+@pytest.mark.parametrize("d", [2, 7, 35, 143, 15015])
+def test_contains_matches_member_scan(d):
+    rset = residue_set(d)
+    for r in range(-d, 2 * d):
+        assert (r in rset) is (r in rset.members)
+
+
+def sieve_oracle(d):
+    """R_d by the membership rule, one gcd per residue."""
+    return tuple(r for r in range(1, d) if residues._in_residue_set(r, d))
+
+
+def test_sieve_matches_gcd_rule_sweep():
+    for d in range(2, 3001):
+        assert residue_set(d).members == sieve_oracle(d)
+
+
+# prime powers, primorials, a large prime and a square
+@pytest.mark.parametrize("d", [2**12, 3**8, 5**6, 15015, 30030, 510510,
+                               999983, 10**6])
+def test_sieve_matches_gcd_rule_large(d):
+    assert residue_set(d).members == sieve_oracle(d)
+
+
 def test_residue_set_rejects_small_modulus():
     with pytest.raises(ValueError):
         residue_set(1)
@@ -169,7 +193,7 @@ def test_tables_equal_apply_chaining_oracle():
 
 
 def test_tables_agree_with_apply():
-    for d in (7, 35, 101, 143):
+    for d in (7, 35, 101, 143, 999, 15015):
         members, phi, beta = residues._action_tables(d)
         assert members == residue_set(d).members
         for r in members:
@@ -224,3 +248,37 @@ def test_fixed_point_cross_checks_raise(monkeypatch, residue, image, message):
     patched_tables(monkeypatch, lambda phi: phi.__setitem__(residue, image))
     with pytest.raises(ArithmeticError, match=message):
         fixed_points(7)
+
+
+# ------------------------------------------------- the one-entry memo
+
+
+def test_checks_on_one_modulus_build_tables_once():
+    d = 1013  # used by no other test
+    before = residues._action_tables.cache_info().misses
+    check_group_relations(d)
+    fixed_points(d)
+    orbit_report(d)
+    residue_set(d)
+    assert residues._action_tables.cache_info().misses == before + 1
+
+
+def test_memoised_tables_are_read_only():
+    _, phi, beta = residues._action_tables(7)
+    for table in (phi, beta):
+        with pytest.raises(TypeError):
+            table[1] = 1
+
+
+def test_patched_tables_leave_no_edit_behind(monkeypatch):
+    patched_tables(monkeypatch, swap_images)
+    assert check_group_relations(7) is False
+    monkeypatch.undo()
+    assert check_group_relations(7) is True
+    assert fixed_points(7) == chained_fixed_points(7)
+
+
+def test_float_modulus_still_refused():
+    check_group_relations(7)
+    with pytest.raises(TypeError):
+        check_group_relations(7.0)
