@@ -7,17 +7,18 @@ the tau where its slope equals tau, giving the wall equation
 
     tau * (r2'*r1 - r1'*r2) = r2'*(d1 + d2) - r2*dsum'.
 
-Everything here is exact rational arithmetic: walls are equalities of
-rationals, and floating point would invent or lose them.  The walls are
-candidates only; whether a subtriple with given invariants exists inside
-a particular stable triple is sheaf theory and out of scope.
+Walls and verdicts are exact integer cross-multiplications, with `Fraction`
+only as the type of the taus handed out; floating point would invent or lose
+walls.  The walls are candidates only; whether a subtriple with given
+invariants exists inside a stable triple is sheaf theory and out of scope.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import gcd
 
 __all__ = [
     "TripleInvariants",
@@ -36,6 +37,13 @@ class TripleInvariants:
     d2: int
 
     def __post_init__(self):
+        for name in ("r1", "r2", "d1", "d2"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") \
+                    from None
         if self.r1 < 1 or self.r2 < 1:
             raise ValueError("ranks must be positive integers")
 
@@ -50,8 +58,12 @@ class Wall:
     witnesses: tuple  # (r1', r2', dsum') triples achieving equality
 
 
-def _sigma_of_tau(t: TripleInvariants, tau: Fraction) -> Fraction:
-    return (tau * (t.r1 + t.r2) - t.d1 - t.d2) / t.r2
+def _rational(name: str, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be a finite rational, got {value!r}") \
+            from None
 
 
 def _cells(t: TripleInvariants):
@@ -71,23 +83,27 @@ def candidate_walls(t: TripleInvariants, tau_lo, tau_hi):
     walls; they are either never critical or critical for every tau (see
     degeneration_cells).
     """
-    tau_lo, tau_hi = Fraction(tau_lo), Fraction(tau_hi)
+    tau_lo, tau_hi = _rational("tau_lo", tau_lo), _rational("tau_hi", tau_hi)
     if tau_lo >= tau_hi:
-        raise ValueError("empty tau interval")
+        raise ValueError(f"empty tau interval: tau_lo = {tau_lo} is not "
+                         f"below tau_hi = {tau_hi}")
+    (a, b), (c, e) = tau_lo.as_integer_ratio(), tau_hi.as_integer_ratio()
+    r2, s, m = t.r2, t.dsum, b * e * t.r2
     found = {}
     for r1p, r2p in _cells(t):
         det = r2p * t.r1 - r1p * t.r2
         if det == 0:
             continue
-        # dsum' at the interval ends; tau is monotone in dsum'
-        at_lo = Fraction(r2p * t.dsum - tau_lo * det, t.r2)
-        at_hi = Fraction(r2p * t.dsum - tau_hi * det, t.r2)
-        lo_s, hi_s = min(at_lo, at_hi), max(at_lo, at_hi)
-        for dsum_p in range(floor(lo_s) + 1, ceil(hi_s)):
-            tau = Fraction(r2p * t.dsum - t.r2 * dsum_p, det)
-            found.setdefault(tau, []).append((r1p, r2p, dsum_p))
-    walls = [Wall(tau=tau, witnesses=tuple(sorted(ws)))
-             for tau, ws in found.items()]
+        # dsum' at the interval ends, over m > 0; tau is monotone in dsum'
+        num = r2p * s
+        x, y = (num * b - a * det) * e, (num * e - c * det) * b
+        for dsum_p in range(min(x, y) // m + 1, -(-max(x, y) // m)):
+            # tau = (num - r2*dsum')/det, keyed by its reduced (p, q), q > 0
+            p = num - r2 * dsum_p
+            g = gcd(p, det) if det > 0 else -gcd(p, det)
+            found.setdefault((p // g, det // g), []).append((r1p, r2p, dsum_p))
+    walls = [Wall(tau=Fraction(p, q), witnesses=tuple(sorted(ws)))
+             for (p, q), ws in found.items()]
     walls.sort(key=lambda w: w.tau)
     return walls
 
@@ -110,16 +126,17 @@ def degeneration_cells(t: TripleInvariants):
 
 def stability_verdict(t: TripleInvariants, sub, tau) -> str:
     """Compare the subtriple slope against tau: below, equal, or above."""
-    r1p, r2p, dsum_p = sub
+    r1p, r2p, dsum_p = map(operator.index, sub)
     if r1p + r2p == 0:
         raise ValueError("subtriple has zero total rank")
     if not (0 <= r1p <= t.r1 and 0 <= r2p <= t.r2):
         raise ValueError(f"rank cell ({r1p}, {r2p}) outside the box")
-    tau = Fraction(tau)
-    sigma = _sigma_of_tau(t, tau)
-    sub_slope = Fraction(dsum_p + sigma * r2p, r1p + r2p)
-    if sub_slope < tau:
+    p, q = _rational("tau", tau).as_integer_ratio()
+    # (sub-slope - tau) times r2*q*(r1' + r2') > 0
+    diff = (t.r2 * q * dsum_p + r2p * (p * (t.r1 + t.r2) - t.dsum * q)
+            - t.r2 * p * (r1p + r2p))
+    if diff < 0:
         return "below"
-    if sub_slope == tau:
+    if diff == 0:
         return "equal"
     return "above"

@@ -609,6 +609,14 @@ def test_walls_bad_rational_is_usage_error(capsys):
 WALLS = ("walls", "--r1", "2", "--r2", "1", "--d1", "3", "--d2", "0")
 
 
+def test_walls_empty_interval_names_its_ends(capsys):
+    code, out, err = run_cli(capsys, *WALLS, "--lo", "3", "--hi", "0")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: empty tau interval: tau_lo = 3 is not below "
+                   "tau_hi = 0\n")
+
+
 # argparse takes a value that starts with '-' and holds ',' or '/' for a
 # flag, so such a value is attached with '='.  Each '=' form is paired with
 # an input that needs no '=': the same value as a plain negative number,
