@@ -27,6 +27,7 @@ from math import gcd
 import numpy as np
 
 from .sklyanin import AlgebraParams, _grade_bases, build_relations
+from . import theta
 from .theta import CurveModulus, ThetaBasis
 
 __all__ = [
@@ -104,7 +105,8 @@ def _bracket_rows(d: int, r: int, modulus: CurveModulus) -> np.ndarray:
     """
     basis = ThetaBasis(d, modulus)
     at_zero = basis.values_at_zero()
-    slope = basis._series(np.arange(d), np.zeros(1), want_deriv=True)[1][:, 0]
+    scale, _, deriv = theta._scaled_series(basis, np.arange(d), 0.0, True)
+    slope = theta._unscale(basis, np.arange(d), scale, deriv)[:, 0]
     k, n = np.ogrid[:d, :d]
     # theta_0(0) = 0 divides at n = 0 and n = k; those entries are replaced
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -36,8 +36,9 @@ from math import gcd
 
 import numpy as np
 
+from . import theta
 from .theta import (ConvergenceError, CurveModulus, DenominatorNearZero,
-                    ThetaBasis, reduce_to_cell, torsion_gate)
+                    ThetaBasis, _integer, reduce_to_cell, torsion_gate)
 
 __all__ = [
     "AlgebraParams",
@@ -83,14 +84,16 @@ class AlgebraParams:
     modulus: CurveModulus
 
     def __post_init__(self):
+        for name in ("d", "r"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.d < 1:
-            raise ValueError("d must be >= 1")
+            raise ValueError(f"d must be >= 1, got {self.d}")
         object.__setattr__(self, "r", self.r % self.d)
         if gcd(self.r, self.d) != 1:
             raise ValueError(f"r={self.r} is not a unit mod d={self.d}")
         object.__setattr__(self, "x", complex(self.x))
         if not np.isfinite(self.x):
-            raise ValueError("x must be finite")
+            raise ValueError(f"x must be finite, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,8 @@ def _theta_triple(d: int, x: complex, modulus: CurveModulus):
     torsion_gate(d, x, omega)
     basis = ThetaBasis(d, modulus)
     x_red, _, q = reduce_to_cell(x, omega)
-    pair = basis._series(np.arange(d), np.array([x_red, -x_red]))
+    scale, value = theta._scaled_series(basis, np.arange(d), [x_red, -x_red])
+    pair = theta._unscale(basis, np.arange(d), scale, value)
     at_zero = basis.values_at_zero()
     if q:
         at_zero = at_zero * np.exp(2j * np.pi * d * q * (omega.real * q

@@ -12,23 +12,29 @@ an eigenbasis for translation by 1/d.  The family satisfies, for every d,
     theta_m(z + omega) = -exp(-pi i d omega - 2 pi i d z) * theta_m(z)
     theta_{-m}(-z)    = -exp(-2 pi i m / d) * theta_m(z)
 
-and each theta_m has exactly d zeros per fundamental cell.  Evaluation
-reduces the argument to the fundamental cell first and then sums the
-series adaptively, so values stay accurate (and finite) for any z a
-moderate number of cells away from the origin; farther out, a value too
-large for a float raises ThetaOverflowError instead of turning into nan.
+and each theta_m has exactly d zeros per fundamental cell.
+
+One kernel, _scaled_series, sums the series for every value: at each
+(m, z) over a window centred on its largest term, whose exponent it
+returns as a log-scale beside a mantissa of modulus about 1, so the sum
+overflows and underflows at no d.  The evaluators reduce z to the cell
+first, since the unreduced phases lose digits as |d z| grows, and fold the
+cell multiplier into the log-scale.  A value whose leading term leaves the
+normal doubles (z many cells out, or theta_m(0) near m = 0 at d ~ 700)
+raises ThetaOverflowError naming d, m, the log-modulus and the bound.
 
 The checks of these facts, theta_functional_residuals and
 theta_zero_count, do not reduce: reduction takes z and z + omega to one
 cell point and one series, so the omega equation and the contour's
 opposite edges would hold by construction, for any function of the cell.
-They sum the series at each point in scaled form (a log-scale and a
-mantissa of modulus about 1), so they test it and overflow at no d.
+They compare the scaled forms, so they test the series at every d.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +53,8 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * np.pi
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+# logs of the smallest and largest normal doubles
+_LOG_NORMAL = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 
 # Relative truncation tolerance of the defining series, and the most terms
 # of k one series window may hold (the window widens as d Im(omega) -> 0).
@@ -79,7 +86,7 @@ def reduce_to_cell(z, omega: complex):
     """
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
-        raise ValueError("z must be finite")
+        raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
     beta = z.imag / omega.imag
     q = np.rint(beta)
     p = np.rint(z.real - beta * omega.real)
@@ -117,7 +124,7 @@ def torsion_gate(d: int, x: complex, omega: complex) -> None:
     """
     x = complex(x)
     if not np.isfinite(x):
-        raise ValueError("x must be finite")
+        raise ValueError(f"x must be finite, got {x}")
     try:
         y, p, q = reduce_to_cell(d * x, omega)
     except ValueError:
@@ -128,6 +135,14 @@ def torsion_gate(d: int, x: complex, omega: complex) -> None:
     bound = TORSION_BOUND_AT_ZERO if point == (0, 0) else TORSION_BOUND
     if dist < bound:
         raise DenominatorNearZero(d, point, dist, bound)
+
+
+def _integer(name: str, value) -> int:
+    """value as a plain int; TypeError naming it otherwise (2.0 too)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ConvergenceError(ArithmeticError):
@@ -144,7 +159,7 @@ def _check_window(d: int, omega: complex, size: int) -> None:
 
 
 class ThetaOverflowError(ArithmeticError):
-    """A theta value is too large for a float: z lies too many cells out."""
+    """The leading term of a theta value leaves the normal doubles."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,7 @@ class CurveModulus:
     def __post_init__(self):
         w = complex(self.omega)
         if not np.isfinite(w.real) or not np.isfinite(w.imag):
-            raise ValueError("omega must be finite")
+            raise ValueError(f"omega must be finite, got {w}")
         if w.imag <= 0.0:
             raise ValueError(f"Im(omega) must be positive, got {w.imag}")
         object.__setattr__(self, "omega", w)
@@ -184,75 +199,36 @@ class ThetaBasis:
     modulus: CurveModulus
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer("d", self.d))
         if self.d < 1:
-            raise ValueError("level d must be >= 1")
+            raise ValueError(f"level d must be >= 1, got {self.d}")
 
     @property
     def omega(self) -> complex:
         return self.modulus.omega
 
-    def _from_cell(self, series, z_red, p, q):
-        # theta_m(z_red + p + q*omega) =
-        #   (-1)^(d p + q) exp(-pi i d omega q^2 - 2 pi i d q z_red) theta_m(z_red)
-        # (independent of m); series holds theta_m(z_red).
-        d = self.d
-        sign = 1.0 - 2.0 * ((d * p + q) % 2)
-        if not np.count_nonzero(q):
-            return sign * series  # the exponential is exp(0) = 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = sign * np.exp(-1j * np.pi * d * self.omega * q * q
-                                 - _TWO_PI_I * d * q * z_red) * series
-        if not np.isfinite(vals).all():
-            # real part of the exponent, per z; the largest overflows first
-            expo = np.pi * d * q * (q * self.omega.imag + 2.0 * z_red.imag)
-            j = np.argmax(expo)
-            raise ThetaOverflowError(
-                f"theta value is not a finite float at d={d}, q={q[j]}: "
-                f"cell exponent {expo[j]:.1f}, bound {_LOG_FLOAT_MAX:.2f}")
-        return vals
-
-    # -- series --------------------------------------------------------------
-
-    def _series(self, ms, z_red, want_deriv=False):
-        """Sum the defining series: one row per index in ms, one column per
-        reduced argument in z_red; each row passes its own truncation test."""
-        d = self.d
-        w = self.omega
-        mu = (np.atleast_1d(ms)[:, None] % d) / d + 0.5
-        lin = d * z_red + 0.5
-        half_width = 3.0 + 6.0 / np.sqrt(np.pi * d * w.imag)
-        while True:
-            # one window of k covering [-half_width, half_width] for every mu
-            lo = np.ceil(-half_width - mu.max())
-            size = int(np.floor(half_width - mu.min()) + 1 - lo)
-            _check_window(d, w, size)
-            k = lo + np.arange(size)
-            c = k + mu
-            terms = np.exp(((1j * np.pi * d * w) * c * c)[:, None, :]
-                           + _TWO_PI_I * (lin[:, None] * c[:, None, :]))
-            total = terms.sum(axis=2)
-            edge = np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1]))
-            if np.all(edge < TAIL_EPS * np.abs(total)):
-                break
-            half_width *= 1.5
-        if not want_deriv:
-            return total
-        return total, (terms * (_TWO_PI_I * d * c)[:, None, :]).sum(axis=2)
+    def _from_cell(self, ms, z):
+        """theta_m(z) for the indices ms against the 1-d array z, from the
+        series at z reduced to the cell: the cell multiplier of
+        theta_m(z_red + p + q omega) = (-1)^(d p + q) exp(-pi i d omega q^2
+        - 2 pi i d q z_red) theta_m(z_red) joins its log-scale."""
+        z_red, p, q = reduce_to_cell(z, self.omega)
+        scale, value = _scaled_series(self, ms, z_red)
+        if np.count_nonzero(p) or np.count_nonzero(q):
+            scale = scale + 1j * np.pi * ((self.d * p + q) % 2 - self.d * q
+                                          * (self.omega * q + 2.0 * z_red))
+        return _unscale(self, ms, scale, value)
 
     # -- public evaluation ---------------------------------------------------
 
     def eval(self, m: int, z) -> complex:
         """Evaluate theta_m at z (scalar or array), index m taken mod d."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        z_red, p, q = reduce_to_cell(z_arr, self.omega)
-        vals = self._from_cell(self._series(m, z_red)[0], z_red, p, q)
+        vals = self._from_cell(m, np.atleast_1d(z))
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
 
     def values_at(self, z: complex) -> np.ndarray:
         """All d values theta_0(z), ..., theta_{d-1}(z) at a single point."""
-        z_red, p, q = reduce_to_cell(np.asarray([complex(z)]), self.omega)
-        return self._from_cell(self._series(np.arange(self.d), z_red)[:, 0],
-                               z_red, p, q)
+        return self._from_cell(np.arange(self.d), [complex(z)])[:, 0]
 
     def values_at_zero(self) -> np.ndarray:
         """The d values theta_m(0) with the exact zero at m = 0.
@@ -268,10 +244,9 @@ class ThetaBasis:
 
     def dlog(self, m: int, z) -> np.ndarray:
         """Logarithmic derivative theta_m'(z)/theta_m(z), vectorized in z."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        z_red, p, q = reduce_to_cell(z_arr, self.omega)
-        total, deriv = self._series(m, z_red, want_deriv=True)
-        vals = deriv[0] / total[0] - _TWO_PI_I * self.d * q
+        z_red, _, q = reduce_to_cell(np.atleast_1d(z), self.omega)
+        _, value, deriv = _scaled_series(self, m, z_red, want_deriv=True)
+        vals = deriv / value - _TWO_PI_I * self.d * q
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
 
 
@@ -330,41 +305,63 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     return a, b, residual
 
 
-def _scaled_series(basis: ThetaBasis, m: int, z, want_deriv=False):
-    """theta_m (and theta_m') at unreduced z, in scaled form.
+def _scaled_series(basis: ThetaBasis, ms, z, want_deriv=False):
+    """theta_m (and theta_m') in scaled form: the one sum of the series.
 
-    Returns (log_scale, value) or (log_scale, value, deriv), arrays over z,
-    with theta_m(z) = exp(log_scale) value and theta_m'(z) = exp(log_scale)
-    deriv.  z is not reduced to the cell: each point sums the defining
-    series itself, over a window of k centred on its largest term, at
-    k + m/d + 1/2 = -Im z / Im omega, whose exponent is factored out into
-    log_scale.  No term then exceeds 1 in modulus, so nothing overflows at
-    any d or z; ValueError if a z is not finite.
+    ms is an index or an array of them, z a point or a 1-d array of points,
+    not reduced; the outputs have shape np.shape(ms) + (len(z),).  Returns
+    (log_scale, value[, deriv]), theta_m(z) = exp(log_scale) value and
+    theta_m'(z) = exp(log_scale) deriv.  Each (m, z) sums over a window of
+    k centred on its largest term, at k + m/d + 1/2 = -Im z / Im omega,
+    whose exponent is log_scale, so no term exceeds 1 in modulus at any d
+    or z.  The window grows by half until the edge terms of every sum are
+    below TAIL_EPS times it (ConvergenceError past SERIES_WINDOW_MAX
+    terms); ValueError if a z is not finite.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.isfinite(z).all():
-        raise ValueError("z must be finite")
+        raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
     d, w = basis.d, basis.omega
-    mu = (m % d) / d + 0.5
+    mu = np.asarray(ms)[..., None] % d / d + 0.5
     c0 = np.rint(-z.imag / w.imag - mu) + mu
-    lin = d * z + 0.5
-    log_scale = (1j * np.pi * d * w) * c0 * c0 + _TWO_PI_I * c0 * lin
-    # the exponent of term c0 + j, less that of c0, is
-    # pi i d omega j^2 + 2 pi i j (d omega c0 + d z + 1/2)
-    step = _TWO_PI_I * (d * w * c0 + lin)
-    half = int(3.0 + 6.0 / np.sqrt(np.pi * d * w.imag))
+    # the exponent of term c is pi i d omega c^2 + c a, a = 2 pi i (d z +
+    # 1/2); that of c0 + j, less that of c0, is pi i d omega j^2 + j step
+    a = (_TWO_PI_I * d) * z + 1j * np.pi
+    step = (_TWO_PI_I * d * w) * c0 + a
+    log_scale = c0 * ((1j * np.pi * d * w) * c0 + a)
+    half = int(3.0 + 6.0 / math.sqrt(np.pi * d * w.imag))
     while True:
         _check_window(d, w, 2 * half + 1)
         j = np.arange(-half, half + 1)
-        terms = np.exp((1j * np.pi * d * w) * j * j + step[:, None] * j)
-        value = terms.sum(axis=1)
-        edge = np.maximum(np.abs(terms[:, 0]), np.abs(terms[:, -1]))
+        terms = np.exp((1j * np.pi * d * w) * (j * j) + step[..., None] * j)
+        value = terms.sum(axis=-1)
+        edge = np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1]))
         if np.all(edge < TAIL_EPS * np.abs(value)):
             break
         half += half // 2 + 1
     if not want_deriv:
         return log_scale, value
     return log_scale, value, _TWO_PI_I * d * (c0 * value + terms @ j)
+
+
+def _unscale(basis: ThetaBasis, ms, log_scale, value) -> np.ndarray:
+    """exp(log_scale) value, from _scaled_series at the indices ms.
+
+    ThetaOverflowError, naming d, m, the log-modulus and the bound, where a
+    leading term exp(log_scale) lies outside the normal doubles; a value
+    small only because z is near a zero of theta_m is not refused."""
+    log_mod = log_scale.real
+    low, high = _LOG_NORMAL
+    if log_mod.min(initial=high) < low or log_mod.max(initial=low) > high:
+        at = np.argmax(np.maximum(log_mod - high, low - log_mod))
+        m = np.broadcast_to(np.asarray(ms)[..., None], log_mod.shape).flat[at]
+        kind, side, bound = (("finite", "above", high) if log_mod.flat[at]
+                             > high else ("normal", "below", low))
+        raise ThetaOverflowError(
+            f"theta value is not a {kind} float at d={basis.d}, "
+            f"m={m % basis.d}: its leading term has log-modulus "
+            f"{log_mod.flat[at]:.1f}, {side} the bound {bound:.2f}")
+    return np.exp(log_scale) * value
 
 
 def _relative_gap(lhs_scale, lhs, rhs_scale, rhs):
@@ -385,10 +382,7 @@ def theta_functional_residuals(basis: ThetaBasis, ms, zs):
 
     Both sides come from the unreduced series (_scaled_series), one call
     per distinct m for its points and both shifts, compared as mantissas
-    once their log-scales are combined, so no value overflows at any d.
-    theta_m at z + omega is its own sum; through reduce_to_cell it was z's
-    series, and the omega residual compared the cell multiplier with
-    itself.
+    once their log-scales are combined; theta_m at z + omega is its own sum.
     """
     d, omega = basis.d, basis.omega
     ms, zs = np.asarray(ms), np.asarray(zs, dtype=complex)
@@ -457,8 +451,7 @@ def theta_zero_count(basis: ThetaBasis, m: int) -> int:
 
     theta'/theta comes from the unreduced series (_scaled_series) on all
     four edges, so opposite edges are independent sums and the count reads
-    d only if the series is quasi-periodic.  Through reduce_to_cell they
-    were one sum, and the count read d for any function of the cell.
+    d only if the series is quasi-periodic.
     """
     d = basis.d
     height = ((-m) % d) / d

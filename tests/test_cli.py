@@ -850,13 +850,70 @@ def test_small_im_omega_is_refused_before_allocating(src_env):
 
 
 def test_theta_overflow_is_exit_one_without_traceback(capsys):
-    # d = 9, omega = 3i, z three cells up: the cell multiplier overflows
+    # d = 9, omega = 3i, z three cells up: the leading term overflows
     code, out, err = run_cli(capsys, "theta", "eval", "--omega", "0,3",
                              "--d", "9", "--m", "0", "--z", "0.1,9.2")
     assert code == 1
     assert out == ""
     assert "verification failed: theta value is not a finite float" in err
     assert "Traceback" not in err
+
+
+def test_theta_underflow_refuses_relations_by_name(capsys):
+    # d = 701: theta_m(0) near m = 0 falls below the normal doubles; the
+    # refusal names the index, the log-modulus and the bound, not a window
+    code, out, err = run_cli(capsys, "sklyanin", "relations", "--d", "701",
+                             "--r", "2", "--x", "0.11,0.17")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"verification failed: theta value is not a normal "
+                        r"float at d=701, m=\d+: its leading term has "
+                        r"log-modulus -\d+\.\d, below the bound -708\.40\n",
+                        err)
+
+
+WORKFLOW = SRC.parent / ".github" / "workflows" / "tests.yml"
+
+
+def workflow_sklab_lines():
+    """The lines of the workflow's run: blocks that start with `sklab `.
+
+    The workflow is read as text, not as YAML: each run: block is plain
+    shell, a one-line `run: cmd` or the more indented lines after
+    `run: |`.
+    """
+    lines, block = [], None
+    for raw in WORKFLOW.read_text().splitlines():
+        text, indent = raw.strip(), len(raw) - len(raw.lstrip())
+        if block is not None and text and indent <= block:
+            block = None
+        key = text.removeprefix("- ")
+        if key.startswith("run:"):
+            if key[4:].strip() == "|":
+                block = indent
+            else:
+                lines.append(key[4:].strip())
+        elif block is not None:
+            lines.append(text)
+    return [line for line in lines if line.startswith("sklab ")]
+
+
+def test_workflow_sklab_commands_parse():
+    # a flag renamed in cli.py but not in the workflow fails here, not
+    # only in CI; a shell redirection ends a command's arguments
+    lines = workflow_sklab_lines()
+    assert len(lines) >= 14
+    parser = build_parser(RunConfig())
+    for line in lines:
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        argv = list(lexer)
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        try:
+            args = parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"workflow line does not parse: {line}")
+        assert callable(args.func), line
 
 
 def test_no_assert_statements_in_src():

@@ -361,7 +361,7 @@ def test_symplectic_rank_of_the_bracket(d, r, modulus):
         p = rng.normal(size=d) + 1j * rng.normal(size=d)
         s = np.linalg.svd(np.einsum("abce,c,e->ab", dense(pi), p, p),
                           compute_uv=False)
-        assert s[rank - 1] / s[rank] >= 1e6, (s[rank - 1], s[rank])
+        assert s[rank - 1] >= 1e6 * s[rank], (s[rank - 1], s[rank])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

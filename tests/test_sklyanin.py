@@ -121,8 +121,35 @@ def test_params_reject_non_coprime(modulus):
 @pytest.mark.parametrize("x", [complex("nan"), complex("inf"),
                                complex(0.1, float("-inf")), float("nan")])
 def test_params_reject_non_finite_x(modulus, x):
-    with pytest.raises(ValueError, match="x must be finite"):
+    with pytest.raises(ValueError) as info:
         AlgebraParams(3, 1, x, modulus)
+    assert str(info.value) == f"x must be finite, got {complex(x)}"
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_params_refusal_names_d(d, modulus):
+    with pytest.raises(ValueError) as info:
+        AlgebraParams(d, 1, X_GENERIC, modulus)
+    assert str(info.value) == f"d must be >= 1, got {d}"
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_params_d_and_r_must_be_integers(value, modulus):
+    # a float would be reduced mod d as a float and reach pow() in _blocks
+    for args, name in (((value, 1), "d"), ((5, value), "r")):
+        with pytest.raises(TypeError) as info:
+            AlgebraParams(*args, X_GENERIC, modulus)
+        assert str(info.value) == f"{name} must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("d, r, want", [(np.int64(5), np.int64(2), (5, 2)),
+                                         (True, True, (1, 0))])
+def test_params_store_plain_ints(d, r, want, modulus):
+    params = AlgebraParams(d, r, X_GENERIC, modulus)
+    assert type(params.d) is int and type(params.r) is int
+    assert params == AlgebraParams(*want, X_GENERIC, modulus)
+    rank, _ = relation_rank(build_relations(params))
+    assert rank == want[0] * (want[0] - 1) // 2
 
 
 def test_params_reduce_r_mod_d(modulus):
@@ -337,7 +364,7 @@ def test_substitution_distance_evaluates_one_theta_triple(modulus,
                                                            monkeypatch):
     # from cold memos: one series sum gives theta at x and -x, one the
     # values at 0
-    sums = count_calls(monkeypatch, ThetaBasis, "_series")
+    sums = count_calls(monkeypatch, theta, "_scaled_series")
     builds = count_calls(monkeypatch, sklyanin, "_system")
     assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
     assert len(sums) == 2
@@ -510,7 +537,7 @@ def test_self_inverse_distance_matches_two_builds(d, r, r2, modulus,
     # series sum is the x/-x pair; theta keeps the values at 0 per basis
     sklyanin.build_relations.cache_clear()
     sklyanin._theta_triple.cache_clear()
-    sums = count_calls(monkeypatch, ThetaBasis, "_series")
+    sums = count_calls(monkeypatch, theta, "_scaled_series")
     builds = count_calls(monkeypatch, sklyanin, "_system")
     assert substitution_distance(d, r, r2, X_GENERIC, modulus) == want
     assert (len(builds), len(sums)) == (1, 1)
@@ -586,7 +613,7 @@ def test_sample_generic_x_matches_reference_loop(modulus):
 
 
 def test_sample_generic_x_computes_no_theta(modulus, monkeypatch):
-    sums = count_calls(monkeypatch, ThetaBasis, "_series")
+    sums = count_calls(monkeypatch, theta, "_scaled_series")
     rng = np.random.default_rng(5)
     xs = [sample_generic_x(d, modulus, rng) for d in (3, 9, 25, 41)]
     assert sums == []
@@ -671,7 +698,7 @@ def test_isomorphism_check_reuses_the_callers_build(modulus, monkeypatch):
     d, r = 9, 2
     system = build_relations(AlgebraParams(d, r, X_GENERIC, modulus))
     rank, _ = relation_rank(system)
-    sums = count_calls(monkeypatch, ThetaBasis, "_series")
+    sums = count_calls(monkeypatch, theta, "_scaled_series")
     builds = count_calls(monkeypatch, sklyanin, "_system")
     svds = count_calls(monkeypatch, np.linalg, "svd")
     assert check_substitution_isomorphism(d, r, pow(r, -1, d), X_GENERIC,

@@ -38,6 +38,36 @@ def test_modulus_requires_upper_half_plane():
         CurveModulus(0.5 + 0.0j)
 
 
+@pytest.mark.parametrize("omega", [complex("nan"), complex(0.2, float("inf"))])
+def test_modulus_refusal_names_omega(omega):
+    with pytest.raises(ValueError) as info:
+        CurveModulus(omega)
+    assert str(info.value) == f"omega must be finite, got {omega}"
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_level_refusal_names_d(d, modulus):
+    with pytest.raises(ValueError) as info:
+        ThetaBasis(d, modulus)
+    assert str(info.value) == f"level d must be >= 1, got {d}"
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_level_must_be_an_integer(value, modulus):
+    # a float level would sum d = 2.5 series and count 3 zeros for it
+    with pytest.raises(TypeError) as info:
+        ThetaBasis(value, modulus)
+    assert str(info.value) == f"d must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("value, want", [(np.int64(5), 5), (True, 1)])
+def test_level_is_stored_as_a_plain_int(value, want, modulus):
+    basis = ThetaBasis(value, modulus)
+    assert type(basis.d) is int and basis == ThetaBasis(want, modulus)
+    assert np.array_equal(basis.values_at(0.1 + 0.2j),
+                          ThetaBasis(want, modulus).values_at(0.1 + 0.2j))
+
+
 def test_reduce_to_cell_lands_in_cell(modulus, rng):
     omega = modulus.omega
     for _ in range(50):
@@ -131,9 +161,10 @@ def test_functional_residuals_fail_on_a_series_that_is_not_quasi_periodic(
 
 @pytest.mark.parametrize("z", [complex("nan"), complex(0.1, float("inf"))])
 def test_functional_residuals_refuse_non_finite_z(modulus, z):
-    with pytest.raises(ValueError, match="z must be finite"):
+    with pytest.raises(ValueError) as info:
         theta_functional_residuals(ThetaBasis(3, modulus), [0, 1],
                                    [0.1 + 0.2j, z])
+    assert str(info.value) == f"z must be finite, got {z}"
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex(0.1, float("inf")),
@@ -147,9 +178,11 @@ def test_functional_residuals_refuse_non_finite_z(modulus, z):
 ], ids=["reduce_to_cell", "eval", "values_at", "dlog", "dlog-array"])
 def test_evaluators_refuse_non_finite_z(modulus, evaluate, z):
     # one check, in reduce_to_cell, before any series is summed: no numpy
-    # warning (an error under this suite) and no truncation-window refusal
-    with pytest.raises(ValueError, match="^z must be finite$"):
+    # warning (an error under this suite) and no truncation-window refusal;
+    # the message names the point
+    with pytest.raises(ValueError) as info:
         evaluate(ThetaBasis(3, modulus), z)
+    assert str(info.value) == f"z must be finite, got {z}"
 
 
 def test_index_wraps_mod_d(modulus):
@@ -220,30 +253,39 @@ CELLS = [(0, 0), (1, 0), (0, 1), (-2, 1), (3, -2), (-3, 3), (2, -3),
          (3, 3)]
 
 
-def cell_overflows(d, omega, z):
-    """The cell multiplier of z, common to every index, overflows a float:
-    its exponent has real part pi d q (q Im omega + 2 Im z_red)."""
-    z_red, _, q = reduce_to_cell(z, omega)
-    expo = np.pi * d * q * (q * omega.imag + 2.0 * z_red.imag)
-    return expo > np.log(np.finfo(float).max)
+def leading_log_modulus(d, m, omega, z):
+    """Log-modulus of the largest term of the defining series of theta_m at
+    z, not reduced to the cell: the largest real part of
+    pi i d omega c^2 + 2 pi i c (d z + 1/2), c = k + m/d + 1/2, over
+    k in -20..20, which holds it for every point of CELLS."""
+    c = np.arange(-20, 21) + (m % d) / d + 0.5
+    return (-np.pi * d * c * (c * omega.imag + 2.0 * np.imag(z))).max()
+
+
+def refused(d, m, omega, z):
+    """theta_m(z) is refused: its leading term overflows a float."""
+    return leading_log_modulus(d, m, omega, z) > np.log(np.finfo(float).max)
 
 
 @pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.05j])
 def test_values_at_matches_scalar_eval(omega):
     """All d series summed at once equal one scalar eval per index; where
-    the cell multiplier overflows, both refuse instead of returning nan."""
+    the leading term of a value overflows, both refuse instead of returning
+    nan, and values_at refuses when one of its values does."""
     compared = 0
     for d in range(1, 31):
         basis = ThetaBasis(d, CurveModulus(omega))
         points = [0.0] + [0.13 + 0.21 * omega + p + q * omega
                           for p, q in CELLS]
         for z in points:
-            if cell_overflows(d, omega, z):
-                with pytest.raises(ThetaOverflowError, match=f"d={d}, q="):
+            out = [refused(d, m, omega, z) for m in range(d)]
+            for m in np.flatnonzero(out):
+                with pytest.raises(ThetaOverflowError,
+                                   match=f"d={d}, m={m}: "):
+                    basis.eval(m, z)
+            if any(out):
+                with pytest.raises(ThetaOverflowError, match=f"d={d}, m="):
                     basis.values_at(z)
-                for m in range(d):
-                    with pytest.raises(ThetaOverflowError):
-                        basis.eval(m, z)
                 continue
             want = np.array([basis.eval(m, z) for m in range(d)])
             got = basis.values_at(z)
@@ -254,13 +296,13 @@ def test_values_at_matches_scalar_eval(omega):
     assert compared >= 0.6 * 30 * (len(CELLS) + 1)
 
 
-def test_overflow_error_names_d_q_exponent_and_bound():
+def test_overflow_error_names_d_m_log_modulus_and_bound():
     basis = ThetaBasis(9, CurveModulus(3j))
     with pytest.raises(ThetaOverflowError) as info:
         basis.eval(0, 0.1 + 9.2j)
     assert isinstance(info.value, ArithmeticError)
-    message = ("theta value is not a finite float at d=9, q=3: "
-               "cell exponent 797.3, bound 709.78")
+    message = ("theta value is not a finite float at d=9, m=0: its leading "
+               "term has log-modulus 781.8, above the bound 709.78")
     assert str(info.value) == message
     # among several z the message names the one that overflows
     with pytest.raises(ThetaOverflowError) as info:
@@ -343,10 +385,11 @@ def test_scaled_series_matches_eval(omega):
     digits with |d z|, about 4e-13 at |d z| ~ 100."""
     for d in (1, 2, 3, 5, 8, 13, 21, 30):
         basis = ThetaBasis(d, CurveModulus(omega))
-        points = np.array([0.13 + 0.21 * omega + p + q * omega
-                           for p, q in CELLS])
-        points = points[~cell_overflows(d, omega, points)]
+        cells = np.array([0.13 + 0.21 * omega + p + q * omega
+                          for p, q in CELLS])
         for m in range(d):
+            points = np.array([z for z in cells
+                               if not refused(d, m, omega, z)])
             scale, value, deriv = theta._scaled_series(basis, m, points,
                                                        want_deriv=True)
             want = basis.eval(m, points)
@@ -443,8 +486,9 @@ def test_symmetry_fit_and_relation_gate_refuse_the_same_x(modulus):
 @pytest.mark.parametrize("x", [complex("nan"), complex("inf"),
                                complex(0.1, float("-inf"))])
 def test_symmetry_constants_refuse_non_finite_x(modulus, x):
-    with pytest.raises(ValueError, match="x must be finite"):
+    with pytest.raises(ValueError) as info:
         theta_symmetry_constants(ThetaBasis(3, modulus), x)
+    assert str(info.value) == f"x must be finite, got {x}"
 
 
 def mp_theta(d, m, omega, z, mpmath):
@@ -496,3 +540,119 @@ def test_values_at_large_d_against_mpmath_series(d, modulus):
         # they span 18 orders of magnitude: a small denominator is not an
         # inaccurate one
         assert (np.abs(got - want) / np.abs(want)).max() <= 1e-12
+
+
+# The reduced path as it was before one kernel summed every theta value:
+# ThetaBasis._series (one window of k for all indices, grown by 1.5, the
+# edge test against the unscaled sum) and ThetaBasis._from_cell (the cell
+# multiplier applied to the unscaled values), kept as the oracle the one
+# kernel must match.
+
+def two_window_series(basis, ms, z_red, want_deriv=False):
+    d = basis.d
+    w = basis.omega
+    mu = (np.atleast_1d(ms)[:, None] % d) / d + 0.5
+    lin = d * z_red + 0.5
+    half_width = 3.0 + 6.0 / np.sqrt(np.pi * d * w.imag)
+    while True:
+        lo = np.ceil(-half_width - mu.max())
+        size = int(np.floor(half_width - mu.min()) + 1 - lo)
+        theta._check_window(d, w, size)
+        k = lo + np.arange(size)
+        c = k + mu
+        terms = np.exp(((1j * np.pi * d * w) * c * c)[:, None, :]
+                       + 2j * np.pi * (lin[:, None] * c[:, None, :]))
+        total = terms.sum(axis=2)
+        edge = np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1]))
+        if np.all(edge < theta.TAIL_EPS * np.abs(total)):
+            break
+        half_width *= 1.5
+    if not want_deriv:
+        return total
+    return total, (terms * (2j * np.pi * d * c)[:, None, :]).sum(axis=2)
+
+
+def two_window_from_cell(basis, series, z_red, p, q):
+    d = basis.d
+    sign = 1.0 - 2.0 * ((d * p + q) % 2)
+    if not np.count_nonzero(q):
+        return sign * series
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = sign * np.exp(-1j * np.pi * d * basis.omega * q * q
+                             - 2j * np.pi * d * q * z_red) * series
+    if not np.isfinite(vals).all():
+        raise ThetaOverflowError("cell multiplier overflows")
+    return vals
+
+
+def two_window_values_at(basis, z):
+    z_red, p, q = reduce_to_cell(np.asarray([complex(z)]), basis.omega)
+    series = two_window_series(basis, np.arange(basis.d), z_red)[:, 0]
+    return two_window_from_cell(basis, series, z_red, p, q)
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.05j])
+def test_one_kernel_matches_the_two_window_path(omega):
+    """values_at, and theta_m'(0) as the bracket rows read it, against the
+    old path at every index, wherever the old path returns values.  Each
+    value is compared to its own modulus (theta_0(0), an exact zero summed
+    to rounding, is left out); theta_m'(0) vanishes at m = d/2, so each
+    slope is compared to 2 pi d times its largest term.  Measured, over
+    the three moduli: values 6.8e-13 (d = 301, omega = 0.2+0.05i,
+    z = -0.11-0.17i), slopes 9.3e-15 (the same d and omega)."""
+    shifts = [(0, 0), (1, 1), (-2, 1)]
+    compared = 0
+    for d in (*range(1, 14), 21, 41, 61, 101, 301):
+        basis = ThetaBasis(d, CurveModulus(omega))
+        idx = np.arange(d)
+        points = [0.0, 0.11 + 0.17j, -0.11 - 0.17j] + [
+            0.13 + 0.21 * omega + p + q * omega for p, q in shifts]
+        for z in points:
+            try:
+                want = two_window_values_at(basis, z)
+            except (ThetaOverflowError, theta.ConvergenceError):
+                continue
+            got = basis.values_at(z)
+            kept = idx > 0 if z == 0 else idx >= 0
+            assert (np.abs(got - want)[kept]
+                    <= 1.5e-12 * np.abs(want)[kept]).all(), (d, z)
+            compared += 1
+        try:
+            _, want = two_window_series(basis, idx, np.zeros(1), True)
+        except theta.ConvergenceError:
+            continue
+        scale, _, deriv = theta._scaled_series(basis, idx, np.zeros(1), True)
+        got = theta._unscale(basis, idx, scale, deriv)
+        assert (np.abs(got - want)
+                <= 2e-14 * 2 * np.pi * d * np.exp(scale.real)).all(), d
+    assert compared >= 5 * 18
+
+
+def test_refusal_below_the_normal_doubles_names_index_and_log_modulus():
+    # at d = 701 the leading terms of theta_m(0) near m = 0 fall below the
+    # smallest normal double: the refusal names that quantity, not the
+    # series window
+    basis = ThetaBasis(701, CurveModulus(0.2 + 1.3j))
+    with pytest.raises(ThetaOverflowError) as info:
+        basis.values_at_zero()
+    message = str(info.value)
+    assert message == ("theta value is not a normal float at d=701, m=0: its "
+                       "leading term has log-modulus -715.7, below the bound "
+                       "-708.40")
+    assert "window" not in message
+    assert isinstance(info.value, ArithmeticError)
+
+
+def test_value_small_near_a_zero_is_not_refused():
+    # at d = 685 every leading term of theta_m near 0 is a normal double
+    # (theta_0's is exp(-699.3)); theta_0 vanishes at 0, so its values there
+    # and at z = 1e-10 are below the normal doubles, and are returned
+    basis = ThetaBasis(685, CurveModulus(0.2 + 1.3j))
+    tiny = np.finfo(float).tiny
+    values = basis.values_at(0.0)
+    assert abs(values[0]) < tiny <= np.abs(values[1:]).min()
+    near, twice = basis.eval(0, 1e-10), basis.eval(0, 2e-10)
+    assert 0.0 < abs(near) < tiny
+    # a simple zero: the value is linear in z there
+    assert abs(abs(twice) / abs(near) - 2.0) < 1e-6
+    assert abs(basis.dlog(0, 1e-10) * 1e-10 - 1.0) < 1e-6
