@@ -104,9 +104,11 @@ def _bracket_rows(d: int, r: int, modulus: CurveModulus) -> np.ndarray:
     (k, n) and the moduli of its theta values, before any d^3 array exists.
     """
     basis = ThetaBasis(d, modulus)
-    at_zero = basis.values_at_zero()
-    scale, _, deriv = theta._scaled_series(basis, np.arange(d), 0.0, True)
-    slope = theta._unscale(basis, np.arange(d), scale, deriv)[:, 0]
+    idx = np.arange(d)
+    scale, value, deriv = theta._scaled_series(basis, idx, 0.0, True)
+    at_zero = theta._unscale(basis, idx, scale, value)[:, 0]
+    at_zero[0] = 0.0
+    slope = theta._unscale(basis, idx, scale, deriv)[:, 0]
     k, n = np.ogrid[:d, :d]
     # theta_0(0) = 0 divides at n = 0 and n = k; those entries are replaced
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

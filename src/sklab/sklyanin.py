@@ -156,10 +156,9 @@ def _theta_triple(d: int, x: complex, modulus: CurveModulus):
     Shifting x by p + q*omega multiplies every denominator by one common
     factor, which the row scaling removes up to its phase; the theta(0)
     values carry that phase, exp(i (2 pi d Re(omega) q^2 + 4 pi d q
-    Re(x_red))), so the scaled coefficients are those at x; the theta(0)
-    values are shared per basis and read-only, so the phase multiplies a
-    copy.  x_red and -x_red both lie in the centred cell, so one series
-    sum gives both, with no cell multiplier.
+    Re(x_red))), so the scaled coefficients are those at x.  0, x_red and
+    -x_red all lie in the centred cell, so one series sum gives the three,
+    with no cell multiplier; theta_0(0) is pinned to its exact zero.
 
     The triple does not depend on r, so it is keyed on (d, x, modulus) and
     the last one is kept: every r at one (d, x) reads it.  The arrays are
@@ -169,16 +168,15 @@ def _theta_triple(d: int, x: complex, modulus: CurveModulus):
     torsion_gate(d, x, omega)
     basis = ThetaBasis(d, modulus)
     x_red, _, q = reduce_to_cell(x, omega)
-    scale, value = theta._scaled_series(basis, np.arange(d), [x_red, -x_red])
-    pair = theta._unscale(basis, np.arange(d), scale, value)
-    at_zero = basis.values_at_zero()
+    idx = np.arange(d)
+    scale, value = theta._scaled_series(basis, idx, [0.0, x_red, -x_red])
+    rows = theta._unscale(basis, idx, scale, value).T.copy()
+    rows[0, 0] = 0.0
     if q:
-        at_zero = at_zero * np.exp(2j * np.pi * d * q * (omega.real * q
-                                                         + 2.0 * x_red.real))
-    triple = at_zero, pair[:, 0], pair[:, 1]
-    for a in triple:
-        a.flags.writeable = False
-    return triple
+        rows[0] *= np.exp(2j * np.pi * d * q * (omega.real * q
+                                                + 2.0 * x_red.real))
+    rows.flags.writeable = False
+    return tuple(rows)
 
 
 def _system(params: AlgebraParams, triple) -> RelationSystem:

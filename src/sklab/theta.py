@@ -23,11 +23,12 @@ cell multiplier into the log-scale.  A value whose leading term leaves the
 normal doubles (z many cells out, or theta_m(0) near m = 0 at d ~ 700)
 raises ThetaOverflowError naming d, m, the log-modulus and the bound.
 
-The checks of these facts, theta_functional_residuals and
-theta_zero_count, do not reduce: reduction takes z and z + omega to one
-cell point and one series, so the omega equation and the contour's
-opposite edges would hold by construction, for any function of the cell.
-They compare the scaled forms, so they test the series at every d.
+The checks of these facts, theta_functional_residuals,
+theta_zero_count and theta_symmetry_constants, do not reduce: reduction
+takes z and z + omega to one cell point and one series, so the omega
+equation and the contour's opposite edges would hold by construction, for
+any function of the cell.  They compare the scaled forms, so they test
+the series at every d.
 """
 
 from __future__ import annotations
@@ -70,11 +71,8 @@ TORSION_BOUND = 3e-5
 # Fit tolerance of theta_symmetry_constants.
 FIT_TOL = 1e-8
 
-# Gauss-Legendre nodes per panel, the most panels per contour edge, and the
-# contour placements tried, of theta_zero_count.
+# Gauss-Legendre nodes per panel of theta_zero_count.
 ZERO_COUNT_NODES = 16
-ZERO_COUNT_PANELS_MAX = 64
-ZERO_COUNT_TRIES = 8
 
 
 def reduce_to_cell(z, omega: complex):
@@ -146,7 +144,7 @@ def _integer(name: str, value) -> int:
 
 
 class ConvergenceError(ArithmeticError):
-    """Adaptive truncation, contour placement, or a constants fit failed."""
+    """A series window, a zero count, or a constants fit failed."""
 
 
 def _check_window(d: int, omega: complex, size: int) -> None:
@@ -237,10 +235,11 @@ class ThetaBasis:
         forces theta_0(0) = 0 identically.  Summing the series leaves rounding
         residue of order 1e-16 there instead, which matters to callers that
         divide by quantities vanishing at the same point, so this entry is
-        pinned to exact zero.  The series are summed once per basis (equal
-        bases share the result), which is returned read-only.
+        pinned to exact zero.
         """
-        return _values_at_zero(self)
+        vals = self.values_at(0.0)
+        vals[0] = 0.0
+        return vals
 
     def dlog(self, m: int, z) -> np.ndarray:
         """Logarithmic derivative theta_m'(z)/theta_m(z), vectorized in z."""
@@ -250,22 +249,17 @@ class ThetaBasis:
         return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
 
 
-@functools.lru_cache(maxsize=64)
-def _values_at_zero(basis: ThetaBasis) -> np.ndarray:
-    """ThetaBasis.values_at_zero, cached per basis, so read-only."""
-    vals = basis.values_at(0.0)
-    vals[0] = 0.0
-    vals.flags.writeable = False
-    return vals
-
-
 def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     """Fit the constants of the reflection identity of the family.
 
     The basis satisfies theta_{-i}(-x) = a * b^i * theta_i(x) for constants
     a, b independent of i with b^d = 1.  The constants are recovered from
     the d value ratios by averaging consecutive quotients (b) and de-biased
-    ratios (a), and the identity is then re-checked directly.
+    ratios (a), and the identity is then re-checked directly.  Both sides
+    come from one unreduced series sum (_scaled_series) at x and -x: each
+    ratio is a mantissa ratio times exp of a log-scale difference, and the
+    residual divides the largest log-modulus of theta(x) out first, so the
+    fit overflows at no d.
 
     Returns
     -------
@@ -285,17 +279,18 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     d = basis.d
     torsion_gate(d, x, basis.omega)
     idx = np.arange(d)
-    plus = basis.values_at(x)
-    minus = basis.values_at(-x)[(-idx) % d]
-    scale = np.abs(plus).max()
-    rho = minus / plus
-    if d == 1:
-        b = 1.0 + 0.0j
-        a = rho[0]
-    else:
-        b = complex(np.mean(rho[1:] / rho[:-1]))
-        a = complex(np.mean(rho * b ** (-idx.astype(float))))
-    residual = float(np.abs(minus - a * b ** idx * plus).max() / scale)
+    scale, value = _scaled_series(basis, idx, [x, -x])
+    flip = (-idx) % d
+    plus_scale, plus = scale[:, 0], value[:, 0]
+    minus_scale, minus = scale[flip, 1], value[flip, 1]
+    rho = minus / plus * np.exp(minus_scale - plus_scale)
+    b = complex(np.mean(rho[1:] / rho[:-1])) if d > 1 else 1.0 + 0.0j
+    a = complex(np.mean(rho * b ** (-idx.astype(float))))
+    top = (plus_scale.real + np.log(np.abs(plus))).max()
+    plus = np.exp(plus_scale - top) * plus
+    minus = np.exp(minus_scale - top) * minus
+    residual = float(np.abs(minus - a * b ** idx * plus).max()
+                     / np.abs(plus).max())
     if not residual < FIT_TOL:
         raise ConvergenceError(
             f"symmetry fit residual {residual:.3e} exceeds {FIT_TOL:g}")
@@ -402,21 +397,12 @@ def theta_functional_residuals(basis: ThetaBasis, ms, zs):
     return res[0], res[1]
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_nodes(n):
-    """Gauss-Legendre nodes and weights on [0, 1]; cached, so read-only."""
-    t, weights = np.polynomial.legendre.leggauss(n)
-    nodes = 0.5 * (t + 1.0), 0.5 * weights
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
-
-
-@functools.lru_cache(maxsize=ZERO_COUNT_PANELS_MAX.bit_length())
+@functools.lru_cache(maxsize=2)
 def _panel_nodes(panels):
-    """The ZERO_COUNT_NODES rule on each of `panels` equal pieces of [0, 1];
-    cached, so read-only."""
-    t, weights = _unit_nodes(ZERO_COUNT_NODES)
+    """The ZERO_COUNT_NODES-point Gauss-Legendre rule on each of `panels`
+    equal pieces of [0, 1]; cached, so read-only."""
+    t, weights = np.polynomial.legendre.leggauss(ZERO_COUNT_NODES)
+    t, weights = 0.5 * (t + 1.0), 0.5 * weights
     nodes = (((np.arange(panels)[:, None] + t) / panels).ravel(),
              np.tile(weights / panels, panels))
     for a in nodes:
@@ -439,35 +425,30 @@ def _winding(basis, m, base, panels):
 def theta_zero_count(basis: ThetaBasis, m: int) -> int:
     """Count zeros of theta_m in a fundamental cell by contour integration.
 
-    Integrates theta'/theta around a fundamental parallelogram with
-    ZERO_COUNT_NODES-point Gauss-Legendre panels on each edge.  The zeros
-    of theta_m fill a single horizontal line per cell (d of them, spaced
-    1/d apart), so the contour is based half a lattice period below that
-    line and 1/(2d) to the side of the nearest zero.  The panels per edge
-    double from 1 until two successive estimates agree within 1e-3 (at
-    most ZERO_COUNT_PANELS_MAX), and the count is accepted only within
-    0.01 of an integer; otherwise the base is nudged sideways and the
-    count retried, ConvergenceError after ZERO_COUNT_TRIES placements.
+    Integrates theta'/theta around a fundamental parallelogram with one and
+    with two ZERO_COUNT_NODES-point Gauss-Legendre panels per edge, based
+    half a lattice period below the line of theta_m's d zeros (spaced 1/d
+    apart) and 1/(2d) to the side of the nearest one.  The count is
+    accepted when the two estimates agree within 1e-3 and lie within 0.01
+    of an integer; otherwise ConvergenceError names d, m, both estimates
+    and the bound they broke.
 
-    theta'/theta comes from the unreduced series (_scaled_series) on all
-    four edges, so opposite edges are independent sums and the count reads
-    d only if the series is quasi-periodic.
+    By quasi-periodicity, theta'/theta(z) - theta'/theta(z + omega) =
+    2 pi i d and theta'/theta(z + 1) = theta'/theta(z), so for theta_m the
+    integrand is the constant 2 pi i d, which every rule integrates
+    exactly.  theta'/theta comes from the unreduced series (_scaled_series)
+    on all four edges, so opposite edges are independent sums and the
+    count reads d only if the series is quasi-periodic.
     """
     d = basis.d
-    height = ((-m) % d) / d
-    base = 1.0 / (2.0 * d) + (height - 0.5) * basis.omega
-    for attempt in range(ZERO_COUNT_TRIES):
-        panels, prev, last = 1, np.nan, _winding(basis, m, base, 1)
-        while np.isfinite(last) and panels < ZERO_COUNT_PANELS_MAX:
-            panels, prev = 2 * panels, last
-            last = _winding(basis, m, base, panels)
-            if abs(last - prev) < 1e-3:
-                count = int(np.rint(last.real))
-                if abs(last - count) < 0.01:
-                    return count
-                break
-        base += 0.37 / d
+    base = 1.0 / (2.0 * d) + (((-m) % d) / d - 0.5) * basis.omega
+    coarse, fine = (_winding(basis, m, base, panels) for panels in (1, 2))
+    gap, count = abs(fine - coarse), np.rint(fine.real)
+    if gap < 1e-3 and abs(fine - count) < 0.01:
+        return int(count)
+    broke = ("lie 0.01 or more from an integer" if gap < 1e-3
+             else "differ by 1e-3 or more")
     raise ConvergenceError(
-        f"no clean contour found for zero count after {ZERO_COUNT_TRIES} "
-        f"attempts; the last reached {panels} panel(s) per edge, with "
-        f"estimates {prev:.6g} and {last:.6g}")
+        f"zero count of theta_{m % d} at d={d} did not settle: its "
+        f"estimates on 1 and 2 panels per edge, {coarse:.6g} and "
+        f"{fine:.6g}, {broke}")

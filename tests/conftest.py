@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sklab import sklyanin, theta
+from sklab import sklyanin
 from sklab.theta import CurveModulus
 
 OMEGA = 0.2 + 1.3j
@@ -32,8 +32,7 @@ def cold_memos():
     next test at the same (d, x) would read it; counting tests also need to
     start cold.
     """
-    memos = (theta._values_at_zero, sklyanin._theta_triple,
-             sklyanin.build_relations)
+    memos = (sklyanin._theta_triple, sklyanin.build_relations)
     for memo in memos:
         memo.cache_clear()
     yield

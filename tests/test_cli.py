@@ -5,6 +5,7 @@ import json
 import pkgutil
 import re
 import resource
+import runpy
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import sklab
 from conftest import OMEGA, SRC
 from sklab import cli, invtensor, mukai, poisson, residues, sklyanin, theta
 from sklab.cli import RunConfig, build_parser, run
-from sklab.theta import ThetaBasis, theta_functional_residuals
+from sklab.theta import theta_functional_residuals
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,22 @@ def test_theta_check_deterministic(capsys):
                              "--trials", "20", "--seed", "4")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_theta_check_at_d_1001(capsys):
+    # the symmetry fit divides scaled forms too: every row passes where
+    # theta values themselves leave the float range (a ThetaOverflowError,
+    # exit 1, while the fit divided float values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "theta", "check", "--d", "1001",
+                                 "--trials", "20")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["residuals"]
+    assert [row["name"] for row in rows] == [
+        "shift_by_1_over_d_max", "shift_by_omega_max",
+        "zero_count_deviation", "symmetry_fit", "symmetry_ratio_unity"]
+    assert all(row["pass"] for row in rows)
 
 
 def test_theta_check_at_d_401(capsys):
@@ -765,9 +782,15 @@ def test_floats_printed_at_full_precision(capsys):
 
 def test_non_finite_coefficient_is_exit_one_without_traceback(capsys,
                                                               monkeypatch):
-    # an infinite theta numerator makes every coefficient non-finite
-    monkeypatch.setattr(ThetaBasis, "values_at_zero",
-                        lambda self: np.full(self.d, np.inf, dtype=complex))
+    # infinite theta values, injected through the series kernel, make
+    # every coefficient non-finite
+    scaled_series = theta._scaled_series
+
+    def infinite(basis, ms, z, want_deriv=False):
+        scale, value, *rest = scaled_series(basis, ms, z, want_deriv)
+        return (scale, np.full_like(value, np.inf), *rest)
+
+    monkeypatch.setattr(theta, "_scaled_series", infinite)
     code, out, err = run_cli(capsys, "sklyanin", "relations", "--d", "5",
                              "--r", "2", "--x", "0.11,0.17")
     assert code == 1
@@ -914,6 +937,16 @@ def test_workflow_sklab_commands_parse():
         except SystemExit:
             pytest.fail(f"workflow line does not parse: {line}")
         assert callable(args.func), line
+
+
+def test_workflow_runner_reads_the_console_script_step():
+    # tools/run_workflow.py runs this step here: it holds every sklab line
+    # of the workflow, after the pip install the runner drops
+    runner = runpy.run_path(str(SRC.parent / "tools" / "run_workflow.py"))
+    lines = runner["step_lines"]("Installed console script")
+    assert lines[0] == "python -m pip install ."
+    assert [line for line in lines if line.startswith("sklab ")] == \
+        workflow_sklab_lines()
 
 
 def test_no_assert_statements_in_src():

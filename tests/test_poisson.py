@@ -4,11 +4,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from sklab import poisson, sklyanin
+from sklab import poisson, sklyanin, theta
 from sklab.poisson import (ExtractionError, extract_bracket, jacobi_check,
                            scale_match_deviation, skew_check,
                            substituted_tensor)
 from sklab.sklyanin import AlgebraParams, build_relations, relation_space
+from sklab.theta import ThetaBasis
 
 # Largest entry of the d=3, r=1 bracket, frozen from the numerical
 # extraction (the Richardson ladder below), whose h -> 0 noise floor sits
@@ -379,6 +380,32 @@ def test_non_finite_entry_fails_both_checks(bad, modulus):
     with pytest.raises(ArithmeticError, match=r"Jacobi residual of batch 0 "
                        r"\(points 0 to 7\) is not finite"):
         jacobi_check(poisson.PoissonTensor(5, 2, pi, 0.0), 8, seed=0)
+
+
+def two_sum_bracket_rows(d, r, modulus):
+    """_bracket_rows as it was before one sum gave theta(0) and theta'(0):
+    the values at 0 from values_at_zero, the slopes from a second sum."""
+    basis = ThetaBasis(d, modulus)
+    at_zero = basis.values_at_zero()
+    scale, _, deriv = theta._scaled_series(basis, np.arange(d), 0.0, True)
+    slope = theta._unscale(basis, np.arange(d), scale, deriv)[:, 0]
+    k, n = np.ogrid[:d, :d]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rows = slope[0] * at_zero[(k + (r - 1) * n) % d] / (
+            at_zero[(k - n) % d] * at_zero[(r * n) % d])
+        rows[:, 0] = slope / at_zero
+        diag = np.arange(d)
+        rows[diag, diag] = rows[(r * diag) % d, 0]
+        rows[0] = 0.0
+        return 0.5 * poisson.EXTRACTION_DIRECTION * rows
+
+
+def test_bracket_rows_are_bit_identical_to_two_sums(modulus):
+    for d in (*range(1, 14), 21, 41, 101, 301):
+        for r in {1, max(d - 1, 1), 2 if d % 2 else 1}:
+            got = poisson._bracket_rows(d, r, modulus)
+            want = two_sum_bracket_rows(d, r, modulus)
+            assert got.tobytes() == want.tobytes(), (d, r)
 
 
 def test_units_of_one_d_share_one_theta_triple(modulus):

@@ -362,17 +362,16 @@ def count_calls(monkeypatch, owner, name):
 
 def test_substitution_distance_evaluates_one_theta_triple(modulus,
                                                            monkeypatch):
-    # from cold memos: one series sum gives theta at x and -x, one the
-    # values at 0
+    # from cold memos: one series sum gives theta at 0, x and -x
     sums = count_calls(monkeypatch, theta, "_scaled_series")
     builds = count_calls(monkeypatch, sklyanin, "_system")
     assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
-    assert len(sums) == 2
+    assert len(sums) == 1
     assert [params.r for params, _ in builds] == [2, 3]
     # a second identical check sums no series and keeps the r = 2 system;
     # only the r2 = 3 side, which is not kept, is divided out again
     assert substitution_distance(5, 2, 3, X_GENERIC, modulus) < 1e-8
-    assert len(sums) == 2
+    assert len(sums) == 1
     assert [params.r for params, _ in builds] == [2, 3, 3]
     assert sklyanin.build_relations.cache_info().misses == 1
     assert sklyanin._theta_triple.cache_info().misses == 1
@@ -534,7 +533,7 @@ def test_self_inverse_distance_matches_two_builds(d, r, r2, modulus,
     back = (pow(r2, -1, d) * np.arange(d)) % d
     want = max(subspace_distance(b[back], b2) for b, b2 in zip(*bases))
     # count from cold sklyanin memos: the builds above are kept.  The one
-    # series sum is the x/-x pair; theta keeps the values at 0 per basis
+    # series sum gives theta at 0, x and -x
     sklyanin.build_relations.cache_clear()
     sklyanin._theta_triple.cache_clear()
     sums = count_calls(monkeypatch, theta, "_scaled_series")
@@ -617,12 +616,12 @@ def test_sample_generic_x_computes_no_theta(modulus, monkeypatch):
     rng = np.random.default_rng(5)
     xs = [sample_generic_x(d, modulus, rng) for d in (3, 9, 25, 41)]
     assert sums == []
-    # the counter sees the build from cold memos: one sum for theta at x
-    # and -x, one for the values at 0; the same build again sums none
+    # the counter sees the build from cold memos: one sum for theta at 0,
+    # x and -x; the same build again sums none
     build_relations(AlgebraParams(9, 2, xs[1], modulus))
-    assert len(sums) == 2
+    assert len(sums) == 1
     build_relations(AlgebraParams(9, 2, xs[1], modulus))
-    assert len(sums) == 2
+    assert len(sums) == 1
 
 
 def test_sample_generic_x_gives_up_after_the_draw_limit(modulus,
@@ -646,6 +645,31 @@ def test_sample_generic_x_avoids_denominator_zeros(modulus, rng):
 def test_memos_keep_one_entry():
     assert sklyanin._theta_triple.cache_info().maxsize == 1
     assert sklyanin.build_relations.cache_info().maxsize == 1
+
+
+def two_sum_theta_triple(d, x, modulus):
+    """_theta_triple as it was before one sum gave all three: theta at x_red
+    and -x_red in one series sum, the values at 0 from values_at_zero."""
+    omega = modulus.omega
+    basis = ThetaBasis(d, modulus)
+    x_red, _, q = reduce_to_cell(x, omega)
+    scale, value = theta._scaled_series(basis, np.arange(d), [x_red, -x_red])
+    pair = theta._unscale(basis, np.arange(d), scale, value)
+    at_zero = basis.values_at_zero()
+    if q:
+        at_zero = at_zero * np.exp(2j * np.pi * d * q * (omega.real * q
+                                                         + 2.0 * x_red.real))
+    return at_zero, pair[:, 0], pair[:, 1]
+
+
+def test_theta_triple_is_bit_identical_to_two_sums(modulus):
+    w = modulus.omega
+    for d in (*range(1, 14), 21, 41, 101, 301):
+        for x in (X_GENERIC, X_GENERIC - 2.0 + 3.0 * w):
+            got = sklyanin._theta_triple(d, x, modulus)
+            want = two_sum_theta_triple(d, x, modulus)
+            assert [a.tobytes() for a in got] == \
+                [a.tobytes() for a in want], (d, x)
 
 
 def test_kept_arrays_are_read_only(modulus):

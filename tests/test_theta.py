@@ -3,11 +3,9 @@ import pytest
 
 from sklab import theta
 from sklab.cli import FUNCTIONAL_EQ_TOL
-from sklab.sklyanin import AlgebraParams, build_relations
+from sklab.sklyanin import AlgebraParams, build_relations, sample_generic_x
 from sklab.theta import (CurveModulus, DenominatorNearZero, ThetaBasis,
-                         ThetaOverflowError, _panel_nodes, _unit_nodes,
-                         _values_at_zero,
-                         reduce_to_cell, theta_functional_residuals,
+                         ThetaOverflowError, _panel_nodes, reduce_to_cell, theta_functional_residuals,
                          theta_symmetry_constants, theta_zero_count)
 
 # Values computed independently with 45-digit summation of the defining
@@ -132,7 +130,7 @@ def not_quasi_periodic(scaled_series):
     return series
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 21])
 def test_zero_count_fails_on_a_series_that_is_not_quasi_periodic(
         d, modulus, monkeypatch):
     monkeypatch.setattr(theta, "_scaled_series",
@@ -200,20 +198,16 @@ def test_first_basis_function_vanishes_at_origin(modulus):
         assert all(abs(v) > 1e-3 for v in values[1:])
 
 
-def test_values_at_zero_are_summed_once_per_basis(modulus):
-    _values_at_zero.cache_clear()
+def test_values_at_zero_are_values_at_with_theta_0_pinned(modulus):
+    # summed on every call, so each caller owns its array; bit-identical to
+    # values_at(0) with the exact zero at m = 0
     basis = ThetaBasis(7, modulus)
     first = basis.values_at_zero()
-    # an equal basis reads the same array, which nobody may write
-    assert ThetaBasis(7, modulus).values_at_zero() is first
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[1] = 0.0
-    # bit-identical to summing the series again
+    again = ThetaBasis(7, modulus).values_at_zero()
+    assert again is not first and first.flags.writeable
     fresh = basis.values_at(0.0)
     fresh[0] = 0.0
-    assert first.tobytes() == fresh.tobytes()
-    assert ThetaBasis(7, CurveModulus(3j)).values_at_zero() is not first
+    assert first.tobytes() == again.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -330,51 +324,110 @@ def test_zero_count_and_residuals_at_large_d(d, omega):
     assert max(res1.max(), res2.max()) < FUNCTIONAL_EQ_TOL
 
 
+# theta_zero_count as it was before the count became one fixed rule: panels
+# doubled from 1 up to 64 per edge until two estimates agreed, and up to 8
+# placements nudged sideways, each rule built from one cached leggauss
+# rule on [0, 1].  Kept as the oracle the fixed rule must match.
+
+def leggauss_on_unit_interval(n):
+    t, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * weights
+
+
+def adaptive_panel_nodes(panels):
+    t, weights = leggauss_on_unit_interval(theta.ZERO_COUNT_NODES)
+    return (((np.arange(panels)[:, None] + t) / panels).ravel(),
+            np.tile(weights / panels, panels))
+
+
+def adaptive_winding(basis, m, base, panels):
+    w = basis.omega
+    t, weights = adaptive_panel_nodes(panels)
+    pts = np.concatenate([base + t, base + 1.0 + t * w,
+                          base + w + t, base + t * w])
+    _, value, deriv = theta._scaled_series(basis, m, pts, want_deriv=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fb, fr, ft, fl = (deriv / value).reshape(4, -1)
+        return weights @ (fb - ft + w * (fr - fl)) / (2j * np.pi)
+
+
+def adaptive_zero_count(basis, m):
+    """The count, or None where the old search refused."""
+    d = basis.d
+    base = 1.0 / (2.0 * d) + (((-m) % d) / d - 0.5) * basis.omega
+    for _ in range(8):
+        panels, last = 1, adaptive_winding(basis, m, base, 1)
+        while np.isfinite(last) and panels < 64:
+            panels, prev = 2 * panels, last
+            last = adaptive_winding(basis, m, base, panels)
+            if abs(last - prev) < 1e-3:
+                count = int(np.rint(last.real))
+                if abs(last - count) < 0.01:
+                    return count
+                break
+        base += 0.37 / d
+    return None
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.3j, 0.2 + 0.05j])
+def test_zero_count_matches_the_adaptive_search(omega):
+    """The fixed rule on 1 and 2 panels counts what the old doubling and
+    nudging search counted, at every index up to d = 41 and at four
+    indices beyond, out to d = 1001."""
+    for d in (*range(1, 14), 21, 41, 101, 401, 1001):
+        basis = ThetaBasis(d, CurveModulus(omega))
+        ms = range(d) if d <= 41 else (0, 1, d // 2, d - 1)
+        want = [adaptive_zero_count(basis, m) for m in ms]
+        assert want == [d] * len(ms), (d, omega)
+        assert [theta_zero_count(basis, m) for m in ms] == want, (d, omega)
+
+
 def test_zero_count_refusal_names_panels_and_estimates(monkeypatch):
-    # estimates that never settle: each doubling moves the winding by 0.01
-    # times the panel count
-    monkeypatch.setattr(theta, "_winding",
-                        lambda basis, m, base, panels: 0.01 * panels)
-    with pytest.raises(theta.ConvergenceError) as info:
-        theta_zero_count(ThetaBasis(5, CurveModulus(0.2 + 1.3j)), 2)
-    panels = theta.ZERO_COUNT_PANELS_MAX
-    assert str(info.value) == (
-        f"no clean contour found for zero count after "
-        f"{theta.ZERO_COUNT_TRIES} attempts; the last reached {panels} "
-        f"panel(s) per edge, with estimates {0.005 * panels:.6g} and "
-        f"{0.01 * panels:.6g}")
+    # estimates that disagree, and estimates that agree on no integer
+    basis = ThetaBasis(5, CurveModulus(0.2 + 1.3j))
+    for winding, broke in (
+            (lambda panels: 0.01 * panels,
+             "0.01 and 0.02, differ by 1e-3 or more"),
+            (lambda panels: 2.5,
+             "2.5 and 2.5, lie 0.01 or more from an integer")):
+        monkeypatch.setattr(theta, "_winding",
+                            lambda basis, m, base, panels: winding(panels))
+        with pytest.raises(theta.ConvergenceError) as info:
+            theta_zero_count(basis, 7)
+        assert str(info.value) == (
+            f"zero count of theta_2 at d=5 did not settle: its estimates on "
+            f"1 and 2 panels per edge, {broke}")
 
 
 def test_zero_count_refuses_a_contour_through_zeros(monkeypatch):
-    # a series that vanishes everywhere: every placement's first winding is
-    # not finite, so no placement doubles, and no numpy warning escapes
+    # a series that vanishes everywhere: both windings are not finite, and
+    # no numpy warning escapes
     def vanishing(basis, m, z, want_deriv=False):
         scale, value, deriv = scaled_series(basis, m, z, want_deriv)
         return scale, 0.0 * value, deriv
     scaled_series = theta._scaled_series
     monkeypatch.setattr(theta, "_scaled_series", vanishing)
     with pytest.raises(theta.ConvergenceError,
-                       match=r"reached 1 panel\(s\) per edge, with "
-                             "estimates nan and nan"):
+                       match=r"^zero count of theta_2 at d=5 did not settle: "
+                             r"its estimates on 1 and 2 panels per edge, "
+                             r"nan\+nanj and nan\+nanj, differ by 1e-3 or "
+                             r"more$"):
         theta_zero_count(ThetaBasis(5, CurveModulus(0.2 + 1.3j)), 2)
 
 
-def test_zero_count_builds_one_rule():
-    # every panel count reuses the one ZERO_COUNT_NODES rule, so a count
-    # builds a single Gauss-Legendre rule however far it doubles
-    _unit_nodes.cache_clear()
+def test_zero_count_builds_one_rule(monkeypatch):
+    # the ZERO_COUNT_NODES rule is built on 1 and 2 panels by the first
+    # count and kept: later counts build no rule
     _panel_nodes.cache_clear()
-    theta_zero_count(ThetaBasis(5, CurveModulus(0.2 + 1.3j)), 2)
-    assert _unit_nodes.cache_info().currsize == 1
-    hits = _unit_nodes.cache_info().hits
-    t, weights = _unit_nodes(theta.ZERO_COUNT_NODES)
-    assert _unit_nodes.cache_info().hits == hits + 1
-    # on p panels, panel k holds the rule mapped onto [k/p, (k+1)/p]
-    nodes, panel_weights = _panel_nodes(4)
-    assert np.array_equal(nodes.reshape(4, -1),
-                          (np.arange(4)[:, None] + t) / 4)
-    assert np.array_equal(panel_weights.reshape(4, -1),
-                          np.tile(weights / 4, (4, 1)))
+    rules = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: rules.append(n) or leggauss(n))
+    basis = ThetaBasis(5, CurveModulus(0.2 + 1.3j))
+    assert [theta_zero_count(basis, m) for m in range(5)] == [5] * 5
+    assert rules == [theta.ZERO_COUNT_NODES] * 2
+    assert _panel_nodes.cache_info().misses == 2
+    _panel_nodes.cache_clear()
 
 
 @pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.05j])
@@ -402,14 +455,19 @@ def test_scaled_series_matches_eval(omega):
 
 @pytest.mark.parametrize("n", [1, 7, 160, 320])
 def test_unit_nodes_are_leggauss_on_unit_interval(n):
-    t, weights = _unit_nodes(n)
-    ref_t, ref_weights = np.polynomial.legendre.leggauss(n)
-    assert np.array_equal(t, 0.5 * (ref_t + 1.0))
-    assert np.array_equal(weights, 0.5 * ref_weights)
+    # on n panels, panel k holds the leggauss rule mapped onto [k/n,
+    # (k+1)/n]
+    t, weights = _panel_nodes(n)
+    ref_t, ref_weights = np.polynomial.legendre.leggauss(
+        theta.ZERO_COUNT_NODES)
+    assert np.array_equal(t.reshape(n, -1),
+                          (np.arange(n)[:, None] + 0.5 * (ref_t + 1.0)) / n)
+    assert np.array_equal(weights.reshape(n, -1),
+                          np.tile(0.5 * ref_weights / n, (n, 1)))
     assert not t.flags.writeable and not weights.flags.writeable
     with pytest.raises(ValueError):
         t[0] = 0.0
-    assert _unit_nodes(n)[0] is t
+    assert _panel_nodes(n)[0] is t
 
 
 def scalar_symmetry_fit(basis, x):
@@ -429,18 +487,37 @@ def scalar_symmetry_fit(basis, x):
     return a, b, residual
 
 
-def test_symmetry_constants_match_scalar_eval_fit(modulus, rng):
-    for d in (1, 2, 3, 4, 5, 8, 12):
-        basis = ThetaBasis(d, modulus)
-        for _ in range(3):
-            x = complex(rng.uniform(0.05, 0.95)
-                        + rng.uniform(0.05, 0.95) * modulus.omega)
-            got = theta_symmetry_constants(basis, x)
-            want = scalar_symmetry_fit(basis, x)
-            assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
-        # theta_0 vanishes at 0: the fit is refused at every d
-        with pytest.raises(ValueError):
-            theta_symmetry_constants(basis, 0.0)
+def test_symmetry_constants_match_scalar_eval_fit(rng):
+    """The fit on the unreduced scaled series against the fit on reduced
+    float values.  Measured: a, b and the residual agree to 4.9e-14 (d = 41,
+    omega = 3i), over three x per (d, omega)."""
+    for omega in (0.2 + 1.3j, 3j, 0.2 + 0.3j):
+        for d in (*range(1, 14), 21, 25, 41):
+            basis = ThetaBasis(d, CurveModulus(omega))
+            for _ in range(3):
+                x = complex(rng.uniform(0.05, 0.95)
+                            + rng.uniform(0.05, 0.95) * omega)
+                got = theta_symmetry_constants(basis, x)
+                want = scalar_symmetry_fit(basis, x)
+                assert all(abs(g - w) <= 1e-13 for g, w in zip(got, want))
+            # theta_0 vanishes at 0: the fit is refused at every d
+            with pytest.raises(ValueError):
+                theta_symmetry_constants(basis, 0.0)
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.3j])
+def test_symmetry_constants_at_d_1001(omega):
+    # theta(x) at d = 1001 leaves the float range by hundreds of orders of
+    # magnitude; its scaled form does not.  Measured residuals are at most
+    # 1.8e-12, and a, b within 6.1e-13 of -1 and exp(-2 pi i / d)
+    modulus = CurveModulus(omega)
+    basis = ThetaBasis(1001, modulus)
+    for seed in range(3):
+        x = sample_generic_x(1001, modulus, np.random.default_rng(seed))
+        a, b, residual = theta_symmetry_constants(basis, x)
+        assert residual < 1e-11
+        assert abs(a + 1.0) < 1e-11
+        assert abs(b - np.exp(-2j * np.pi / 1001)) < 1e-11
 
 
 def test_symmetry_constants_refuse_torsion_points(modulus):
