@@ -106,8 +106,7 @@ def _bracket_rows(d: int, r: int, modulus: CurveModulus) -> np.ndarray:
     basis = ThetaBasis(d, modulus)
     idx = np.arange(d)
     scale, value, deriv = theta._scaled_series(basis, idx, 0.0, True)
-    at_zero = theta._unscale(basis, idx, scale, value)[:, 0]
-    at_zero[0] = 0.0
+    at_zero = theta._at_zero(basis, scale, value)
     slope = theta._unscale(basis, idx, scale, deriv)[:, 0]
     k, n = np.ogrid[:d, :d]
     # theta_0(0) = 0 divides at n = 0 and n = k; those entries are replaced
@@ -197,7 +196,7 @@ def extract_bracket(d: int, r: int, modulus: CurveModulus) -> PoissonTensor:
     TANGENT_TOL.
     """
     params = AlgebraParams(d, r, TANGENT_H * EXTRACTION_DIRECTION, modulus)
-    r = params.r
+    d, r = params.d, params.r
     rows = _bracket_rows(d, r, modulus)
     k, n = np.ogrid[:d, :d]
     mirror = (k - n) % d
@@ -243,6 +242,7 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     which bounds the memory of the batched (points, d, d, d) products.
     trials must be at least 1; a non-finite residual raises ArithmeticError.
     """
+    trials = theta._integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     d = tensor.d

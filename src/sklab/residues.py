@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, filterfalse
 from math import gcd
-from operator import and_
+from operator import and_, index
 
 __all__ = [
     "PHI",
@@ -87,10 +87,26 @@ def _in_residue_set(r: int, d: int) -> bool:
     return gcd(r * (r + 1), d) == 1
 
 
-def residue_set(d: int) -> ResidueSet:
-    """Residues r mod d with gcd(r, d) = gcd(r + 1, d) = 1."""
+def _integer(name: str, value) -> int:
+    """value as a plain int (np.int64 and True pass); TypeError naming it
+    otherwise, 7.0 included."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _modulus(d) -> int:
+    """d as a plain int of at least 2, the moduli R_d is defined for."""
+    d = _integer("d", d)
     if d < 2:
         raise ValueError("modulus must be at least 2")
+    return d
+
+
+def residue_set(d: int) -> ResidueSet:
+    """Residues r mod d with gcd(r, d) = gcd(r + 1, d) = 1."""
+    d = _modulus(d)
     # unit[u] = 1 exactly when u is a unit mod d, for u in 0..d
     unit = bytearray(b"\1") * (d + 1)
     for p in _prime_factors(d):
@@ -117,8 +133,7 @@ def _prime_factors(d: int):
 
 def apply(g: S3Element, r: int, d: int) -> int:
     """Act by g on a residue.  Raises if d < 2 or r is outside R_d."""
-    if d < 2:
-        raise ValueError("modulus must be at least 2")
+    d, r = _modulus(d), _integer("r", r)
     if not _in_residue_set(r, d):
         raise ValueError(f"residue {r} is not in R_{d}")
     out = r % d
@@ -129,14 +144,13 @@ def apply(g: S3Element, r: int, d: int) -> int:
     return out
 
 
-@lru_cache(maxsize=1, typed=True)
+@lru_cache(maxsize=1)
 def _action_tables(d: int):
     """R_d with phi and beta as tuples indexed by residue (0 off R_d).
 
     inv[u] = u^{-1} mod d at every unit u, one pow per pair {u, u^{-1}};
     then beta(r) = inv[r] and phi(r) = -inv[r + 1] for each member r.
-    The memo holds the last d only, for the checks run in turn on it;
-    typed, so a float d is refused as before instead of hitting an int.
+    The memo holds the last d only, for the checks run in turn on it.
     """
     members = residue_set(d).members
     inv = [0] * d
@@ -171,7 +185,7 @@ def _closed_action(d: int):
 
 def check_group_relations(d: int) -> bool:
     """phi^3 = beta^2 = (phi beta)^2 = id pointwise on R_d."""
-    members, phi, beta = _closed_action(d)
+    members, phi, beta = _closed_action(_modulus(d))
     for r in members:
         if phi[phi[phi[r]]] != r or beta[beta[r]] != r:
             return False
@@ -188,6 +202,7 @@ def fixed_points(d: int) -> dict:
     fixed set is exactly {d - 2} when that residue lies in R_d.  A failed
     cross-check raises ArithmeticError.
     """
+    d = _modulus(d)
     members, phi, beta = _closed_action(d)
     phi_fixed = tuple(r for r in members if phi[r] == r)
     pb_fixed = tuple(r for r in members if phi[beta[r]] == r)
@@ -206,7 +221,7 @@ def fixed_points(d: int) -> dict:
 
 def orbit_report(d: int):
     """Partition of R_d into orbits of the full six-element group."""
-    members, phi, beta = _closed_action(d)
+    members, phi, beta = _closed_action(_modulus(d))
     remaining = set(members)
     orbits = []
     for r in members:

@@ -170,8 +170,9 @@ def _theta_triple(d: int, x: complex, modulus: CurveModulus):
     x_red, _, q = reduce_to_cell(x, omega)
     idx = np.arange(d)
     scale, value = theta._scaled_series(basis, idx, [0.0, x_red, -x_red])
-    rows = theta._unscale(basis, idx, scale, value).T.copy()
-    rows[0, 0] = 0.0
+    rows = np.empty((3, d), dtype=complex)
+    rows[0] = theta._at_zero(basis, scale[:, :1], value[:, :1])
+    rows[1:] = theta._unscale(basis, idx, scale[:, 1:], value[:, 1:]).T
     if q:
         rows[0] *= np.exp(2j * np.pi * d * q * (omega.real * q
                                                 + 2.0 * x_red.real))

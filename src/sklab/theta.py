@@ -15,13 +15,20 @@ an eigenbasis for translation by 1/d.  The family satisfies, for every d,
 and each theta_m has exactly d zeros per fundamental cell.
 
 One kernel, _scaled_series, sums the series for every value: at each
-(m, z) over a window centred on its largest term, whose exponent it
-returns as a log-scale beside a mantissa of modulus about 1, so the sum
-overflows and underflows at no d.  The evaluators reduce z to the cell
-first, since the unreduced phases lose digits as |d z| grows, and fold the
-cell multiplier into the log-scale.  A value whose leading term leaves the
-normal doubles (z many cells out, or theta_m(0) near m = 0 at d ~ 700)
-raises ThetaOverflowError naming d, m, the log-modulus and the bound.
+(m, z) over the terms c0 + j, |j| <= h, around its largest term c0, whose
+exponent it returns as a log-scale beside a mantissa of modulus about 1,
+so the sum overflows and underflows at no d.  c0 lies within 1/2 of the
+Gaussian's peak at -Im z / Im omega, so with a = pi d Im omega term j is
+at most exp(-a (j^2 - |j|)) of term c0: the terms past h sum to at most
+2 exp(-a h (h + 1)) (1 + 1/x), x = 2 a (h + 1), and times |j|, as the
+derivative reads them, to at most that times h + 1 + 1/x (Mumford, Tata
+Lectures on Theta I, I.3).  h is the least one whose bound is at most
+TAIL_EPS = 2^-53, the rounding the sum carries anyway, so no term is
+tested.  The evaluators reduce z to the cell first, since the unreduced
+phases lose digits as |d z| grows, and fold the cell multiplier into the
+log-scale.  A value whose leading term leaves the normal doubles (z many
+cells out, or theta_{+-1}(0) from d = 698 at omega = 0.2+1.3i) raises
+ThetaOverflowError naming d, m, the log-modulus and the bound.
 
 The checks of these facts, theta_functional_residuals,
 theta_zero_count and theta_symmetry_constants, do not reduce: reduction
@@ -57,9 +64,9 @@ _TWO_PI_I = 2j * np.pi
 # logs of the smallest and largest normal doubles
 _LOG_NORMAL = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 
-# Relative truncation tolerance of the defining series, and the most terms
-# of k one series window may hold (the window widens as d Im(omega) -> 0).
-TAIL_EPS = 1e-14
+# Bound on the omitted terms of a series window relative to its leading
+# term, and the most terms of k one window may hold (d Im omega -> 0 widens).
+TAIL_EPS = 2.0 ** -53
 SERIES_WINDOW_MAX = 512
 
 # Bounds on d |x - p|, p the nearest d-torsion point, below which
@@ -147,15 +154,6 @@ class ConvergenceError(ArithmeticError):
     """A series window, a zero count, or a constants fit failed."""
 
 
-def _check_window(d: int, omega: complex, size: int) -> None:
-    """Refuse a series window of more than SERIES_WINDOW_MAX terms."""
-    if size > SERIES_WINDOW_MAX:
-        raise ConvergenceError(
-            f"theta series at d={d}, Im omega={omega.imag:g} needs a "
-            f"window of {size} terms, above the bound "
-            f"SERIES_WINDOW_MAX={SERIES_WINDOW_MAX}")
-
-
 class ThetaOverflowError(ArithmeticError):
     """The leading term of a theta value leaves the normal doubles."""
 
@@ -177,20 +175,10 @@ class CurveModulus:
 
 @dataclass(frozen=True)
 class ThetaBasis:
-    """Evaluator for the d theta functions of level d at fixed modulus.
-
-    Parameters
-    ----------
-    d : int
-        Level; also the number of basis functions and of zeros per cell.
-    modulus : CurveModulus
-        The curve.
-
-    Notes
-    -----
-    Instances are immutable and safe to share between threads.  The index
-    m is reduced mod d on entry, so ``eval(m + d, z) == eval(m, z)``
-    exactly.
+    """Evaluator for the d theta functions of level d (also the number of
+    zeros per cell) on the curve `modulus`.  Instances are immutable and
+    safe to share between threads.  The index m is reduced mod d on entry,
+    so ``eval(m + d, z) == eval(m, z)`` exactly.
     """
 
     d: int
@@ -217,8 +205,6 @@ class ThetaBasis:
                                           * (self.omega * q + 2.0 * z_red))
         return _unscale(self, ms, scale, value)
 
-    # -- public evaluation ---------------------------------------------------
-
     def eval(self, m: int, z) -> complex:
         """Evaluate theta_m at z (scalar or array), index m taken mod d."""
         vals = self._from_cell(m, np.atleast_1d(z))
@@ -229,17 +215,12 @@ class ThetaBasis:
         return self._from_cell(np.arange(self.d), [complex(z)])[:, 0]
 
     def values_at_zero(self) -> np.ndarray:
-        """The d values theta_m(0) with the exact zero at m = 0.
-
-        The reflection identity theta_{-m}(-z) = -exp(-2 pi i m/d) theta_m(z)
-        forces theta_0(0) = 0 identically.  Summing the series leaves rounding
-        residue of order 1e-16 there instead, which matters to callers that
-        divide by quantities vanishing at the same point, so this entry is
-        pinned to exact zero.
-        """
-        vals = self.values_at(0.0)
-        vals[0] = 0.0
-        return vals
+        """The d values theta_m(0), theta_0(0) the exact zero the reflection
+        identity forces, where the series leaves rounding residue of order
+        1e-16 that callers dividing by quantities vanishing there must not
+        see (_at_zero)."""
+        scale, value = _scaled_series(self, np.arange(self.d), 0.0)
+        return _at_zero(self, scale, value)
 
     def dlog(self, m: int, z) -> np.ndarray:
         """Logarithmic derivative theta_m'(z)/theta_m(z), vectorized in z."""
@@ -259,22 +240,12 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     come from one unreduced series sum (_scaled_series) at x and -x: each
     ratio is a mantissa ratio times exp of a log-scale difference, and the
     residual divides the largest log-modulus of theta(x) out first, so the
-    fit overflows at no d.
-
-    Returns
-    -------
-    (a, b, residual) : complex, complex, float
-        ``residual`` is max_i |theta_{-i}(-x) - a b^i theta_i(x)|
-        normalized by max_i |theta_i(x)|.
-
-    Raises
-    ------
-    ValueError
-        If x is not finite, or DenominatorNearZero if torsion_gate refuses
-        x (near a d-torsion point some theta_i(x) vanishes): the same test
-        the relation builder applies.
-    ConvergenceError
-        If the fitted constants violate the identity or |b^d - 1| >= FIT_TOL.
+    fit overflows at no d.  Returns (a, b, residual), residual = max_i
+    |theta_{-i}(-x) - a b^i theta_i(x)| / max_i |theta_i(x)|.  Raises
+    ValueError if x is not finite, DenominatorNearZero if torsion_gate
+    refuses x (the relation builder's test: near a d-torsion point some
+    theta_i(x) vanishes), and ConvergenceError if the residual or
+    |b^d - 1| reaches FIT_TOL.
     """
     d = basis.d
     torsion_gate(d, x, basis.omega)
@@ -300,23 +271,48 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     return a, b, residual
 
 
+def _half_width(d: int, omega: complex, weighted: bool) -> int:
+    """The least h >= 1 whose tail bound (module docstring; |j|-weighted if
+    weighted) is at most TAIL_EPS, searched up from the root of a h(h + 1)
+    = log(2 / TAIL_EPS).  ConvergenceError past SERIES_WINDOW_MAX terms,
+    or where 4 a overflows: the exponents of a sum in the cell reach 2 a."""
+    a = np.pi * d * omega.imag
+    if not 4.0 * a < math.inf:
+        raise ConvergenceError(f"theta series at d={d}, Im omega="
+                               f"{omega.imag:g}: 4 pi d Im omega overflows")
+    # capped, so that a subnormal Im omega still gives an int
+    root = min(math.sqrt(0.25 - math.log(TAIL_EPS / 2) / a), 2.0 ** 60)
+    h = max(1, math.ceil(root - 0.5))
+    while 2 * h + 1 <= SERIES_WINDOW_MAX:
+        x = 2.0 * a * (h + 1)
+        if 2.0 * math.exp(-a * h * (h + 1)) * (1.0 + 1.0 / x) * (
+                h + 1.0 + 1.0 / x if weighted else 1.0) <= TAIL_EPS:
+            return h
+        h += 1
+    raise ConvergenceError(
+        f"theta series at d={d}, Im omega={omega.imag:g} needs a window of "
+        f"{2 * h + 1} terms, above the bound "
+        f"SERIES_WINDOW_MAX={SERIES_WINDOW_MAX}")
+
+
 def _scaled_series(basis: ThetaBasis, ms, z, want_deriv=False):
     """theta_m (and theta_m') in scaled form: the one sum of the series.
 
     ms is an index or an array of them, z a point or a 1-d array of points,
     not reduced; the outputs have shape np.shape(ms) + (len(z),).  Returns
     (log_scale, value[, deriv]), theta_m(z) = exp(log_scale) value and
-    theta_m'(z) = exp(log_scale) deriv.  Each (m, z) sums over a window of
-    k centred on its largest term, at k + m/d + 1/2 = -Im z / Im omega,
-    whose exponent is log_scale, so no term exceeds 1 in modulus at any d
-    or z.  The window grows by half until the edge terms of every sum are
-    below TAIL_EPS times it (ConvergenceError past SERIES_WINDOW_MAX
-    terms); ValueError if a z is not finite.
+    theta_m'(z) = exp(log_scale) deriv.  Each (m, z) sums the terms c0 + j,
+    |j| <= h, c0 = k + m/d + 1/2 within 1/2 of -Im z / Im omega, whose
+    exponent is log_scale, so no term exceeds 1 in modulus at any d or z.
+    h is _half_width's, from (d, omega) and want_deriv alone (the module
+    docstring has the bound), so splitting the points between calls changes
+    no window.  ValueError if a z is not finite.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.isfinite(z).all():
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
     d, w = basis.d, basis.omega
+    half = _half_width(d, w, want_deriv)
     mu = np.asarray(ms)[..., None] % d / d + 0.5
     c0 = np.rint(-z.imag / w.imag - mu) + mu
     # the exponent of term c is pi i d omega c^2 + c a, a = 2 pi i (d z +
@@ -324,16 +320,9 @@ def _scaled_series(basis: ThetaBasis, ms, z, want_deriv=False):
     a = (_TWO_PI_I * d) * z + 1j * np.pi
     step = (_TWO_PI_I * d * w) * c0 + a
     log_scale = c0 * ((1j * np.pi * d * w) * c0 + a)
-    half = int(3.0 + 6.0 / math.sqrt(np.pi * d * w.imag))
-    while True:
-        _check_window(d, w, 2 * half + 1)
-        j = np.arange(-half, half + 1)
-        terms = np.exp((1j * np.pi * d * w) * (j * j) + step[..., None] * j)
-        value = terms.sum(axis=-1)
-        edge = np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1]))
-        if np.all(edge < TAIL_EPS * np.abs(value)):
-            break
-        half += half // 2 + 1
+    j = np.arange(-half, half + 1)
+    terms = np.exp((1j * np.pi * d * w) * (j * j) + step[..., None] * j)
+    value = terms.sum(axis=-1)
     if not want_deriv:
         return log_scale, value
     return log_scale, value, _TWO_PI_I * d * (c0 * value + terms @ j)
@@ -342,13 +331,13 @@ def _scaled_series(basis: ThetaBasis, ms, z, want_deriv=False):
 def _unscale(basis: ThetaBasis, ms, log_scale, value) -> np.ndarray:
     """exp(log_scale) value, from _scaled_series at the indices ms.
 
-    ThetaOverflowError, naming d, m, the log-modulus and the bound, where a
-    leading term exp(log_scale) lies outside the normal doubles; a value
-    small only because z is near a zero of theta_m is not refused."""
+    ThetaOverflowError, naming d, m, the log-modulus and the bound of the
+    first (m, z) whose leading term exp(log_scale) is not a normal double;
+    a value small only because z is near a zero of theta_m is returned."""
     log_mod = log_scale.real
     low, high = _LOG_NORMAL
     if log_mod.min(initial=high) < low or log_mod.max(initial=low) > high:
-        at = np.argmax(np.maximum(log_mod - high, low - log_mod))
+        at = np.flatnonzero((log_mod < low) | (log_mod > high))[0]
         m = np.broadcast_to(np.asarray(ms)[..., None], log_mod.shape).flat[at]
         kind, side, bound = (("finite", "above", high) if log_mod.flat[at]
                              > high else ("normal", "below", low))
@@ -357,6 +346,13 @@ def _unscale(basis: ThetaBasis, ms, log_scale, value) -> np.ndarray:
             f"m={m % basis.d}: its leading term has log-modulus "
             f"{log_mod.flat[at]:.1f}, {side} the bound {bound:.2f}")
     return np.exp(log_scale) * value
+
+
+def _at_zero(basis: ThetaBasis, log_scale, value) -> np.ndarray:
+    """theta_m(0), m < d, from the (d, 1) scaled sums at z = 0: theta_0(0)
+    is its exact zero, so its leading term is not range-checked."""
+    return np.concatenate([[0.0], _unscale(
+        basis, np.arange(1, basis.d), log_scale[1:], value[1:])[:, 0]])
 
 
 def _relative_gap(lhs_scale, lhs, rhs_scale, rhs):
@@ -410,28 +406,32 @@ def _panel_nodes(panels):
     return nodes
 
 
-def _winding(basis, m, base, panels):
+def _windings(basis, m, base):
+    """theta_m's windings around `base` on 1 and 2 panels, from one sum."""
     w = basis.omega
-    t, weights = _panel_nodes(panels)
+    (t1, weights1), (t2, weights2) = _panel_nodes(1), _panel_nodes(2)
+    t = np.concatenate([t1, t2])
     pts = np.concatenate([base + t, base + 1.0 + t * w,
                           base + w + t, base + t * w])
     _, value, deriv = _scaled_series(basis, m, pts, want_deriv=True)
     # a zero on the contour leaves a winding that is not finite
     with np.errstate(divide="ignore", invalid="ignore"):
         fb, fr, ft, fl = (deriv / value).reshape(4, -1)
-        return weights @ (fb - ft + w * (fr - fl)) / _TWO_PI_I
+        f = fb - ft + w * (fr - fl)
+        cut = len(t1)
+        return weights1 @ f[:cut] / _TWO_PI_I, weights2 @ f[cut:] / _TWO_PI_I
 
 
 def theta_zero_count(basis: ThetaBasis, m: int) -> int:
     """Count zeros of theta_m in a fundamental cell by contour integration.
 
-    Integrates theta'/theta around a fundamental parallelogram with one and
-    with two ZERO_COUNT_NODES-point Gauss-Legendre panels per edge, based
-    half a lattice period below the line of theta_m's d zeros (spaced 1/d
-    apart) and 1/(2d) to the side of the nearest one.  The count is
-    accepted when the two estimates agree within 1e-3 and lie within 0.01
-    of an integer; otherwise ConvergenceError names d, m, both estimates
-    and the bound they broke.
+    Integrates theta'/theta, from one kernel sum, around a fundamental
+    parallelogram with one and with two ZERO_COUNT_NODES-point Gauss-Legendre
+    panels per edge, based half a lattice period below the line of theta_m's
+    d zeros (spaced 1/d apart) and 1/(2d) to the side of the nearest one.
+    The count is accepted when the two estimates agree within 1e-3 and lie
+    within 0.01 of an integer; otherwise ConvergenceError names d, m, both
+    estimates and the bound they broke.
 
     By quasi-periodicity, theta'/theta(z) - theta'/theta(z + omega) =
     2 pi i d and theta'/theta(z + 1) = theta'/theta(z), so for theta_m the
@@ -442,7 +442,7 @@ def theta_zero_count(basis: ThetaBasis, m: int) -> int:
     """
     d = basis.d
     base = 1.0 / (2.0 * d) + (((-m) % d) / d - 0.5) * basis.omega
-    coarse, fine = (_winding(basis, m, base, panels) for panels in (1, 2))
+    coarse, fine = _windings(basis, m, base)
     gap, count = abs(fine - coarse), np.rint(fine.real)
     if gap < 1e-3 and abs(fine - count) < 0.01:
         return int(count)

@@ -437,3 +437,32 @@ def test_non_finite_row_entry_is_refused_before_pi(modulus, monkeypatch):
         r"theta_(\d+)\(0\)\), of moduli ", message).groups())
     assert (a, b, c) == ((k + (r - 1) * n) % d, (k - n) % d, (r * n) % d)
     assert message.endswith("normal doubles span 2.225e-308 to 1.798e+308)")
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_extract_refuses_a_float_level(modulus, value):
+    with pytest.raises(TypeError) as info:
+        extract_bracket(value, 1, modulus)
+    assert str(info.value) == f"d must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("value, want", [(np.int64(5), 5), (True, 1)])
+def test_extract_stores_the_level_as_a_plain_int(modulus, value, want):
+    got, expected = extract_bracket(value, 2, modulus), \
+        extract_bracket(want, 2, modulus)
+    assert type(got.d) is int and type(got.r) is int
+    assert (got.d, got.r) == (expected.d, expected.r)
+    assert np.array_equal(got.pi, expected.pi)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_jacobi_refuses_a_float_trial_count(tensor_31, value):
+    with pytest.raises(TypeError) as info:
+        jacobi_check(tensor_31, value, 0)
+    assert str(info.value) == f"trials must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("value, want", [(np.int64(3), 3), (True, 1)])
+def test_jacobi_reads_the_trial_count_as_an_integer(tensor_31, value, want):
+    assert jacobi_check(tensor_31, value, 4) == jacobi_check(tensor_31,
+                                                              want, 4)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sklab import residues
@@ -282,3 +283,43 @@ def test_float_modulus_still_refused():
     check_group_relations(7)
     with pytest.raises(TypeError):
         check_group_relations(7.0)
+
+
+# ------------------------------------------------- integer moduli
+
+
+ENTRY_POINTS = [residue_set, check_group_relations, fixed_points,
+                orbit_report, lambda d: apply(PHI, 2, d)]
+ENTRY_IDS = ["residue_set", "check_group_relations", "fixed_points",
+             "orbit_report", "apply"]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, 7.0])
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+def test_float_modulus_is_refused_by_name(entry, value):
+    with pytest.raises(TypeError) as info:
+        entry(value)
+    assert str(info.value) == f"d must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+def test_numpy_modulus_is_read_as_a_plain_int(entry):
+    got = entry(np.int64(7))
+    assert got == entry(7)
+    if entry is residue_set:
+        assert type(got.d) is int
+        assert all(type(r) is int for r in got.members)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+def test_true_modulus_is_one(entry):
+    # True is the integer 1, and R_1 does not exist
+    with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+        entry(True)
+
+
+def test_apply_reads_the_residue_as_an_integer():
+    assert apply(PHI, np.int64(2), 7) == apply(PHI, 2, 7)
+    with pytest.raises(TypeError) as info:
+        apply(PHI, 2.0, 7)
+    assert str(info.value) == "r must be an integer, got 2.0"

@@ -390,8 +390,8 @@ def test_zero_count_refusal_names_panels_and_estimates(monkeypatch):
              "0.01 and 0.02, differ by 1e-3 or more"),
             (lambda panels: 2.5,
              "2.5 and 2.5, lie 0.01 or more from an integer")):
-        monkeypatch.setattr(theta, "_winding",
-                            lambda basis, m, base, panels: winding(panels))
+        monkeypatch.setattr(theta, "_windings",
+                            lambda basis, m, base: (winding(1), winding(2)))
         with pytest.raises(theta.ConvergenceError) as info:
             theta_zero_count(basis, 7)
         assert str(info.value) == (
@@ -634,7 +634,8 @@ def two_window_series(basis, ms, z_red, want_deriv=False):
     while True:
         lo = np.ceil(-half_width - mu.max())
         size = int(np.floor(half_width - mu.min()) + 1 - lo)
-        theta._check_window(d, w, size)
+        if size > theta.SERIES_WINDOW_MAX:
+            raise theta.ConvergenceError(f"window of {size} terms")
         k = lo + np.arange(size)
         c = k + mu
         terms = np.exp(((1j * np.pi * d * w) * c * c)[:, None, :]
@@ -705,19 +706,155 @@ def test_one_kernel_matches_the_two_window_path(omega):
     assert compared >= 5 * 18
 
 
+# The kernel as it was before its window came in closed form: a width of
+# 3 + 6/sqrt(pi d Im omega) terms either side, grown by half until the edge
+# terms of every sum fell below 1e-14 of it.  Kept as the oracle the closed
+# form must match.
+
+def adaptive_scaled_series(basis, ms, z, want_deriv=False):
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    d, w = basis.d, basis.omega
+    mu = np.asarray(ms)[..., None] % d / d + 0.5
+    c0 = np.rint(-z.imag / w.imag - mu) + mu
+    a = (2j * np.pi * d) * z + 1j * np.pi
+    step = (2j * np.pi * d * w) * c0 + a
+    log_scale = c0 * ((1j * np.pi * d * w) * c0 + a)
+    half = int(3.0 + 6.0 / np.sqrt(np.pi * d * w.imag))
+    while True:
+        if 2 * half + 1 > theta.SERIES_WINDOW_MAX:
+            raise theta.ConvergenceError(f"window of {2 * half + 1} terms")
+        j = np.arange(-half, half + 1)
+        terms = np.exp((1j * np.pi * d * w) * (j * j) + step[..., None] * j)
+        value = terms.sum(axis=-1)
+        edge = np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1]))
+        if np.all(edge < 1e-14 * np.abs(value)):
+            break
+        half += half // 2 + 1
+    if not want_deriv:
+        return log_scale, value
+    return log_scale, value, 2j * np.pi * d * (c0 * value + terms @ j)
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.05j])
+def test_closed_form_window_matches_the_adaptive_kernel(omega):
+    """Mantissas and derivatives of every index against the adaptive
+    kernel, at 0, +-(0.11 + 0.17i) and 0.13 + 0.21 omega in every cell of
+    CELLS.  The leading term is 1 in scaled form, so values are compared
+    to 1 and derivatives to 2 pi d (|c0| + 1).  Measured, over the three
+    moduli: values 5.0e-16 and derivatives 4.5e-16 (both d = 1,
+    omega = 0.2+0.05i)."""
+    for d in (*range(1, 14), 21, 41, 101, 301):
+        basis = ThetaBasis(d, CurveModulus(omega))
+        idx = np.arange(d)
+        points = np.array([0.0, 0.11 + 0.17j, -0.11 - 0.17j] + [
+            0.13 + 0.21 * omega + p + q * omega for p, q in CELLS])
+        want_scale, want, want_deriv = adaptive_scaled_series(
+            basis, idx, points, True)
+        scale, value = theta._scaled_series(basis, idx, points)
+        _, with_deriv, deriv = theta._scaled_series(basis, idx, points, True)
+        assert np.array_equal(scale, want_scale)
+        assert np.abs(value - want).max() <= 1e-15, d
+        assert np.abs(with_deriv - want).max() <= 1e-15, d
+        mu = idx[:, None] / d + 0.5
+        c0 = np.rint(-points.imag / omega.imag - mu) + mu
+        assert (np.abs(deriv - want_deriv)
+                <= 1e-15 * 2 * np.pi * d * (np.abs(c0) + 1)).all(), d
+
+
+@pytest.mark.parametrize("omega", [0.2 + 1.3j, 3j, 0.2 + 0.3j, 0.2 + 0.05j])
+def test_omitted_terms_are_below_tail_eps(omega):
+    """Terms h+1 .. h+30 on either side of the window sum to at most
+    TAIL_EPS of the leading term, and so do they times |j| for the wider
+    window the derivative takes; at points drawn across cells, and at
+    points halfway between two peaks, where the tail is largest."""
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 5, 8, 13, 21, 101, 1001):
+        for weighted in (False, True):
+            h = theta._half_width(d, omega, weighted)
+            j = np.concatenate([np.arange(h + 1, h + 31),
+                                -np.arange(h + 1, h + 31)])
+            for _ in range(20):
+                m = int(rng.integers(0, d))
+                mu = m / d + 0.5
+                z = complex(rng.uniform(-2, 2) + rng.uniform(-2, 2) * omega)
+                for y in (z.imag, (0.5 - mu - 1e-9) * omega.imag):
+                    c0 = np.rint(-y / omega.imag - mu) + mu
+                    step = 2j * np.pi * d * (omega * c0 + z.real + 1j * y) \
+                        + 1j * np.pi
+                    terms = np.abs(np.exp(1j * np.pi * d * omega * j * j
+                                          + step * j))
+                    tail = (terms * np.abs(j)).sum() if weighted \
+                        else terms.sum()
+                    assert tail <= theta.TAIL_EPS, (d, m, y, weighted)
+
+
+@pytest.mark.parametrize("im, message", [
+    (1e-320, r"Im omega=9\.99989e-321 needs a window of \d+ terms"),
+    (1e308, r"Im omega=1e\+308: 4 pi d Im omega overflows")])
+def test_extreme_im_omega_is_refused_by_name(im, message):
+    # a subnormal Im omega asks for a window far past the bound (its size
+    # capped so it stays an int), and at 1e308 the exponents overflow:
+    # theta_1(0) at d = 2 would read nan there
+    basis = ThetaBasis(2, CurveModulus(complex(0.2, im)))
+    with pytest.raises(theta.ConvergenceError,
+                       match=f"^theta series at d=2, {message}"):
+        basis.values_at(0.0)
+
+
+def test_zero_count_sums_both_contours_in_one_call(monkeypatch):
+    # one kernel call per count, bit-identical to one call per contour
+    sums = []
+    scaled_series = theta._scaled_series
+    monkeypatch.setattr(theta, "_scaled_series",
+                        lambda *args, **kwargs: sums.append(1)
+                        or scaled_series(*args, **kwargs))
+    for omega in (0.2 + 1.3j, 3j, 0.2 + 0.05j):
+        for d in (1, 3, 8, 41):
+            basis = ThetaBasis(d, CurveModulus(omega))
+            for m in (0, 1, d - 1):
+                base = 1.0 / (2.0 * d) + (((-m) % d) / d - 0.5) * omega
+                sums.clear()
+                got = theta._windings(basis, m, base)
+                assert len(sums) == 1
+                want = tuple(adaptive_winding(basis, m, base, panels)
+                             for panels in (1, 2))
+                assert np.array_equal(got, want), (d, m, omega)
+
+
 def test_refusal_below_the_normal_doubles_names_index_and_log_modulus():
-    # at d = 701 the leading terms of theta_m(0) near m = 0 fall below the
-    # smallest normal double: the refusal names that quantity, not the
-    # series window
+    # at d = 701 the leading terms of theta_m(0) at m = 1 and m = d - 1 fall
+    # below the smallest normal double: the refusal names the first of
+    # them and that quantity, not the series window
     basis = ThetaBasis(701, CurveModulus(0.2 + 1.3j))
     with pytest.raises(ThetaOverflowError) as info:
         basis.values_at_zero()
     message = str(info.value)
-    assert message == ("theta value is not a normal float at d=701, m=0: its "
-                       "leading term has log-modulus -715.7, below the bound "
+    assert message == ("theta value is not a normal float at d=701, m=1: its "
+                       "leading term has log-modulus -711.7, below the bound "
                        "-708.40")
     assert "window" not in message
     assert isinstance(info.value, ArithmeticError)
+
+
+def test_values_at_zero_pin_theta_0_before_the_range_check():
+    # theta_0's leading term at 0 leaves the normal doubles from d = 694
+    # at omega = 0.2+1.3i, but theta_0(0) is the exact zero and is not
+    # range-checked; values at zero are returned until theta_1(0)'s leading
+    # term leaves too, and that refusal names m = 1
+    omega = 0.2 + 1.3j
+    low = np.log(np.finfo(float).tiny)
+    assert leading_log_modulus(694, 0, omega, 0.0) < low
+    d = 694
+    while leading_log_modulus(d, 1, omega, 0.0) >= low:
+        values = ThetaBasis(d, CurveModulus(omega)).values_at_zero()
+        assert values[0] == 0.0
+        assert np.isfinite(values).all() and (values[1:] != 0.0).all()
+        d += 1
+    assert d == 698
+    with pytest.raises(ThetaOverflowError,
+                       match=f"^theta value is not a normal float at d={d}, "
+                             f"m=1: "):
+        ThetaBasis(d, CurveModulus(omega)).values_at_zero()
 
 
 def test_value_small_near_a_zero_is_not_refused():
