@@ -27,7 +27,7 @@ from math import gcd
 import numpy as np
 
 from .sklyanin import AlgebraParams, _grade_bases, build_relations
-from . import theta
+from . import _integer, theta
 from .theta import CurveModulus, ThetaBasis
 
 __all__ = [
@@ -107,7 +107,7 @@ def _bracket_rows(d: int, r: int, modulus: CurveModulus) -> np.ndarray:
     idx = np.arange(d)
     scale, value, deriv = theta._scaled_series(basis, idx, 0.0, True)
     at_zero = theta._at_zero(basis, scale, value)
-    slope = theta._unscale(basis, idx, scale, deriv)[:, 0]
+    slope = theta._unscale(basis, idx, scale, deriv)
     k, n = np.ogrid[:d, :d]
     # theta_0(0) = 0 divides at n = 0 and n = k; those entries are replaced
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -242,7 +242,7 @@ def jacobi_check(tensor: PoissonTensor, trials: int, seed: int) -> float:
     which bounds the memory of the batched (points, d, d, d) products.
     trials must be at least 1; a non-finite residual raises ArithmeticError.
     """
-    trials = theta._integer("trials", trials)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     d = tensor.d

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, filterfalse
 from math import gcd
-from operator import and_, index
+from operator import and_
+
+from . import _integer
 
 __all__ = [
     "PHI",
@@ -78,22 +80,13 @@ class ResidueSet:
     d: int
     members: tuple
 
-    def __contains__(self, r: int) -> bool:
-        return 1 <= r < self.d and _in_residue_set(r, self.d)
+    def __contains__(self, r) -> bool:
+        return r in self.members
 
 
 def _in_residue_set(r: int, d: int) -> bool:
     """The membership rule of R_d: r and r + 1 (so r(r + 1)) are units mod d."""
     return gcd(r * (r + 1), d) == 1
-
-
-def _integer(name: str, value) -> int:
-    """value as a plain int (np.int64 and True pass); TypeError naming it
-    otherwise, 7.0 included."""
-    try:
-        return index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _modulus(d) -> int:

@@ -36,9 +36,9 @@ from math import gcd
 
 import numpy as np
 
-from . import theta
+from . import _integer, theta
 from .theta import (ConvergenceError, CurveModulus, DenominatorNearZero,
-                    ThetaBasis, _integer, reduce_to_cell, torsion_gate)
+                    ThetaBasis, reduce_to_cell, torsion_gate)
 
 __all__ = [
     "AlgebraParams",
@@ -169,10 +169,11 @@ def _theta_triple(d: int, x: complex, modulus: CurveModulus):
     basis = ThetaBasis(d, modulus)
     x_red, _, q = reduce_to_cell(x, omega)
     idx = np.arange(d)
-    scale, value = theta._scaled_series(basis, idx, [0.0, x_red, -x_red])
+    scale, value = theta._scaled_series(basis, idx,
+                                        [[0.0], [x_red], [-x_red]])
     rows = np.empty((3, d), dtype=complex)
-    rows[0] = theta._at_zero(basis, scale[:, :1], value[:, :1])
-    rows[1:] = theta._unscale(basis, idx, scale[:, 1:], value[:, 1:]).T
+    rows[0] = theta._at_zero(basis, scale[0], value[0])
+    rows[1:] = theta._unscale(basis, idx, scale[1:], value[1:])
     if q:
         rows[0] *= np.exp(2j * np.pi * d * q * (omega.real * q
                                                 + 2.0 * x_red.real))

@@ -14,7 +14,8 @@ an eigenbasis for translation by 1/d.  The family satisfies, for every d,
 
 and each theta_m has exactly d zeros per fundamental cell.
 
-One kernel, _scaled_series, sums the series for every value: at each
+One kernel, _scaled_series, sums the series for every value, its indices
+m broadcast against its points z as a ufunc's arguments are: at each
 (m, z) over the terms c0 + j, |j| <= h, around its largest term c0, whose
 exponent it returns as a log-scale beside a mantissa of modulus about 1,
 so the sum overflows and underflows at no d.  c0 lies within 1/2 of the
@@ -42,10 +43,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _integer
 
 __all__ = [
     "ConvergenceError",
@@ -142,14 +144,6 @@ def torsion_gate(d: int, x: complex, omega: complex) -> None:
         raise DenominatorNearZero(d, point, dist, bound)
 
 
-def _integer(name: str, value) -> int:
-    """value as a plain int; TypeError naming it otherwise (2.0 too)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 class ConvergenceError(ArithmeticError):
     """A series window, a zero count, or a constants fit failed."""
 
@@ -194,8 +188,8 @@ class ThetaBasis:
         return self.modulus.omega
 
     def _from_cell(self, ms, z):
-        """theta_m(z) for the indices ms against the 1-d array z, from the
-        series at z reduced to the cell: the cell multiplier of
+        """theta_m(z) for the indices ms broadcast against the points z, from
+        the series at z reduced to the cell: the cell multiplier of
         theta_m(z_red + p + q omega) = (-1)^(d p + q) exp(-pi i d omega q^2
         - 2 pi i d q z_red) theta_m(z_red) joins its log-scale."""
         z_red, p, q = reduce_to_cell(z, self.omega)
@@ -205,14 +199,14 @@ class ThetaBasis:
                                           * (self.omega * q + 2.0 * z_red))
         return _unscale(self, ms, scale, value)
 
-    def eval(self, m: int, z) -> complex:
-        """Evaluate theta_m at z (scalar or array), index m taken mod d."""
-        vals = self._from_cell(m, np.atleast_1d(z))
-        return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
+    def eval(self, m, z):
+        """theta_m(z), indices m (taken mod d) broadcast against points z as
+        a ufunc does; a numpy complex scalar when both are scalars."""
+        return self._from_cell(m, z)[()]
 
     def values_at(self, z: complex) -> np.ndarray:
         """All d values theta_0(z), ..., theta_{d-1}(z) at a single point."""
-        return self._from_cell(np.arange(self.d), [complex(z)])[:, 0]
+        return self._from_cell(np.arange(self.d), complex(z))
 
     def values_at_zero(self) -> np.ndarray:
         """The d values theta_m(0), theta_0(0) the exact zero the reflection
@@ -222,12 +216,11 @@ class ThetaBasis:
         scale, value = _scaled_series(self, np.arange(self.d), 0.0)
         return _at_zero(self, scale, value)
 
-    def dlog(self, m: int, z) -> np.ndarray:
-        """Logarithmic derivative theta_m'(z)/theta_m(z), vectorized in z."""
-        z_red, _, q = reduce_to_cell(np.atleast_1d(z), self.omega)
+    def dlog(self, m, z):
+        """Logarithmic derivative theta_m'(z)/theta_m(z), broadcast as eval."""
+        z_red, _, q = reduce_to_cell(z, self.omega)
         _, value, deriv = _scaled_series(self, m, z_red, want_deriv=True)
-        vals = deriv / value - _TWO_PI_I * self.d * q
-        return vals[0] if np.isscalar(z) or np.ndim(z) == 0 else vals
+        return (deriv / value - _TWO_PI_I * self.d * q)[()]
 
 
 def theta_symmetry_constants(basis: ThetaBasis, x: complex):
@@ -250,10 +243,8 @@ def theta_symmetry_constants(basis: ThetaBasis, x: complex):
     d = basis.d
     torsion_gate(d, x, basis.omega)
     idx = np.arange(d)
-    scale, value = _scaled_series(basis, idx, [x, -x])
-    flip = (-idx) % d
-    plus_scale, plus = scale[:, 0], value[:, 0]
-    minus_scale, minus = scale[flip, 1], value[flip, 1]
+    (plus_scale, minus_scale), (plus, minus) = _scaled_series(
+        basis, [idx, -idx], [[x], [-x]])
     rho = minus / plus * np.exp(minus_scale - plus_scale)
     b = complex(np.mean(rho[1:] / rho[:-1])) if d > 1 else 1.0 + 0.0j
     a = complex(np.mean(rho * b ** (-idx.astype(float))))
@@ -298,8 +289,8 @@ def _half_width(d: int, omega: complex, weighted: bool) -> int:
 def _scaled_series(basis: ThetaBasis, ms, z, want_deriv=False):
     """theta_m (and theta_m') in scaled form: the one sum of the series.
 
-    ms is an index or an array of them, z a point or a 1-d array of points,
-    not reduced; the outputs have shape np.shape(ms) + (len(z),).  Returns
+    The indices ms and the points z, not reduced, broadcast against each
+    other by numpy's rules, and the outputs take their shape.  Returns
     (log_scale, value[, deriv]), theta_m(z) = exp(log_scale) value and
     theta_m'(z) = exp(log_scale) deriv.  Each (m, z) sums the terms c0 + j,
     |j| <= h, c0 = k + m/d + 1/2 within 1/2 of -Im z / Im omega, whose
@@ -308,12 +299,12 @@ def _scaled_series(basis: ThetaBasis, ms, z, want_deriv=False):
     docstring has the bound), so splitting the points between calls changes
     no window.  ValueError if a z is not finite.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
     d, w = basis.d, basis.omega
     half = _half_width(d, w, want_deriv)
-    mu = np.asarray(ms)[..., None] % d / d + 0.5
+    mu = np.asarray(ms) % d / d + 0.5
     c0 = np.rint(-z.imag / w.imag - mu) + mu
     # the exponent of term c is pi i d omega c^2 + c a, a = 2 pi i (d z +
     # 1/2); that of c0 + j, less that of c0, is pi i d omega j^2 + j step
@@ -338,7 +329,7 @@ def _unscale(basis: ThetaBasis, ms, log_scale, value) -> np.ndarray:
     low, high = _LOG_NORMAL
     if log_mod.min(initial=high) < low or log_mod.max(initial=low) > high:
         at = np.flatnonzero((log_mod < low) | (log_mod > high))[0]
-        m = np.broadcast_to(np.asarray(ms)[..., None], log_mod.shape).flat[at]
+        m = np.broadcast_to(ms, log_mod.shape).flat[at]
         kind, side, bound = (("finite", "above", high) if log_mod.flat[at]
                              > high else ("normal", "below", low))
         raise ThetaOverflowError(
@@ -349,10 +340,10 @@ def _unscale(basis: ThetaBasis, ms, log_scale, value) -> np.ndarray:
 
 
 def _at_zero(basis: ThetaBasis, log_scale, value) -> np.ndarray:
-    """theta_m(0), m < d, from the (d, 1) scaled sums at z = 0: theta_0(0)
-    is its exact zero, so its leading term is not range-checked."""
+    """theta_m(0), m < d, from the d scaled sums at z = 0: theta_0(0) is
+    its exact zero, so its leading term is not range-checked."""
     return np.concatenate([[0.0], _unscale(
-        basis, np.arange(1, basis.d), log_scale[1:], value[1:])[:, 0]])
+        basis, np.arange(1, basis.d), log_scale[1:], value[1:])])
 
 
 def _relative_gap(lhs_scale, lhs, rhs_scale, rhs):
@@ -371,26 +362,20 @@ def theta_functional_residuals(basis: ThetaBasis, ms, zs):
     |rhs|, 1e-300) with the phases of m as given; ValueError if a z is not
     finite.
 
-    Both sides come from the unreduced series (_scaled_series), one call
-    per distinct m for its points and both shifts, compared as mantissas
-    once their log-scales are combined; theta_m at z + omega is its own sum.
+    Both sides come from one sum of the unreduced series (_scaled_series),
+    each m against its z, z + 1/d and z + omega, compared as mantissas once
+    their log-scales are combined; theta_m(z + omega) is summed there, not
+    reduced to theta_m(z).
     """
     d, omega = basis.d, basis.omega
     ms, zs = np.asarray(ms), np.asarray(zs, dtype=complex)
-    res = np.empty((2, len(zs)))
-    # a set, not np.unique: the latter imports numpy.ma on its first call
-    for m in set(ms.tolist()):
-        at = np.flatnonzero(ms == m)
-        z = zs[at]
-        scale, value = _scaled_series(
-            basis, m, np.concatenate([z, z + 1.0 / d, z + omega]))
-        (s, s1, s2), (v, v1, v2) = scale.reshape(3, -1), value.reshape(3, -1)
-        # the multipliers -exp(2 pi i m/d) and -exp(-pi i d omega - 2 pi i
-        # d z) of the right-hand sides join the log-scale of theta_m(z)
-        res[0, at] = _relative_gap(s1, v1, s + _TWO_PI_I * m / d, -v)
-        res[1, at] = _relative_gap(
-            s2, v2, s - 1j * np.pi * d * omega - _TWO_PI_I * d * z, -v)
-    return res[0], res[1]
+    (s, s1, s2), (v, v1, v2) = _scaled_series(
+        basis, ms, [zs, zs + 1.0 / d, zs + omega])
+    # the multipliers -exp(2 pi i m/d) and -exp(-pi i d omega - 2 pi i d z)
+    # of the right-hand sides join the log-scale of theta_m(z)
+    return (_relative_gap(s1, v1, s + _TWO_PI_I * ms / d, -v),
+            _relative_gap(s2, v2, s - 1j * np.pi * d * omega
+                          - _TWO_PI_I * d * zs, -v))
 
 
 @functools.lru_cache(maxsize=2)

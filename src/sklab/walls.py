@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import _integer
+
 __all__ = [
     "TripleInvariants",
     "Wall",
@@ -38,12 +40,7 @@ class TripleInvariants:
 
     def __post_init__(self):
         for name in ("r1", "r2", "d1", "d2"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") \
-                    from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.r1 < 1 or self.r2 < 1:
             raise ValueError("ranks must be positive integers")
 

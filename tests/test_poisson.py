@@ -388,7 +388,7 @@ def two_sum_bracket_rows(d, r, modulus):
     basis = ThetaBasis(d, modulus)
     at_zero = basis.values_at_zero()
     scale, _, deriv = theta._scaled_series(basis, np.arange(d), 0.0, True)
-    slope = theta._unscale(basis, np.arange(d), scale, deriv)[:, 0]
+    slope = theta._unscale(basis, np.arange(d), scale, deriv)
     k, n = np.ogrid[:d, :d]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = slope[0] * at_zero[(k + (r - 1) * n) % d] / (

@@ -21,6 +21,15 @@ def test_contains_matches_member_scan(d):
         assert (r in rset) is (r in rset.members)
 
 
+@pytest.mark.parametrize("r,want", [(2.0, True), (2.5, False),
+                                    (np.int64(2), True), (0, False),
+                                    (6, False)])
+def test_contains_answers_as_members_does(r, want):
+    # a float or numpy integer is a member when it equals one, and no
+    # input raises
+    assert (r in residue_set(7)) is want
+
+
 def sieve_oracle(d):
     """R_d by the membership rule, one gcd per residue."""
     return tuple(r for r in range(1, d) if residues._in_residue_set(r, d))

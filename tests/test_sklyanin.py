@@ -653,8 +653,9 @@ def two_sum_theta_triple(d, x, modulus):
     omega = modulus.omega
     basis = ThetaBasis(d, modulus)
     x_red, _, q = reduce_to_cell(x, omega)
-    scale, value = theta._scaled_series(basis, np.arange(d), [x_red, -x_red])
-    pair = theta._unscale(basis, np.arange(d), scale, value)
+    idx = np.arange(d)[:, None]
+    scale, value = theta._scaled_series(basis, idx, [x_red, -x_red])
+    pair = theta._unscale(basis, idx, scale, value)
     at_zero = basis.values_at_zero()
     if q:
         at_zero = at_zero * np.exp(2j * np.pi * d * q * (omega.real * q

@@ -190,6 +190,55 @@ def test_index_wraps_mod_d(modulus):
     assert basis.eval(-1, z) == basis.eval(4, z)
 
 
+@pytest.mark.parametrize("d", [1, 5, 41])
+def test_eval_over_indices_is_values_at(d, modulus):
+    # indices broadcast against one point, as a ufunc's arguments do: one
+    # value per index, bit for bit the value values_at gives, and one
+    # logarithmic derivative per index, bit for bit its scalar call
+    basis = ThetaBasis(d, modulus)
+    idx = np.arange(d)
+    for z in (0.13 + 0.21j, -0.37 + 1.42j, 1.9 - 0.6j):
+        assert np.array_equal(basis.eval(idx, z), basis.values_at(z))
+        got = basis.dlog(idx, z)
+        assert got.shape == (d,)
+        assert np.array_equal(got, [basis.dlog(m, z) for m in range(d)])
+
+
+@pytest.mark.parametrize("z", [0.13 + 0.21j, np.complex128(0.13 + 0.21j),
+                               np.array(0.13 + 0.21j)])
+def test_scalar_eval_and_dlog_are_numpy_complex_scalars(z, modulus):
+    # `theta eval` and the bench read .real and .imag of one value
+    basis = ThetaBasis(5, modulus)
+    for value in (basis.eval(2, z), basis.eval(np.int64(2), z),
+                  basis.dlog(2, z)):
+        assert type(value) is np.complex128
+
+
+def test_functional_residuals_are_one_sum(modulus, monkeypatch, rng):
+    # every (m, z) and both of its shifts in one kernel call, however many
+    # distinct indices; each residual the one its (m, z) gives alone
+    basis = ThetaBasis(41, modulus)
+    ms = rng.integers(0, 41, 200)
+    zs = rng.uniform(-1, 1, 200) + rng.uniform(-1, 1, 200) * modulus.omega
+    assert len(set(ms.tolist())) > 30
+    alone = np.array([theta_functional_residuals(basis, [m], [z])
+                      for m, z in zip(ms, zs)])[..., 0]
+    sums = []
+    scaled_series = theta._scaled_series
+    monkeypatch.setattr(theta, "_scaled_series",
+                        lambda *args, **kwargs: sums.append(1)
+                        or scaled_series(*args, **kwargs))
+    res1, res2 = theta_functional_residuals(basis, ms, zs)
+    assert len(sums) == 1
+    assert np.array_equal(res1, alone[:, 0])
+    assert np.array_equal(res2, alone[:, 1])
+
+
+def test_functional_residuals_of_no_points_are_empty(modulus):
+    res1, res2 = theta_functional_residuals(ThetaBasis(5, modulus), [], [])
+    assert res1.shape == res2.shape == (0,)
+
+
 def test_first_basis_function_vanishes_at_origin(modulus):
     for d in (3, 4, 5):
         basis = ThetaBasis(d, modulus)
@@ -592,7 +641,7 @@ def test_scaled_series_at_large_d_against_mpmath_series(d):
         for _ in range(3):
             z = complex(rng.uniform(-1, 1) + rng.uniform(-1, 1) * omega)
             for m in (0, 1, d // 2, d - 1):
-                (scale,), (got,) = theta._scaled_series(basis, m, z)
+                scale, got = theta._scaled_series(basis, m, z)
                 with mpmath.workdps(40):
                     want = complex(mp_theta(d, m, omega, z, mpmath)
                                    * mpmath.exp(-mpmath.mpc(scale)))
@@ -699,8 +748,9 @@ def test_one_kernel_matches_the_two_window_path(omega):
             _, want = two_window_series(basis, idx, np.zeros(1), True)
         except theta.ConvergenceError:
             continue
-        scale, _, deriv = theta._scaled_series(basis, idx, np.zeros(1), True)
-        got = theta._unscale(basis, idx, scale, deriv)
+        scale, _, deriv = theta._scaled_series(basis, idx[:, None],
+                                               np.zeros(1), True)
+        got = theta._unscale(basis, idx[:, None], scale, deriv)
         assert (np.abs(got - want)
                 <= 2e-14 * 2 * np.pi * d * np.exp(scale.real)).all(), d
     assert compared >= 5 * 18
@@ -750,8 +800,9 @@ def test_closed_form_window_matches_the_adaptive_kernel(omega):
             0.13 + 0.21 * omega + p + q * omega for p, q in CELLS])
         want_scale, want, want_deriv = adaptive_scaled_series(
             basis, idx, points, True)
-        scale, value = theta._scaled_series(basis, idx, points)
-        _, with_deriv, deriv = theta._scaled_series(basis, idx, points, True)
+        scale, value = theta._scaled_series(basis, idx[:, None], points)
+        _, with_deriv, deriv = theta._scaled_series(basis, idx[:, None],
+                                                    points, True)
         assert np.array_equal(scale, want_scale)
         assert np.abs(value - want).max() <= 1e-15, d
         assert np.abs(with_deriv - want).max() <= 1e-15, d
